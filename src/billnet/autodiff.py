@@ -26,7 +26,7 @@ from .quantize import (
     sign_strict,
     tern,
 )
-from .reference import ConvSpec, conv3d, _patches
+from .reference import ConvSpec, _columns, conv3d
 from .tensors import conv_same_pads
 
 
@@ -137,17 +137,6 @@ def scale_const(tape: Tape, a: Var, s) -> Var:
     def bwd():
         if out.grad is not None:
             tape._acc(a, out.grad * s)
-
-    tape.record(bwd, a)
-    return out
-
-
-def add_const(tape: Tape, a: Var, c) -> Var:
-    out = Var(a.value + c)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, out.grad)
 
     tape.record(bwd, a)
     return out
@@ -292,11 +281,9 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec) -> Var:
             return
         gout = out.grad
         n, to, ho, wo, _ = gout.shape
-        # weight gradient: columns of the forward view against the output grad
-        view, _ = _patches(x.value, spec.kernel, spec.strides)
+        # weight gradient: the forward's im2col columns against the output grad
         gw = np.empty_like(w.value)
-        for gi in range(g):
-            cols = view[..., gi * cig : (gi + 1) * cig].reshape(-1, kt * kh * kw * cig)
+        for gi, cols in enumerate(_columns(x.value, spec.kernel, spec.strides, g)):
             go = gout[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
             gw[..., gi * cog : (gi + 1) * cog] = (cols.T @ go).reshape(kt, kh, kw, cig, cog)
         tape._acc(w, gw)

@@ -4,9 +4,16 @@
 only primitives are bitwise AND/OR/NOT, popcounts, integer comparisons and
 small-integer adds; there is not a single real-valued constant in the plan.
 Power-of-two norms vanish entirely (a positive scale cannot move a strict
-zero threshold), and so do the fixed quantizer scales.  ``execute`` runs a
-plan on 8-bit inputs presented as bit planes and reproduces, bit for bit,
-every binary/ternary intermediate of the arithmetic reference path.
+zero threshold), and so do the fixed quantizer scales.  So does each MOR
+block's select: its second norm is such a shift, so both mux branches are
+the same bits and the block's output is its OR.  ``execute`` runs a plan on
+8-bit inputs presented as bit planes and reproduces, bit for bit, every
+binary/ternary intermediate of the arithmetic reference path.
+
+Int slots that feed a convolution carry exact integers in float64, so the
+integer convolutions run through the reference path's BLAS kernel.  float64
+is exact only below 2**53; ``compile`` bounds every accumulator from its
+fan-in and refuses a model whose bound reaches that limit.
 """
 
 from __future__ import annotations
@@ -15,17 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
-from .quantize import stern, tgap_count_threshold
-from .reference import _patches
-from .tensors import (
-    BitTensor,
-    TernTensor,
-    pack,
-    pack_vector,
-    unpack,
-    words_per_channel,
-)
+from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
+from .quantize import stern
+from .reference import ConvSpec, _windows, conv3d
+from .tensors import BitTensor, TernTensor, pack, pack_vector, unpack
+
+# Largest magnitude up to which float64 holds every integer exactly.
+EXACT_LIMIT = 2**53
 
 # ---------------------------------------------------------------------------
 # Plan structure
@@ -72,8 +75,6 @@ _OP_INPUT_DTYPES = {
     "pw-conv-bin": ("bits",),
     "conv-int": ("int",),
     "or": ("bits", "bits"),
-    "tgap": ("bits",),
-    "mux": ("bits", "bits", "bits"),
     "maxpool-or": ("bits",),
     "gap-count": ("bits",),
     "qlstm": ("int",),
@@ -126,11 +127,8 @@ class QLSTMState:
 
     @classmethod
     def zeros(cls, batch: int, n_o: int) -> "QLSTMState":
-        z = pack(np.zeros((batch, 1, 1, 1, n_o)))
-        z2 = pack(np.zeros((batch, 1, 1, 1, n_o)))
-        zc = pack(np.zeros((batch, 1, 1, 1, n_o)))
-        zc2 = pack(np.zeros((batch, 1, 1, 1, n_o)))
-        return cls(TernTensor(zc, zc2), TernTensor(z, z2))
+        z = pack(np.zeros((batch, 1, 1, 1, n_o)))  # frozen, so shareable
+        return cls(TernTensor(z, z), TernTensor(z, z))
 
     def h_values(self) -> np.ndarray:
         return (unpack(self.h.plus) - unpack(self.h.minus)).reshape(
@@ -200,7 +198,10 @@ def qlstm_step(
 
 
 def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the model
-    """Lower a stage-5 graph to a gate plan (no reals, no norm nodes)."""
+    """Lower a stage-5 graph to a gate plan (no reals, no norm nodes).
+
+    Raises BadConfig when an int accumulator could reach ``EXACT_LIMIT``.
+    """
     if model.stage != 5:
         raise NotFullyQuantized(f"model is at stage {model.stage}, need 5")
     plan = GatePlan()
@@ -210,19 +211,24 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
         "num_classes": cfg.num_classes,
     }
     cur = plan.add_slot("input", "int")  # 8-bit features reassembled from planes
+    bound = {cur: 255}  # worst-case |value| of each int slot a conv writes or reads
 
-    def conv_int(src, name, spec, w):
-        return plan.emit(
-            "conv-int", name, (src,), "int",
+    def conv_int(src, name, spec, w, kind="conv-int"):
+        out = plan.emit(
+            kind, name, (src,), "int",
             w=_sign_int8(w), kernel=spec.kernel, strides=spec.strides,
             groups=spec.groups, out_channels=spec.out_channels,
         )
+        bound[out] = bound[src] * (w.size // spec.out_channels)  # times the fan-in
+        return out
 
     def pw_bin(src, name, spec, w):
-        return plan.emit(
+        out = plan.emit(
             "pw-conv-bin", name, (src,), "int",
             w_words=_pw_weight_words(w), out_channels=spec.out_channels,
         )
+        bound[out] = spec.in_channels
+        return out
 
     def cf_chain(src, base, lay):
         z = pw_bin(src, f"{base}.cf1", lay.pw1_spec, lay.pw1_w)
@@ -231,11 +237,7 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
 
     for lay in model.layers:
         if lay.kind == "stem":
-            z = plan.emit(
-                "stem-conv", f"{lay.name}.pre", (cur,), "int",
-                w=_sign_int8(lay.w), kernel=lay.spec.kernel, strides=lay.spec.strides,
-                groups=1, out_channels=lay.spec.out_channels,
-            )
+            z = conv_int(cur, f"{lay.name}.pre", lay.spec, lay.w, kind="stem-conv")
             cur = plan.emit("threshold", f"{lay.name}.out", (z,), "bits")
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "cf":
@@ -249,22 +251,15 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
             else:
                 skip = cur
             plan.outputs[f"{lay.name}.skip"] = skip
-            t_h, t_w = lay.out_shape[1], lay.out_shape[2]
-            sel = plan.emit(
-                "tgap", f"{lay.name}.sel", (skip,), "bits",
-                threshold=tgap_count_threshold(t_h, t_w),
-            )
-            plan.outputs[f"{lay.name}.sel"] = sel
             u = cf_chain(cur, lay.name, lay)
             v = plan.emit("threshold", f"{lay.name}.v", (u,), "bits")
             plan.outputs[f"{lay.name}.v"] = v
-            i0 = plan.emit("or", f"{lay.name}.i0", (v, skip), "bits")
-            plan.outputs[f"{lay.name}.i0"] = i0
+            cur = plan.emit("or", f"{lay.name}.i0", (v, skip), "bits")
             # The second norm folds to a positive shift and the step function
-            # fixes binary values, so i1 coincides with i0 in the gate plan.
-            plan.outputs[f"{lay.name}.i1"] = i0
-            cur = plan.emit("mux", f"{lay.name}.out", (i0, i0, sel), "bits")
-            plan.outputs[f"{lay.name}.out"] = cur
+            # fixes binary values, so i1 coincides with i0; the select between
+            # them cannot change a bit and is not emitted.
+            for tap in ("i0", "i1", "out"):
+                plan.outputs[f"{lay.name}.{tap}"] = cur
         elif lay.kind == "mp":
             cur = plan.emit(
                 "maxpool-or", f"{lay.name}.out", (cur,), "bits",
@@ -295,6 +290,9 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
             raise TypeError(f"unknown layer kind {lay.kind!r}")
     pred = plan.emit("argmax", "pred", (cur,), "int")
     plan.outputs["pred"] = pred
+    max_acc = plan.meta["max_abs_acc"] = max(bound.values())
+    if max_acc >= EXACT_LIMIT:
+        raise BadConfig(f"accumulator bound {max_acc} reaches {EXACT_LIMIT}: float64 is not exact there")
     _check_plan(plan)
     return plan
 
@@ -335,25 +333,9 @@ def frames_to_bitplanes(frames: np.ndarray) -> list[BitTensor]:
     return [pack(((frames >> b) & 1).astype(np.float64)) for b in range(8)]
 
 
-def _conv_int(x: np.ndarray, w_int8: np.ndarray, kernel, strides, groups, out_channels):
-    view, dims = _patches(x, kernel, strides)
-    n = x.shape[0]
-    ci = x.shape[4]
-    cig = ci // groups
-    cog = out_channels // groups
-    kt, kh, kw = kernel
-    out = np.empty((n, *dims, out_channels), dtype=np.int64)
-    w = w_int8.astype(np.int64)
-    for gi in range(groups):
-        cols = view[..., gi * cig : (gi + 1) * cig].reshape(-1, kt * kh * kw * cig)
-        wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
-        out[..., gi * cog : (gi + 1) * cog] = (cols @ wg).reshape(n, *dims, cog)
-    return out
-
-
 def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray, out_channels: int) -> np.ndarray:
-    pc_all = np.bitwise_count(bt.words).sum(axis=-1).astype(np.int64)
-    acc = np.bitwise_count(bt.words[..., None, :] & w_words).sum(axis=-1).astype(np.int64)
+    pc_all = np.bitwise_count(bt.words).sum(axis=-1).astype(np.float64)
+    acc = np.bitwise_count(bt.words[..., None, :] & w_words).sum(axis=-1).astype(np.float64)
     return 2 * acc - pc_all[..., None]
 
 
@@ -361,32 +343,9 @@ def _threshold(x: np.ndarray) -> BitTensor:
     return pack((x > 0).astype(np.float64))
 
 
-def _tgap(bt: BitTensor, threshold: int) -> BitTensor:
-    counts = unpack(bt).sum(axis=(2, 3), keepdims=True).astype(np.int64)
-    return pack((counts > threshold).astype(np.float64))
-
-
-def _mux_bits(i0: BitTensor, i1: BitTensor, sel: BitTensor) -> BitTensor:
-    s = sel.words  # (N,T,1,1,nw) broadcasts over the spatial axes
-    words = (i1.words & s) | (i0.words & ~s)
-    return BitTensor(i0.shape, words)
-
-
 def _maxpool_or(bt: BitTensor, window, strides) -> BitTensor:
-    from numpy.lib.stride_tricks import as_strided
-
-    n, t, h, w, c = bt.shape
-    nw = bt.words.shape[-1]
-    dims = [(s - k) // st + 1 for s, k, st in zip((t, h, w), window, strides)]
-    sn, st_, sh, sw, swd = bt.words.strides
-    view = as_strided(
-        bt.words,
-        shape=(n, dims[0], dims[1], dims[2], window[0], window[1], window[2], nw),
-        strides=(sn, st_ * strides[0], sh * strides[1], sw * strides[2], st_, sh, sw, swd),
-        writeable=False,
-    )
-    words = np.bitwise_or.reduce(view.reshape(n, *dims, -1, nw), axis=-2)
-    return BitTensor((n, dims[0], dims[1], dims[2], c), words)
+    words = np.bitwise_or.reduce(_windows(bt.words, window, strides), axis=(4, 5, 6))
+    return BitTensor((*words.shape[:4], bt.channels), words)
 
 
 def _gap_count(bt: BitTensor) -> np.ndarray:
@@ -422,9 +381,9 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
     meta = plan.meta
     if shape[1:] != (meta["t"], meta["h"], meta["w"], meta["in_channels"]):
         raise ShapeMismatch(f"input {shape} does not match plan {meta}")
-    feats = np.zeros(shape, dtype=np.int64)
+    feats = np.zeros(shape)
     for b, p in enumerate(planes):
-        feats += (unpack(p) > 0).astype(np.int64) << b
+        feats += unpack(p) * (1 << b)
 
     values: dict[int, object] = {0: feats}
     intlogits = None
@@ -432,17 +391,14 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         args = [values[s] for s in op.inputs]
         p = op.params
         if op.kind in ("stem-conv", "conv-int"):
-            out = _conv_int(args[0], p["w"], p["kernel"], p["strides"], p["groups"], p["out_channels"])
+            spec = ConvSpec(p["kernel"], p["strides"], p["groups"], args[0].shape[4], p["out_channels"])
+            out = conv3d(args[0], p["w"].astype(np.float64), spec)
         elif op.kind == "pw-conv-bin":
             out = _pw_conv_bin(args[0], p["w_words"], p["out_channels"])
         elif op.kind == "threshold":
             out = _threshold(args[0])
         elif op.kind == "or":
             out = BitTensor(args[0].shape, args[0].words | args[1].words)
-        elif op.kind == "tgap":
-            out = _tgap(args[0], p["threshold"])
-        elif op.kind == "mux":
-            out = _mux_bits(args[0], args[1], args[2])
         elif op.kind == "maxpool-or":
             out = _maxpool_or(args[0], p["window"], p["strides"])
         elif op.kind == "gap-count":

@@ -45,21 +45,6 @@ class BadConfig(BillnetError):
     pass
 
 
-class CorruptFile(BillnetError):
-    pass
-
-
-class VersionMismatch(BillnetError):
-    pass
-
-
 class ZeroScale(BillnetError):
     pass
 
-
-class MissingFrames(BillnetError):
-    pass
-
-
-class BadResolution(BillnetError):
-    pass

@@ -50,9 +50,6 @@ class BillnetConfig:
     blocks: tuple[str, ...] = DEFAULT_BLOCKS
     in_channels: int = 1
     seed: int = 0
-    tgap_mode: str = "batch_max"  # float-stage calibration: batch_max | calibrated
-    batch_size: int = 40
-    epochs_scale: float = 1.0
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
@@ -60,8 +57,6 @@ class BillnetConfig:
             raise BadConfig(f"n={self.n} must be divisible by 2*g={2 * self.g}")
         if self.m < 1 or self.num_classes < 2:
             raise BadConfig("need m >= 1 and at least two classes")
-        if self.tgap_mode not in ("batch_max", "calibrated"):
-            raise BadConfig(f"unknown tgap_mode {self.tgap_mode!r}")
         for entry in self.blocks:
             if entry != "mp" and not re.fullmatch(r"(mor|cf):\d*n", entry):
                 raise BadConfig(f"bad block entry {entry!r} (want 'mor:<k>n', 'cf:<k>n' or 'mp')")
@@ -84,10 +79,7 @@ class BillnetConfig:
 
 def toy_config(**overrides) -> BillnetConfig:
     """Desk-scale default: small enough to train in minutes on a CPU."""
-    base = dict(
-        n=16, g=2, m=8, t=8, h=24, w=32, num_classes=4,
-        blocks=TOY_BLOCKS, epochs_scale=0.1,
-    )
+    base = dict(n=16, g=2, m=8, t=8, h=24, w=32, num_classes=4, blocks=TOY_BLOCKS)
     base.update(overrides)
     return BillnetConfig(**base)
 
@@ -188,8 +180,6 @@ class ModelGraph:
     config: BillnetConfig
     layers: list
     stage: int = 1
-    tgap_calibration: dict | None = None
-    rng_state: dict | None = None
 
     def layer(self, name: str):
         for lay in self.layers:

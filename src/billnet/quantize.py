@@ -94,21 +94,18 @@ def stern(w, m: int):
 # ---------------------------------------------------------------------------
 
 
-def tgap_select(x, quantized: bool, calibration: float | None = None):
+def tgap_select(x, quantized: bool):
     """Binary select signal per (batch, time, channel) from spatial content.
 
     Quantized form: 1 iff the spatial mean of the binary map exceeds 1/2,
     i.e. the one-count strictly exceeds half the spatial resolution.
-    Float form: 1 iff the spatial average exceeds half of ``calibration``;
-    when no calibration constant is supplied the maximum of this layer's
-    average-pool output is used (recomputed per forward pass).
+    Float form: 1 iff the spatial average exceeds half the maximum of this
+    layer's average-pool output over the batch (recomputed per forward pass).
     """
     x = np.asarray(x, dtype=np.float64)
     ap = x.mean(axis=(2, 3), keepdims=True)
     if quantized:
         m = 1.0
-    elif calibration is not None:
-        m = float(calibration)
     else:
         m = float(ap.max()) if ap.size else 0.0
     return (ap > 0.5 * m).astype(np.float64)

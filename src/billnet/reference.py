@@ -16,6 +16,7 @@ rather than merely within tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,7 +34,7 @@ from .quantize import (
     stern,
     tgap_select,
 )
-from .tensors import conv_same_pads
+from .tensors import conv_output_shape, conv_same_pads
 
 
 @dataclass(frozen=True)
@@ -62,23 +63,38 @@ class ConvSpec:
         return (kt, kh, kw, self.in_channels // self.groups, self.out_channels)
 
 
-def _patches(x: np.ndarray, kernel, strides):
-    """Strided (N,To,Ho,Wo,kt,kh,kw,C) view over a same-padded input."""
-    n, t, h, w, c = x.shape
-    dims, before = [], []
-    for size, k, s in zip((t, h, w), kernel, strides):
-        out, pb, pa = conv_same_pads(size, k, s)
-        dims.append(out)
-        before.append((pb, pa))
-    xp = np.pad(x, ((0, 0), before[0], before[1], before[2], (0, 0)))
-    sn, st, sh, sw, sc = xp.strides
-    view = as_strided(
-        xp,
-        shape=(n, dims[0], dims[1], dims[2], kernel[0], kernel[1], kernel[2], c),
-        strides=(sn, st * strides[0], sh * strides[1], sw * strides[2], st, sh, sw, sc),
+def _windows(a: np.ndarray, window, strides) -> np.ndarray:
+    """Floor-mode (N,To,Ho,Wo,kt,kh,kw,C) window view over the (T,H,W) axes."""
+    dims = [(s - k) // st + 1 for s, k, st in zip(a.shape[1:4], window, strides)]
+    if any(d < 1 for d in dims):
+        raise ShapeMismatch(f"window {window} larger than input {a.shape}")
+    sn, st_, sh, sw, sc = a.strides
+    return as_strided(
+        a,
+        shape=(a.shape[0], *dims, *window, a.shape[4]),
+        strides=(sn, st_ * strides[0], sh * strides[1], sw * strides[2], st_, sh, sw, sc),
         writeable=False,
     )
-    return view, tuple(dims)
+
+
+def _columns(x: np.ndarray, kernel, strides, groups: int):
+    """Im2col for a same-padded grouped conv, one group at a time.
+
+    Yields each group's (N*To*Ho*Wo, kt*kh*kw*C/groups) column matrix in
+    turn, so no caller holds every group's columns at once.  A 1x1x1
+    stride-1 kernel needs no padding or window copy: its columns are the
+    input's own rows.
+    """
+    cig = x.shape[4] // groups
+    if tuple(kernel) == (1, 1, 1) and tuple(strides) == (1, 1, 1):
+        rows = x.reshape(-1, x.shape[4])
+        for gi in range(groups):
+            yield rows[:, gi * cig : (gi + 1) * cig]
+        return
+    pads = [conv_same_pads(s, k, st)[1:] for s, k, st in zip(x.shape[1:4], kernel, strides)]
+    view = _windows(np.pad(x, ((0, 0), *pads, (0, 0))), kernel, strides)
+    for gi in range(groups):
+        yield view[..., gi * cig : (gi + 1) * cig].reshape(-1, prod(kernel) * cig)
 
 
 def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -87,15 +103,11 @@ def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         raise ShapeMismatch(f"input {x.shape} incompatible with {spec}")
     if w.shape != spec.weight_shape:
         raise ShapeMismatch(f"weights {w.shape}, expected {spec.weight_shape}")
-    view, dims = _patches(x, spec.kernel, spec.strides)
     n = x.shape[0]
-    g = spec.groups
-    cig = spec.in_channels // g
-    cog = spec.out_channels // g
-    kt, kh, kw = spec.kernel
+    dims = conv_output_shape(x.shape[1:4], spec.kernel, spec.strides)
+    cog = spec.out_channels // spec.groups
     out = np.empty((n, *dims, spec.out_channels))
-    for gi in range(g):
-        cols = view[..., gi * cig : (gi + 1) * cig].reshape(-1, kt * kh * kw * cig)
+    for gi, cols in enumerate(_columns(x, spec.kernel, spec.strides, spec.groups)):
         wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
         out[..., gi * cog : (gi + 1) * cog] = (cols @ wg).reshape(n, *dims, cog)
     return out
@@ -105,19 +117,7 @@ def maxpool3d(x: np.ndarray, window=(1, 2, 2), strides=None) -> np.ndarray:
     """Max pooling over (T,H,W) windows, floor mode (remainder cropped)."""
     if x.ndim != 5:
         raise ShapeMismatch(f"expected 5 axes, got {x.shape}")
-    strides = strides or window
-    n, t, h, w, c = x.shape
-    dims = [(s - k) // st + 1 for s, k, st in zip((t, h, w), window, strides)]
-    if any(d < 1 for d in dims):
-        raise ShapeMismatch(f"window {window} larger than input {x.shape}")
-    sn, st_, sh, sw, sc = x.strides
-    view = as_strided(
-        x,
-        shape=(n, dims[0], dims[1], dims[2], window[0], window[1], window[2], c),
-        strides=(sn, st_ * strides[0], sh * strides[1], sw * strides[2], st_, sh, sw, sc),
-        writeable=False,
-    )
-    return view.max(axis=(4, 5, 6))
+    return _windows(x, window, strides or window).max(axis=(4, 5, 6))
 
 
 def gap_spatial(x: np.ndarray) -> np.ndarray:
@@ -300,14 +300,6 @@ def _cf_apply(x, layer, stage):
     return conv3d(z, conv_weight(layer.pw2_w, stage), layer.pw2_spec)
 
 
-def _tgap_args(model, name: str, stage: int):
-    quantized = stage >= 3
-    calib = None
-    if not quantized and model.tgap_calibration is not None:
-        calib = model.tgap_calibration.get(name)
-    return quantized, calib
-
-
 def snap_to_grid(x: np.ndarray, levels: int = 255) -> np.ndarray:
     """Snap input values onto the 8-bit fixed-point grid k/levels."""
     return np.rint(np.asarray(x, dtype=np.float64) * levels) / levels
@@ -344,8 +336,7 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
                 skip = apply_act(conv3d(x, conv_weight(layer.skip_w, stage), layer.skip_spec), stage)
             else:
                 skip = x
-            quantized, calib = _tgap_args(model, layer.name, stage)
-            sel = tgap_select(skip, quantized=quantized, calibration=calib)
+            sel = tgap_select(skip, quantized=stage >= 3)
             v = apply_act(apply_norm(_cf_apply(x, layer, stage), layer.norm1), stage)
             i0 = clip(v + skip)
             i1 = apply_act(apply_norm(i0, layer.norm2), stage)

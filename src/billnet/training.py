@@ -208,10 +208,7 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
                 skip = _act_node(tape, zs, stage)
             else:
                 skip = cur
-            calib = None
-            if stage < 3 and model.tgap_calibration is not None:
-                calib = model.tgap_calibration.get(lay.name)
-            sel = tgap_select(skip.value, quantized=stage >= 3, calibration=calib)
+            sel = tgap_select(skip.value, quantized=stage >= 3)
             z = ad.conv3d_op(tape, cur, _quant_w(tape, bound, f"{lay.name}.pw1", stage), lay.pw1_spec)
             z = ad.conv3d_op(tape, z, _quant_w(tape, bound, f"{lay.name}.gconv", stage), lay.gconv_spec)
             z = ad.conv3d_op(tape, z, _quant_w(tape, bound, f"{lay.name}.pw2", stage), lay.pw2_spec)
@@ -300,8 +297,6 @@ def evaluate(model: ModelGraph, frames: np.ndarray, labels: np.ndarray, batch_si
     for lo in range(0, len(frames), batch_size):
         batch = frames[lo : lo + batch_size]
         if path == "logic":
-            from . import engine
-
             pred = engine.execute(plan, engine.frames_to_bitplanes(batch)).pred
         elif path == "ref":
             pred = eval_forward(model, batch.astype(np.float64) / 255.0).pred

@@ -10,9 +10,10 @@ from billnet.engine import (
     frames_to_bitplanes,
     qlstm_step,
 )
-from billnet.errors import NotFullyQuantized, ShapeMismatch
-from billnet.model import apply_stage_transition, build, toy_config
-from billnet.reference import LSTMWeights, lstm_cell
+from billnet.errors import BadConfig, NotFullyQuantized, ShapeMismatch
+from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
+from billnet.reference import LSTMWeights, lstm_cell, maxpool3d
+from billnet.tensors import pack, unpack
 
 
 def quantized_toy_model(seed=0, randomize_norms=True):
@@ -52,10 +53,27 @@ class TestCompile:
                 if isinstance(val, np.ndarray):
                     assert val.dtype.kind != "f", (op.name, val.dtype)
 
-    def test_final_mux_threshold_is_24_for_6x8(self):
-        plan = engine.compile(quantized_toy_model())
-        tgap = [op for op in plan.ops if op.kind == "tgap"]
-        assert tgap[-1].params["threshold"] == 24
+    def test_stage5_plan_has_no_mor_select(self):
+        model = quantized_toy_model()
+        plan = engine.compile(model)
+        assert not {op.kind for op in plan.ops} & {"tgap", "mux"}
+        mors = [lay.name for lay in model.layers if lay.kind == "mor"]
+        assert mors
+        for name in mors:
+            slots = {plan.outputs[f"{name}.{tap}"] for tap in ("i0", "i1", "out")}
+            assert len(slots) == 1
+            assert plan.slots[slots.pop()].name == f"{name}.i0"
+
+    def test_paper_plan_accumulator_bound(self, monkeypatch):
+        # cf3 of a 4n block: 256 (pw-conv-bin) * 27 * 128/4 * 128 = 28,311,552,
+        # above 2**24, so float32 would not be exact.
+        model = build(BillnetConfig())
+        for k in (2, 3, 4, 5):
+            apply_stage_transition(model, k)
+        assert engine.compile(model).meta["max_abs_acc"] == 28_311_552
+        monkeypatch.setattr(engine, "EXACT_LIMIT", 28_311_552)
+        with pytest.raises(BadConfig):
+            engine.compile(model)
 
     def test_slots_written_once(self):
         plan = engine.compile(quantized_toy_model())
@@ -97,6 +115,13 @@ class TestExecute:
     def test_bitplanes_require_uint8(self):
         with pytest.raises(ShapeMismatch):
             frames_to_bitplanes(np.zeros((1, 2, 2, 2, 1)))
+
+    @pytest.mark.parametrize("window", [(1, 2, 2), (2, 3, 2)])
+    def test_maxpool_or_matches_reference_pool(self, window):
+        rng = np.random.default_rng(11)
+        bits = (rng.random((2, 5, 7, 9, 70)) < 0.3).astype(np.float64)
+        got = unpack(engine._maxpool_or(pack(bits), window, window))
+        np.testing.assert_array_equal(got, maxpool3d(bits, window))
 
     def test_intlogits_shape(self):
         model = quantized_toy_model(seed=6)

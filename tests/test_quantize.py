@@ -155,11 +155,6 @@ class TestTGAP:
         # m = 0.8, threshold 0.4: first step fires, second does not.
         np.testing.assert_array_equal(sel.ravel(), [1.0, 0.0])
 
-    def test_float_mode_calibrated(self):
-        x = np.full((1, 1, 2, 2, 1), 0.3)
-        assert q.tgap_select(x, quantized=False, calibration=1.0).ravel()[0] == 0.0
-        assert q.tgap_select(x, quantized=False, calibration=0.5).ravel()[0] == 1.0
-
     def test_all_zero_float_mode(self):
         x = np.zeros((1, 1, 4, 4, 2))
         np.testing.assert_array_equal(q.tgap_select(x, quantized=False), np.zeros((1, 1, 1, 1, 2)))

@@ -71,10 +71,26 @@ class TestConv3d:
         w = scales.reshape(1, 1, 1, 1, 4)
         np.testing.assert_allclose(conv3d(x, w, spec), x * scales)
 
-    @pytest.mark.parametrize("groups,strides", [(1, (1, 1, 1)), (2, (1, 1, 1)), (2, (2, 2, 2)), (1, (2, 1, 2))])
-    def test_matches_direct_summation(self, groups, strides):
+    @pytest.mark.parametrize(
+        "kernel,groups,strides",
+        [
+            ((3, 3, 3), 1, (1, 1, 1)),
+            ((3, 3, 3), 2, (1, 1, 1)),
+            ((3, 3, 3), 2, (2, 2, 2)),
+            ((3, 3, 3), 1, (2, 1, 2)),
+            ((1, 1, 1), 1, (1, 1, 1)),
+            ((1, 1, 1), 2, (1, 1, 1)),
+            ((1, 1, 1), 1, (2, 2, 2)),
+            ((1, 1, 1), 2, (2, 2, 2)),
+        ],
+        ids=[
+            "1-strides0", "2-strides1", "2-strides2", "1-strides3",
+            "1x1x1-g1-s1", "1x1x1-g2-s1", "1x1x1-g1-s2", "1x1x1-g2-s2",
+        ],
+    )
+    def test_matches_direct_summation(self, kernel, groups, strides):
         rng = np.random.default_rng(2)
-        spec = ConvSpec((3, 3, 3), strides, groups, 4, 6)
+        spec = ConvSpec(kernel, strides, groups, 4, 6)
         x = rng.normal(size=(2, 4, 5, 6, 4))
         w = rng.normal(size=spec.weight_shape)
         np.testing.assert_allclose(conv3d(x, w, spec), conv3d_oracle(x, w, spec), atol=1e-12)
