@@ -87,6 +87,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(tape: Tape, loss: Var):
     """Seed the scalar loss and sweep the tape in reverse.
 
+    The sweep consumes the tape: its closures are dropped once it ends.  Each
+    closure refers back to the tape; kept, that cycle would hold every
+    forward activation until the cyclic garbage collector runs.
+
     Raises DisconnectedGraph when a registered trainable never took part in
     the recorded forward pass.
     """
@@ -98,6 +102,7 @@ def backward(tape: Tape, loss: Var):
     loss.grad = np.ones_like(loss.value)
     for bwd in reversed(tape._backward):
         bwd()
+    tape._backward.clear()
 
 
 # ---------------------------------------------------------------------------

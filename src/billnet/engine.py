@@ -94,7 +94,7 @@ def _sign_int8(w: np.ndarray) -> np.ndarray:
 
 def _pw_weight_words(w: np.ndarray) -> np.ndarray:
     """1x1x1 kernel (1,1,1,Ci,Co) -> per-output-channel sign words (Co, nw)."""
-    signs = (w.reshape(w.shape[3], w.shape[4]) > 0).astype(np.uint8)
+    signs = w.reshape(w.shape[3], w.shape[4]) > 0
     return pack_vector(signs.T)
 
 
@@ -114,7 +114,7 @@ class QLSTMGates:
         wx, whw = [], []
         for w in weights.kernels():
             wx.append(_sign_int8(w[:n_i]))
-            whw.append(pack_vector((w[n_i:] > 0).astype(np.uint8).T))
+            whw.append(pack_vector((w[n_i:] > 0).T))
         return cls(wx, whw, n_i, n_o)
 
 
@@ -127,7 +127,7 @@ class QLSTMState:
 
     @classmethod
     def zeros(cls, batch: int, n_o: int) -> "QLSTMState":
-        z = pack(np.zeros((batch, 1, 1, 1, n_o)))  # frozen, so shareable
+        z = pack(np.zeros((batch, 1, 1, 1, n_o), dtype=bool))  # frozen, so shareable
         return cls(TernTensor(z, z), TernTensor(z, z))
 
     def h_values(self) -> np.ndarray:
@@ -143,9 +143,7 @@ class QLSTMState:
 
 def _pack_tern_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(.., n) in {-1,0,1} -> packed plus/minus word rows (.., nw)."""
-    return pack_vector((values == 1).astype(np.uint8)), pack_vector(
-        (values == -1).astype(np.uint8)
-    )
+    return pack_vector(values == 1), pack_vector(values == -1)
 
 
 def _tern_dot_bipolar_rows(plus_w, minus_w, lane_words) -> np.ndarray:
@@ -185,10 +183,8 @@ def qlstm_step(
     h_new = o * c_new
     shape = (batch, 1, 1, 1, gates.n_o)
     return QLSTMState(
-        TernTensor(pack((c_new == 1).reshape(shape).astype(float)),
-                   pack((c_new == -1).reshape(shape).astype(float))),
-        TernTensor(pack((h_new == 1).reshape(shape).astype(float)),
-                   pack((h_new == -1).reshape(shape).astype(float))),
+        TernTensor(pack((c_new == 1).reshape(shape)), pack((c_new == -1).reshape(shape))),
+        TernTensor(pack((h_new == 1).reshape(shape)), pack((h_new == -1).reshape(shape))),
     )
 
 
@@ -330,7 +326,7 @@ def frames_to_bitplanes(frames: np.ndarray) -> list[BitTensor]:
     frames = np.asarray(frames)
     if frames.dtype != np.uint8:
         raise ShapeMismatch("logic-path input must be uint8")
-    return [pack(((frames >> b) & 1).astype(np.float64)) for b in range(8)]
+    return [pack((frames & (1 << b)) != 0) for b in range(8)]
 
 
 def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray, out_channels: int) -> np.ndarray:
@@ -340,7 +336,7 @@ def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray, out_channels: int) -> np.nd
 
 
 def _threshold(x: np.ndarray) -> BitTensor:
-    return pack((x > 0).astype(np.float64))
+    return pack(x > 0)
 
 
 def _maxpool_or(bt: BitTensor, window, strides) -> BitTensor:

@@ -5,7 +5,10 @@ the channel axis fastest ("Tensor5").  Binary signals are packed into uint64
 words along the channel axis, LSB first, so the channel vector of one pixel
 stays contiguous and pointwise convolutions reduce to AND + popcount over a
 handful of words.  Padding bits are forced to zero on construction, which
-keeps every popcount exact without masking.
+keeps every popcount exact without masking.  Packing and unpacking run a
+byte at a time (``np.packbits`` / ``np.unpackbits``, little bit order) and
+view eight bytes as one little-endian word, so bit i of word j is still
+channel j*64 + i; no 64-lane temporary is formed.
 
 Ternary signals {-1, 0, +1} are stored as two disjoint binary planes
 (plus, minus); integer accumulators are plain int64 ndarrays.
@@ -78,48 +81,48 @@ def channel_padding_mask(c: int) -> np.ndarray:
     return mask
 
 
+def _as_bits(x: np.ndarray, caller: str) -> np.ndarray:
+    """``x`` as a bool array; raises NonBinaryInput unless it is all 0/1."""
+    x = np.asarray(x)
+    if x.dtype == np.bool_:
+        return x
+    if not np.isin(x, (0, 1)).all():
+        raise NonBinaryInput(f"{caller}() requires all elements in {{0, 1}}")
+    return x.astype(bool)
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """bool (..., C) -> uint64 words (..., words_per_channel(C)), LSB first."""
+    c = bits.shape[-1]
+    nbytes = words_per_channel(c) * (WORD_BITS // 8)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    if packed.shape[-1] != nbytes:
+        padded = np.zeros(bits.shape[:-1] + (nbytes,), dtype=np.uint8)
+        padded[..., : packed.shape[-1]] = packed
+        packed = padded
+    return np.ascontiguousarray(packed).view("<u8").astype(np.uint64, copy=False)
+
+
 def pack(x: np.ndarray) -> BitTensor:
     """Pack a binary (N,T,H,W,C) tensor into channel-major uint64 words.
 
-    Raises NonBinaryInput unless every element is exactly 0 or 1.
+    Raises NonBinaryInput unless every element is exactly 0 or 1; a bool
+    tensor skips that scan.
     """
-    x = require_tensor5(x)
-    bits = np.asarray(x)
-    if bits.dtype != np.bool_:
-        if not np.isin(bits, (0, 1)).all():
-            raise NonBinaryInput("pack() requires all elements in {0, 1}")
-        bits = bits.astype(bool)
-    n, t, h, w, c = bits.shape
-    nw = words_per_channel(c)
-    padded = np.zeros((n, t, h, w, nw * WORD_BITS), dtype=np.uint64)
-    padded[..., :c] = bits
-    lanes = padded.reshape(n, t, h, w, nw, WORD_BITS)
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    words = (lanes << shifts).sum(axis=-1, dtype=np.uint64)
-    return BitTensor((n, t, h, w, c), words)
+    bits = _as_bits(require_tensor5(x), "pack")
+    return BitTensor(bits.shape, _pack_words(bits))
 
 
 def unpack(bt: BitTensor) -> np.ndarray:
     """Inverse of pack(): returns a float64 tensor of 0.0/1.0 values."""
-    n, t, h, w, c = bt.shape
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    lanes = (bt.words[..., None] >> shifts) & np.uint64(1)
-    flat = lanes.reshape(n, t, h, w, -1)
-    return flat[..., :c].astype(np.float64)
+    octets = np.ascontiguousarray(bt.words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=bt.channels, bitorder="little")
+    return bits.astype(np.float64)
 
 
 def pack_vector(bits: np.ndarray) -> np.ndarray:
-    """Pack a 1-D {0,1} array into uint64 words (helper for weight lanes)."""
-    bits = np.asarray(bits)
-    if not np.isin(bits, (0, 1)).all():
-        raise NonBinaryInput("pack_vector() requires elements in {0, 1}")
-    c = bits.shape[-1]
-    nw = words_per_channel(c)
-    padded = np.zeros(bits.shape[:-1] + (nw * WORD_BITS,), dtype=np.uint64)
-    padded[..., :c] = bits
-    lanes = padded.reshape(bits.shape[:-1] + (nw, WORD_BITS))
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    return (lanes << shifts).sum(axis=-1, dtype=np.uint64)
+    """Pack a (..., C) {0,1} array into uint64 words (helper for weight lanes)."""
+    return _pack_words(_as_bits(bits, "pack_vector"))
 
 
 def _check_same_shape(a: BitTensor, b: BitTensor):
@@ -165,7 +168,7 @@ def pack_ternary(x: np.ndarray) -> TernTensor:
     x = require_tensor5(x)
     if not np.isin(x, (-1, 0, 1)).all():
         raise NonBinaryInput("pack_ternary() requires elements in {-1, 0, 1}")
-    return TernTensor(pack((x == 1).astype(np.float64)), pack((x == -1).astype(np.float64)))
+    return TernTensor(pack(x == 1), pack(x == -1))
 
 
 def unpack_ternary(t: TernTensor) -> np.ndarray:

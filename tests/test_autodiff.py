@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,21 @@ def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups):
 
     np.testing.assert_allclose(w.grad, numeric(w0, loss_value), rtol=1e-7, atol=1e-8)
     np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def test_backward_releases_forward_activations():
+    # Recorded closures refer back to the tape; unless backward drops them,
+    # tape -> closures -> tape is a cycle that only the cyclic collector frees.
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        w = tape.watch(ad.Var(np.ones((3, 3)), trainable=True))
+        hidden = ad.tanh(tape, ad.matmul(tape, ad.Var(np.ones((2, 3))), w))
+        loss = ad.sum_all(tape, hidden)
+        ad.backward(tape, loss)
+        activation = weakref.ref(hidden.value)
+        del tape, loss, hidden
+        assert activation() is None
+        assert w.grad is not None
+    finally:
+        gc.enable()

@@ -116,6 +116,17 @@ class TestExecute:
         with pytest.raises(ShapeMismatch):
             frames_to_bitplanes(np.zeros((1, 2, 2, 2, 1)))
 
+    def test_bitplanes_reassemble_colour_frames(self):
+        rng = np.random.default_rng(10)
+        frames = rng.integers(0, 256, size=(2, 8, 24, 32, 3), dtype=np.uint8)
+        planes = frames_to_bitplanes(frames)
+        total = sum(unpack(p) * 2**b for b, p in enumerate(planes))
+        np.testing.assert_array_equal(total, frames)
+        model = build(toy_config(in_channels=3))
+        for k in (2, 3, 4, 5):
+            apply_stage_transition(model, k)
+        assert compare_paths(model, frames) is None
+
     @pytest.mark.parametrize("window", [(1, 2, 2), (2, 3, 2)])
     def test_maxpool_or_matches_reference_pool(self, window):
         rng = np.random.default_rng(11)

@@ -24,6 +24,17 @@ def bits_to_tensor(bits):
     return pack(arr)
 
 
+def shift_lane_words(bits):
+    """The original packing formula, kept as the layout oracle: widen every
+    bit to a uint64 lane, shift lane i left by i, and sum each 64 lanes."""
+    c = bits.shape[-1]
+    nw = tensors.words_per_channel(c)
+    padded = np.zeros(bits.shape[:-1] + (nw * 64,), dtype=np.uint64)
+    padded[..., :c] = bits
+    lanes = padded.reshape(bits.shape[:-1] + (nw, 64))
+    return (lanes << np.arange(64, dtype=np.uint64)).sum(axis=-1, dtype=np.uint64)
+
+
 class TestPack:
     def test_all_zeros(self):
         bt = pack(np.zeros((1, 1, 1, 1, 8)))
@@ -50,7 +61,22 @@ class TestPack:
         for _ in range(1000):
             shape = tuple(rng.integers(1, 5, size=4)) + (int(rng.integers(1, 130)),)
             x = (rng.random(shape) < 0.5).astype(np.float64)
-            np.testing.assert_array_equal(unpack(pack(x)), x)
+            bt = pack(x)
+            np.testing.assert_array_equal(bt.words, shift_lane_words(x))
+            np.testing.assert_array_equal(unpack(bt), x)
+        # Word boundaries, and every input dtype, against the oracle layout.
+        for c in (1, 63, 64, 65, 127, 128, 129, 200):
+            bits = rng.random((2, 3, 2, 2, c)) < 0.5
+            want = shift_lane_words(bits)
+            for dtype in (bool, np.uint8, np.float64):
+                bt = pack(bits.astype(dtype))
+                assert bt.words.dtype == np.uint64
+                np.testing.assert_array_equal(bt.words, want)
+                back = unpack(bt)
+                assert back.dtype == np.float64
+                np.testing.assert_array_equal(back, bits)
+            rows = tensors.pack_vector(bits.reshape(-1, c).astype(np.uint8))
+            np.testing.assert_array_equal(rows, want.reshape(rows.shape))
 
     def test_rejects_non_binary(self):
         with pytest.raises(NonBinaryInput):
