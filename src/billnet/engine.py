@@ -10,6 +10,9 @@ the same bits and the block's output is its OR.  ``execute`` runs a plan on
 8-bit inputs presented as bit planes and reproduces, bit for bit, every
 binary/ternary intermediate of the arithmetic reference path.
 
+Every packed dot product (``pw-conv-bin``, the QLSTM carry, ``tern-dense``)
+is a formula over ``tensors.and_count``, the single AND + popcount kernel.
+
 Int slots that feed a convolution carry exact integers in float64, so the
 integer convolutions run through the reference path's BLAS kernel.  float64
 is exact only below 2**53; ``compile`` bounds every accumulator from its
@@ -25,7 +28,10 @@ import numpy as np
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
 from .quantize import stern
 from .reference import ConvSpec, _windows, conv3d
-from .tensors import BitTensor, TernTensor, pack, pack_vector, unpack
+from .tensors import (
+    BitTensor, TernTensor, and_count, bipolar_dot, pack, pack_ternary, pack_vector, unpack,
+    unpack_ternary,
+)
 
 # Largest magnitude up to which float64 holds every integer exactly.
 EXACT_LIMIT = 2**53
@@ -131,28 +137,20 @@ class QLSTMState:
         return cls(TernTensor(z, z), TernTensor(z, z))
 
     def h_values(self) -> np.ndarray:
-        return (unpack(self.h.plus) - unpack(self.h.minus)).reshape(
-            self.h.shape[0], self.h.shape[4]
-        ).astype(np.int8)
+        return _carry_values(self.h)
 
     def c_values(self) -> np.ndarray:
-        return (unpack(self.c.plus) - unpack(self.c.minus)).reshape(
-            self.c.shape[0], self.c.shape[4]
-        ).astype(np.int8)
+        return _carry_values(self.c)
+
+
+def _carry_values(t: TernTensor) -> np.ndarray:
+    """(N,1,1,1,n) ternary carry -> int8 (N, n)."""
+    return unpack_ternary(t).reshape(t.shape[0], t.shape[4]).astype(np.int8)
 
 
 def _pack_tern_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(.., n) in {-1,0,1} -> packed plus/minus word rows (.., nw)."""
     return pack_vector(values == 1), pack_vector(values == -1)
-
-
-def _tern_dot_bipolar_rows(plus_w, minus_w, lane_words) -> np.ndarray:
-    """Row-wise ternary x bipolar dots: (..., nw) against (k, nw) -> (..., k)."""
-    pcp = np.bitwise_count(plus_w).sum(axis=-1).astype(np.int64)
-    pcm = np.bitwise_count(minus_w).sum(axis=-1).astype(np.int64)
-    ap = np.bitwise_count(plus_w[..., None, :] & lane_words).sum(axis=-1).astype(np.int64)
-    am = np.bitwise_count(minus_w[..., None, :] & lane_words).sum(axis=-1).astype(np.int64)
-    return (2 * ap - pcp[..., None]) - (2 * am - pcm[..., None])
 
 
 def qlstm_step(
@@ -174,7 +172,7 @@ def qlstm_step(
     hm = state.h.minus.words.reshape(batch, -1)
     c = state.c_values().astype(np.int64)
     pre = [
-        counts @ wx.astype(np.int64) + input_scale * _tern_dot_bipolar_rows(hp, hm, whw)
+        counts @ wx.astype(np.int64) + input_scale * (bipolar_dot(hp, whw) - bipolar_dot(hm, whw))
         for wx, whw in zip(gates.wx, gates.wh_words)
     ]
     i, f, o = ((p > 0).astype(np.int64) for p in pre[:3])
@@ -182,10 +180,7 @@ def qlstm_step(
     c_new = np.clip(f * c + i * ctilde, -1, 1)
     h_new = o * c_new
     shape = (batch, 1, 1, 1, gates.n_o)
-    return QLSTMState(
-        TernTensor(pack((c_new == 1).reshape(shape)), pack((c_new == -1).reshape(shape))),
-        TernTensor(pack((h_new == 1).reshape(shape)), pack((h_new == -1).reshape(shape))),
-    )
+    return QLSTMState(pack_ternary(c_new.reshape(shape)), pack_ternary(h_new.reshape(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +324,8 @@ def frames_to_bitplanes(frames: np.ndarray) -> list[BitTensor]:
     return [pack((frames & (1 << b)) != 0) for b in range(8)]
 
 
-def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray, out_channels: int) -> np.ndarray:
-    pc_all = np.bitwise_count(bt.words).sum(axis=-1).astype(np.float64)
-    acc = np.bitwise_count(bt.words[..., None, :] & w_words).sum(axis=-1).astype(np.float64)
-    return 2 * acc - pc_all[..., None]
+def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray) -> np.ndarray:
+    return bipolar_dot(bt.words, w_words).astype(np.float64)
 
 
 def _threshold(x: np.ndarray) -> BitTensor:
@@ -348,20 +341,17 @@ def _gap_count(bt: BitTensor) -> np.ndarray:
     return unpack(bt).sum(axis=(2, 3)).astype(np.int64)
 
 
-def _tern_dense(h_seq: np.ndarray, w_plus, w_minus, num_classes) -> np.ndarray:
+def _tern_dense(h_seq: np.ndarray, w_plus, w_minus) -> np.ndarray:
     hp, hm = _pack_tern_rows(h_seq)
-    pp = np.bitwise_count(hp[..., None, :] & w_plus).sum(axis=-1).astype(np.int64)
-    mm = np.bitwise_count(hm[..., None, :] & w_minus).sum(axis=-1).astype(np.int64)
-    pm = np.bitwise_count(hp[..., None, :] & w_minus).sum(axis=-1).astype(np.int64)
-    mp = np.bitwise_count(hm[..., None, :] & w_plus).sum(axis=-1).astype(np.int64)
-    return pp + mm - pm - mp
+    return and_count(hp, w_plus) + and_count(hm, w_minus) - and_count(hp, w_minus) - and_count(hm, w_plus)
 
 
 @dataclass
 class ExecutionResult:
     pred: np.ndarray
     intlogits: np.ndarray  # (N, T', classes) integer per-step responses
-    intermediates: dict[str, np.ndarray]
+    # slot value per tap: BitTensor for bit slots (still packed), else ndarray
+    intermediates: dict[str, BitTensor | np.ndarray]
 
 
 def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
@@ -390,7 +380,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
             spec = ConvSpec(p["kernel"], p["strides"], p["groups"], args[0].shape[4], p["out_channels"])
             out = conv3d(args[0], p["w"].astype(np.float64), spec)
         elif op.kind == "pw-conv-bin":
-            out = _pw_conv_bin(args[0], p["w_words"], p["out_channels"])
+            out = _pw_conv_bin(args[0], p["w_words"])
         elif op.kind == "threshold":
             out = _threshold(args[0])
         elif op.kind == "or":
@@ -409,7 +399,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
                 hs.append(state.h_values())
             out = np.stack(hs, axis=1)  # int8 (N, T', n_o)
         elif op.kind == "tern-dense":
-            out = _tern_dense(args[0], p["w_plus"], p["w_minus"], p["num_classes"])
+            out = _tern_dense(args[0], p["w_plus"], p["w_minus"])
             intlogits = out
         elif op.kind == "argmax":
             out = np.argmax(args[0].sum(axis=1), axis=-1)
@@ -417,13 +407,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
             raise SlotTypeMismatch(f"unknown op kind {op.kind!r}")
         values[op.output] = out
 
-    inter = {}
-    for name, slot in plan.outputs.items():
-        val = values[slot]
-        if isinstance(val, BitTensor):
-            inter[name] = unpack(val)
-        else:
-            inter[name] = val
+    inter = {name: values[slot] for name, slot in plan.outputs.items()}
     return ExecutionResult(pred=values[plan.ops[-1].output], intlogits=intlogits, intermediates=inter)
 
 
@@ -453,8 +437,8 @@ def compare_paths(model, frames: np.ndarray) -> Divergence | None:
 
     res_ref = ref.forward(model, frames.astype(np.float64) / 255.0, record=True)
     res_logic = execute(compile(model), frames_to_bitplanes(frames))
-    for name in list(res_logic.intermediates):
-        got = np.asarray(res_logic.intermediates[name], dtype=np.float64)
+    for name, val in res_logic.intermediates.items():
+        got = unpack(val) if isinstance(val, BitTensor) else np.asarray(val, dtype=np.float64)
         want = np.asarray(res_ref.intermediates[name], dtype=np.float64)
         want = want.reshape(got.shape)
         if not np.array_equal(got, want):

@@ -49,11 +49,6 @@ def sign_strict(x):
     return np.where(np.asarray(x, dtype=np.float64) > 0, 1.0, -1.0)
 
 
-def sign_ste_grad(x):
-    """Surrogate gradient shared by sign-like quantizers: 1 where |x| <= 1."""
-    return heaviside_ste_grad(x)
-
-
 def ssign_scale(n_i: int, n_o: int) -> float:
     return 3.0 / np.sqrt(n_i + n_o)
 

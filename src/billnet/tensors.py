@@ -12,6 +12,11 @@ channel j*64 + i; no 64-lane temporary is formed.
 
 Ternary signals {-1, 0, +1} are stored as two disjoint binary planes
 (plus, minus); integer accumulators are plain int64 ndarrays.
+
+``and_count`` is the one packed dot-product kernel: every AND + popcount
+of the logic path runs through it.  ``bipolar_dot`` builds the {0,1} x
+{-1,+1} product on it; ternary operands are sums of such terms over their
+two planes.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ import numpy as np
 from .errors import InvariantViolation, NonBinaryInput, ShapeMismatch
 
 WORD_BITS = 64
-
-# Integer accumulators carried by the logic path: plain signed arrays, wide
-# enough that the largest dot product in a default model cannot overflow.
-IntTensor = np.ndarray
 
 
 def require_tensor5(x: np.ndarray) -> np.ndarray:
@@ -66,19 +67,6 @@ class BitTensor:
     @property
     def channels(self) -> int:
         return self.shape[4]
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
-
-def channel_padding_mask(c: int) -> np.ndarray:
-    """uint64 mask vector with ones in the valid bit positions per word."""
-    nw = words_per_channel(c)
-    mask = np.full(nw, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    rem = c % WORD_BITS
-    if rem:
-        mask[-1] = np.uint64((1 << rem) - 1)
-    return mask
 
 
 def _as_bits(x: np.ndarray, caller: str) -> np.ndarray:
@@ -125,25 +113,24 @@ def pack_vector(bits: np.ndarray) -> np.ndarray:
     return _pack_words(_as_bits(bits, "pack_vector"))
 
 
-def _check_same_shape(a: BitTensor, b: BitTensor):
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+def and_count(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """popcount(a AND w) of every word row of ``a`` against every row of ``w``.
 
-
-def popcount_and(a: BitTensor, b: BitTensor) -> int:
-    """Number of positions where both tensors hold a 1."""
-    _check_same_shape(a, b)
-    return int(np.bitwise_count(a.words & b.words).sum())
-
-
-def binary_dot_bipolar_weights(a: BitTensor, w_bits: BitTensor) -> int:
-    """Dot product of {0,1} activations with {-1,+1} weights.
-
-    Weights are encoded as a bit plane (bit 1 means +1, bit 0 means -1);
-    the product is 2*popcount(a AND w) - popcount(a), an exact integer.
+    ``a`` is (..., nw) uint64 words, ``w`` is (k, nw); returns (..., k) int64.
     """
-    _check_same_shape(a, w_bits)
-    return 2 * popcount_and(a, w_bits) - a.popcount()
+    if a.shape[-1] != w.shape[-1]:
+        raise ShapeMismatch(f"word rows differ: {a.shape} vs {w.shape}")
+    return np.bitwise_count(a[..., None, :] & w).sum(axis=-1, dtype=np.int64)
+
+
+def bipolar_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """{0,1} activation words times {-1,+1} weight rows (bit 1 means +1).
+
+    The product is 2*popcount(a AND w) - popcount(a), an exact integer;
+    shapes as in ``and_count``.
+    """
+    ones = np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
+    return 2 * and_count(a, w) - ones[..., None]
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,8 @@ class TernTensor:
     minus: BitTensor
 
     def __post_init__(self):
-        _check_same_shape(self.plus, self.minus)
+        if self.plus.shape != self.minus.shape:
+            raise ShapeMismatch(f"plane shapes differ: {self.plus.shape} vs {self.minus.shape}")
         if np.any(self.plus.words & self.minus.words):
             raise InvariantViolation("ternary planes overlap (+1 and -1 at one index)")
 
@@ -173,17 +161,6 @@ def pack_ternary(x: np.ndarray) -> TernTensor:
 
 def unpack_ternary(t: TernTensor) -> np.ndarray:
     return unpack(t.plus) - unpack(t.minus)
-
-
-def ternary_dot_bipolar_weights(h: TernTensor, w_bits: BitTensor) -> int:
-    """Dot product of {-1,0,+1} activations with {-1,+1} weights.
-
-    Decomposes into the plus and minus planes:
-    [2*pc(plus AND w) - pc(plus)] - [2*pc(minus AND w) - pc(minus)].
-    """
-    return binary_dot_bipolar_weights(h.plus, w_bits) - binary_dot_bipolar_weights(
-        h.minus, w_bits
-    )
 
 
 def conv_same_pads(size: int, kernel: int, stride: int) -> tuple[int, int, int]:

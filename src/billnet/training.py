@@ -10,7 +10,6 @@ every update.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,14 +173,23 @@ def _act_node(tape, x, stage):
     return ad.relu(tape, x) if stage <= 2 else ad.heaviside_ste(tape, x)
 
 
-def _conv_node(tape, x, w_var, spec, stage):
-    wq = ad.sign_ste(tape, w_var) if stage >= 2 else w_var
-    tape.watch(w_var)
-    return ad.conv3d_op(tape, x, wq, spec)
+def _quant_w(tape, bound, name, stage):
+    w = bound.vars[name]
+    return ad.sign_ste(tape, w) if stage >= 2 else w
+
+
+def _cf_nodes(tape, x, lay, bound, stage):
+    """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``."""
+    for part, spec in (("pw1", lay.pw1_spec), ("gconv", lay.gconv_spec), ("pw2", lay.pw2_spec)):
+        x = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec)
+    return x
 
 
 def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndarray, labels: np.ndarray):
-    """Build the stage-semantics forward on the tape; returns (loss, scores)."""
+    """Build the stage-semantics forward on the tape; returns (loss, scores).
+
+    Every bound var is watched here, first, so the ops below need not.
+    """
     stage = model.stage
     for v in bound.vars.values():
         tape.watch(v)
@@ -190,17 +198,15 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     gap_den = 0
     for lay in model.layers:
         if lay.kind == "stem":
+            w = _quant_w(tape, bound, f"{lay.name}.w", stage)
             if stage >= 4:
                 cur = Var(np.rint(x * 255.0))
-                z = _conv_node(tape, cur, bound.vars[f"{lay.name}.w"], lay.spec, stage)
-                z = ad.scale_const(tape, z, 1.0 / 255.0)
+                z = ad.scale_const(tape, ad.conv3d_op(tape, cur, w, lay.spec), 1.0 / 255.0)
             else:
-                z = _conv_node(tape, cur, bound.vars[f"{lay.name}.w"], lay.spec, stage)
+                z = ad.conv3d_op(tape, cur, w, lay.spec)
             cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
         elif lay.kind == "cf":
-            z = ad.conv3d_op(tape, cur, _quant_w(tape, bound, f"{lay.name}.pw1", stage), lay.pw1_spec)
-            z = ad.conv3d_op(tape, z, _quant_w(tape, bound, f"{lay.name}.gconv", stage), lay.gconv_spec)
-            z = ad.conv3d_op(tape, z, _quant_w(tape, bound, f"{lay.name}.pw2", stage), lay.pw2_spec)
+            z = _cf_nodes(tape, cur, lay, bound, stage)
             cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
         elif lay.kind == "mor":
             if lay.skip_w is not None:
@@ -209,9 +215,7 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
             else:
                 skip = cur
             sel = tgap_select(skip.value, quantized=stage >= 3)
-            z = ad.conv3d_op(tape, cur, _quant_w(tape, bound, f"{lay.name}.pw1", stage), lay.pw1_spec)
-            z = ad.conv3d_op(tape, z, _quant_w(tape, bound, f"{lay.name}.gconv", stage), lay.gconv_spec)
-            z = ad.conv3d_op(tape, z, _quant_w(tape, bound, f"{lay.name}.pw2", stage), lay.pw2_spec)
+            z = _cf_nodes(tape, cur, lay, bound, stage)
             v = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm1, bound, "1"), stage)
             i0 = ad.clip_ste(tape, ad.add(tape, v, skip))
             i1 = _act_node(tape, _norm_node(tape, i0, lay.name, lay.norm2, bound, "2"), stage)
@@ -224,19 +228,12 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
             cur = _lstm_nodes(tape, cur, lay, bound, stage)
         elif lay.kind == "dense":
             w = bound.vars[f"{lay.name}.w"]
-            tape.watch(w)
             if stage >= 2:
                 w = ad.tern_ste(tape, w, stern_scale(lay.m))
             logits = ad.matmul(tape, cur, w)
             scores = ad.mean_axes(tape, logits, (1,))
     loss = ad.softmax_cce(tape, scores, labels)
     return loss, scores.value
-
-
-def _quant_w(tape, bound, name, stage):
-    w = bound.vars[name]
-    tape.watch(w)
-    return ad.sign_ste(tape, w) if stage >= 2 else w
 
 
 def _lstm_nodes(tape, x_seq, lay, bound, stage):
@@ -246,7 +243,6 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage):
     kernels = {}
     for tag in "ifoc":
         w = bound.vars[f"{lay.name}.w{tag}"]
-        tape.watch(w)
         kernels[tag] = w if mode == "float" else ad.sign_ste(tape, w, scale)
     n, t_steps, _ = x_seq.value.shape
     h = Var(np.zeros((n, wts.n_o)))
@@ -371,13 +367,3 @@ def run_stage(
             row["test_acc"] = float(acc)
         history.append(row)
     return history
-
-
-def write_log_csv(path, rows):
-    """epoch/stage/lr/loss/accuracy emission with stable formatting."""
-    cols = ["stage", "epoch", "lr", "loss", "train_acc", "test_acc"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([repr(row.get(c, "")) for c in cols])

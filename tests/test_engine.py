@@ -13,7 +13,9 @@ from billnet.engine import (
 from billnet.errors import BadConfig, NotFullyQuantized, ShapeMismatch
 from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
 from billnet.reference import LSTMWeights, lstm_cell, maxpool3d
-from billnet.tensors import pack, unpack
+from billnet.tensors import BitTensor, pack, unpack
+
+WORD_BOUNDARY_CHANNELS = (1, 63, 64, 65, 129, 200)
 
 
 def quantized_toy_model(seed=0, randomize_norms=True):
@@ -134,6 +136,46 @@ class TestExecute:
         got = unpack(engine._maxpool_or(pack(bits), window, window))
         np.testing.assert_array_equal(got, maxpool3d(bits, window))
 
+    def test_broken_logic_op_is_reported(self, monkeypatch):
+        # A pool that drops every bit must surface as a divergence at its tap.
+        real = engine._maxpool_or
+
+        def dropped(bt, window, strides):
+            out = real(bt, window, strides)
+            return BitTensor(out.shape, np.zeros_like(out.words))
+
+        monkeypatch.setattr(engine, "_maxpool_or", dropped)
+        frames = np.random.default_rng(12).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
+        div = compare_paths(quantized_toy_model(seed=1), frames)
+        assert div is not None
+        assert div.name == "mp1.out"
+        assert (div.got, div.want) == (0.0, 1.0)
+
+    def test_intermediates_stay_packed(self):
+        plan = engine.compile(quantized_toy_model(seed=6))
+        res = execute(plan, frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)))
+        assert isinstance(res.intermediates["mp1.out"], BitTensor)
+        assert isinstance(res.intermediates["gap.counts"], np.ndarray)
+
+    @pytest.mark.parametrize("c", WORD_BOUNDARY_CHANNELS)
+    def test_pw_conv_bin_matches_integer_matmul(self, c):
+        rng = np.random.default_rng(c)
+        bits = rng.random((2, 2, 3, 3, c)) < 0.5
+        w = rng.normal(size=(1, 1, 1, c, 70))
+        got = engine._pw_conv_bin(pack(bits), engine._pw_weight_words(w))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, bits @ np.where(w[0, 0, 0] > 0, 1, -1))
+
+    @pytest.mark.parametrize("c", WORD_BOUNDARY_CHANNELS)
+    def test_tern_dense_matches_integer_matmul(self, c):
+        rng = np.random.default_rng(c)
+        h_seq = rng.integers(-1, 2, size=(3, 4, c)).astype(np.int8)
+        w = rng.integers(-1, 2, size=(c, 5)).astype(np.int8)
+        plus, minus = engine._pack_tern_rows(w.T)
+        got = engine._tern_dense(h_seq, plus, minus)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, h_seq.astype(np.int64) @ w)
+
     def test_intlogits_shape(self):
         model = quantized_toy_model(seed=6)
         plan = engine.compile(model)
@@ -174,11 +216,13 @@ class TestQLSTMStep:
         np.testing.assert_array_equal(out.c_values(), 1)
         np.testing.assert_array_equal(out.h_values(), 1)
 
-    def test_matches_reference_cell_with_scales(self):
+    @pytest.mark.parametrize("n_o", [5, 64, 65, 130])
+    def test_matches_reference_cell_with_scales(self, n_o):
         # The reference cell carries the weight scale and normalized inputs;
         # strict thresholds at zero make the integer step exactly equal.
+        # n_o >= 64 puts the carry's dot products across word boundaries.
         rng = np.random.default_rng(8)
-        n_i, n_o, den = 6, 5, 48
+        n_i, den = 6, 48
         wts, gates = random_gates(rng, n_i, n_o)
         state = QLSTMState.zeros(2, n_o)
         h_ref = np.zeros((2, n_o))

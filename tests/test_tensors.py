@@ -6,22 +6,33 @@ from hypothesis import strategies as st
 from billnet import tensors
 from billnet.errors import InvariantViolation, NonBinaryInput, ShapeMismatch
 from billnet.tensors import (
-    BitTensor,
     TernTensor,
-    binary_dot_bipolar_weights,
+    and_count,
+    bipolar_dot,
     pack,
     pack_ternary,
-    popcount_and,
-    ternary_dot_bipolar_weights,
+    pack_vector,
     unpack,
     unpack_ternary,
 )
+
+WORD_BOUNDARY_CHANNELS = (1, 63, 64, 65, 129, 200)
 
 
 def bits_to_tensor(bits):
     """1-D bit list -> (1,1,1,1,n) packed tensor."""
     arr = np.asarray(bits, dtype=np.float64).reshape(1, 1, 1, 1, -1)
     return pack(arr)
+
+
+def rows(bits):
+    """1-D bit list -> one (1, nw) word row, the kernels' weight layout."""
+    return pack_vector(np.asarray(bits, dtype=int)[None])
+
+
+def tern_dot(h, w_row):
+    """{-1,0,+1} x {-1,+1}: the plus plane's bipolar dot minus the minus plane's."""
+    return int(bipolar_dot(h.plus.words, w_row).sum() - bipolar_dot(h.minus.words, w_row).sum())
 
 
 def shift_lane_words(bits):
@@ -44,7 +55,7 @@ class TestPack:
         # Channel-fastest, LSB-first: [1,0,1,1,0,0,0,0] -> 0b00001101.
         bt = bits_to_tensor([1, 0, 1, 1, 0, 0, 0, 0])
         assert bt.words.ravel()[0] == 0b00001101
-        assert bt.popcount() == 3
+        assert np.bitwise_count(bt.words).sum() == 3
 
     def test_bit_positions_match_enumeration(self):
         # Brute-force oracle: bit i of the packed word must equal element i.
@@ -97,78 +108,69 @@ class TestPack:
         np.testing.assert_array_equal(unpack(pack(x)), x)
 
     def test_padding_bits_zero(self):
-        x = np.ones((1, 1, 1, 1, 67))
-        bt = pack(x)
-        mask = tensors.channel_padding_mask(67)
-        assert not (bt.words & ~mask).any()
-        assert bt.popcount() == 67
+        bt = pack(np.ones((1, 1, 1, 1, 67)))
+        np.testing.assert_array_equal(bt.words.ravel(), [2**64 - 1, 0b111])
 
 
 class TestPopcountAnd:
     def test_enumerated_pair(self):
-        a = bits_to_tensor([1, 0, 1, 1])
-        b = bits_to_tensor([1, 0, 0, 1])
-        assert popcount_and(a, b) == 2
+        assert and_count(rows([1, 0, 1, 1]), rows([1, 0, 0, 1])) == [[2]]
 
     def test_all_ones_mask_is_identity(self):
         rng = np.random.default_rng(2)
         x = (rng.random((1, 2, 3, 4, 33)) < 0.5).astype(np.float64)
-        a = pack(x)
-        ones = pack(np.ones_like(x))
-        assert popcount_and(a, ones) == a.popcount() == int(x.sum())
+        got = and_count(pack(x).words, rows([1] * 33))
+        assert got.shape == (1, 2, 3, 4, 1) and got.dtype == np.int64
+        np.testing.assert_array_equal(got[..., 0], x.sum(axis=-1))
 
     def test_all_zeros_mask(self):
-        a = bits_to_tensor([1, 1, 1, 0, 1])
-        z = bits_to_tensor([0, 0, 0, 0, 0])
-        assert popcount_and(a, z) == 0
+        assert and_count(rows([1, 1, 1, 0, 1]), rows([0, 0, 0, 0, 0])) == [[0]]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            popcount_and(bits_to_tensor([1, 0]), bits_to_tensor([1, 0, 1]))
+            and_count(rows([1, 0]), rows([1] * 65))
+
+    @pytest.mark.parametrize("c", WORD_BOUNDARY_CHANNELS)
+    def test_all_pairs_match_integer_matmul(self, c):
+        rng = np.random.default_rng(c)
+        a = rng.random((3, 5, c)) < 0.5
+        w = rng.random((7, c)) < 0.5
+        got = and_count(pack_vector(a), pack_vector(w))
+        np.testing.assert_array_equal(got, a.astype(np.int64) @ w.T.astype(np.int64))
 
 
 class TestBinaryDot:
     def test_worked_example(self):
         # a=[1,0,1,1], w=[+1,-1,-1,+1]: integer oracle gives 1+0-1+1 = 1.
-        a = bits_to_tensor([1, 0, 1, 1])
-        w = bits_to_tensor([1, 0, 0, 1])
-        assert binary_dot_bipolar_weights(a, w) == 1
+        assert bipolar_dot(rows([1, 0, 1, 1]), rows([1, 0, 0, 1])) == [[1]]
 
     def test_zero_activations(self):
-        z = bits_to_tensor([0] * 16)
         rng = np.random.default_rng(3)
-        w = bits_to_tensor((rng.random(16) < 0.5).astype(int))
-        assert binary_dot_bipolar_weights(z, w) == 0
+        w = rows((rng.random(16) < 0.5).astype(int))
+        assert bipolar_dot(rows([0] * 16), w) == [[0]]
 
     def test_full_agreement(self):
-        a = bits_to_tensor([1] * 16)
-        w = bits_to_tensor([1] * 16)
-        assert binary_dot_bipolar_weights(a, w) == 16
+        assert bipolar_dot(rows([1] * 16), rows([1] * 16)) == [[16]]
 
     def test_matches_integer_oracle_100k(self):
-        # 1e5 random trials, word-level vectorization of the same formula the
-        # implementation uses, against a plain integer dot product.
+        # 1000 activation rows against 100 weight rows: 1e5 dot products
+        # through the shipped kernel, one and several words per row.
         rng = np.random.default_rng(4)
-        trials, n = 100_000, 64
-        a_bits = rng.random((trials, n)) < 0.5
-        w_bits = rng.random((trials, n)) < 0.5
-        w_signed = np.where(w_bits, 1, -1)
-        oracle = (a_bits * w_signed).sum(axis=1)
-        a_words = tensors.pack_vector(a_bits.astype(int))
-        w_words = tensors.pack_vector(w_bits.astype(int))
-        fast = 2 * np.bitwise_count(a_words & w_words).sum(axis=1).astype(int) - (
-            np.bitwise_count(a_words).sum(axis=1).astype(int)
-        )
-        np.testing.assert_array_equal(fast, oracle)
+        for n in (64, 200):
+            a_bits = rng.random((1000, n)) < 0.5
+            w_bits = rng.random((100, n)) < 0.5
+            oracle = a_bits.astype(np.int64) @ np.where(w_bits, 1, -1).T
+            np.testing.assert_array_equal(bipolar_dot(pack_vector(a_bits), pack_vector(w_bits)), oracle)
 
     def test_matches_integer_oracle_through_api(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
-            n = int(rng.integers(1, 65))
+            n = int(rng.integers(1, 130))
             a_bits = (rng.random(n) < 0.5).astype(int)
             w_bits = (rng.random(n) < 0.5).astype(int)
-            got = binary_dot_bipolar_weights(bits_to_tensor(a_bits), bits_to_tensor(w_bits))
-            assert got == int((a_bits * np.where(w_bits, 1, -1)).sum())
+            got = bipolar_dot(bits_to_tensor(a_bits).words, rows(w_bits))
+            assert got.shape == (1, 1, 1, 1, 1)
+            assert got.item() == int((a_bits * np.where(w_bits, 1, -1)).sum())
 
 
 class TestTernary:
@@ -187,27 +189,23 @@ class TestTernary:
 
     def test_balanced_dot(self):
         h = pack_ternary(np.array([1, 0, -1], dtype=float).reshape(1, 1, 1, 1, 3))
-        w = bits_to_tensor([1, 1, 1])
-        assert ternary_dot_bipolar_weights(h, w) == 0
+        assert tern_dot(h, rows([1, 1, 1])) == 0
 
     def test_zero_state(self):
         h = pack_ternary(np.zeros((1, 1, 1, 1, 9)))
-        w = bits_to_tensor([1] * 9)
-        assert ternary_dot_bipolar_weights(h, w) == 0
+        assert tern_dot(h, rows([1] * 9)) == 0
 
     def test_sign_product(self):
         h = pack_ternary(np.array([-1.0]).reshape(1, 1, 1, 1, 1))
-        w = bits_to_tensor([0])  # weight -1
-        assert ternary_dot_bipolar_weights(h, w) == 1
+        assert tern_dot(h, rows([0])) == 1  # weight -1
 
     def test_matches_integer_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
-            n = int(rng.integers(1, 100))
+            n = int(rng.integers(1, 200))
             h = rng.integers(-1, 2, size=n).astype(np.float64)
             w_bits = (rng.random(n) < 0.5).astype(int)
-            ht = pack_ternary(h.reshape(1, 1, 1, 1, n))
-            got = ternary_dot_bipolar_weights(ht, bits_to_tensor(w_bits))
+            got = tern_dot(pack_ternary(h.reshape(1, 1, 1, 1, n)), rows(w_bits))
             assert got == int((h * np.where(w_bits, 1, -1)).sum())
 
 
