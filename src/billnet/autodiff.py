@@ -12,6 +12,11 @@ the surrogate (straight-through) gradients declared in ``quantize``:
 
 Latent (real) parameters therefore receive gradients straight through their
 quantized images.
+
+Gradients are shared, never written in place: ``Tape._acc`` stores the array
+an op hands it (or a fresh sum), so one array may be the upstream gradient of
+several operands and the ``grad`` of several ``Var``s.  No op may write into
+an ``out.grad`` it reads or into an array it has passed to ``_acc``.
 """
 
 from __future__ import annotations
@@ -64,11 +69,7 @@ class Tape:
 
     def _acc(self, var: Var, g: np.ndarray):
         g = _unbroadcast(g, var.value.shape)
-        if var.grad is None:
-            # always own the buffer: upstream grads are shared between fan-ins
-            var.grad = np.array(g)
-        else:
-            var.grad += g
+        var.grad = g if var.grad is None else var.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -207,7 +208,7 @@ def sum_all(tape: Tape, a: Var) -> Var:
 
 def relu(tape: Tape, a: Var) -> Var:
     out = Var(np.maximum(a.value, 0.0))
-    mask = (a.value > 0).astype(np.float64)
+    mask = a.value > 0
 
     def bwd():
         if out.grad is not None:
@@ -285,14 +286,24 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec) -> Var:
         if out.grad is None:
             return
         gout = out.grad
-        n, to, ho, wo, _ = gout.shape
         # weight gradient: the forward's im2col columns against the output grad
         gw = np.empty_like(w.value)
-        for gi, cols in enumerate(_columns(x.value, spec.kernel, spec.strides, g)):
+        cols = _columns(x.value, spec.kernel, spec.strides, g)
+        for gi in range(g):
             go = gout[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
-            gw[..., gi * cog : (gi + 1) * cog] = (cols.T @ go).reshape(kt, kh, kw, cig, cog)
+            gw[..., gi * cog : (gi + 1) * cog] = (cols(gi).T @ go).reshape(kt, kh, kw, cig, cog)
+        del cols  # frees the padded input before the input gradient allocates
         tape._acc(w, gw)
-        # input gradient: scatter each kernel offset back onto the padded input
+        if tuple(spec.strides) == (1, 1, 1):
+            # a stride-1 "same" conv's input gradient is the same conv of the
+            # output gradient with flipped weights, transposed within each group
+            wt = w.value[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
+            wt = wt.transpose(0, 1, 2, 5, 4, 3).reshape(kt, kh, kw, cog, g * cig)
+            tspec = ConvSpec(spec.kernel, spec.strides, g, spec.out_channels, spec.in_channels)
+            tape._acc(x, conv3d(gout, wt, tspec))
+            return
+        # strided: scatter each kernel offset back onto the padded input
+        n, to, ho, wo, _ = gout.shape
         pads = [conv_same_pads(s, k, st) for s, k, st in
                 zip(x.value.shape[1:4], spec.kernel, spec.strides)]
         tpad = x.value.shape[1] + pads[0][1] + pads[0][2]
@@ -361,9 +372,11 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
     """
     axes = tuple(range(x.value.ndim - 1))
     mu = x.value.mean(axis=axes)
-    var = x.value.var(axis=axes)
+    d = x.value - mu
+    var = np.square(d).mean(axis=axes)  # the same sum x.var forms
     ivar = 1.0 / np.sqrt(var + p.eps)
-    xhat = (x.value - mu) * ivar
+    xhat = d * ivar
+    del d
     out = Var(gamma.value * xhat + beta.value)
     p.mean = (1.0 - momentum) * p.mean + momentum * mu
     p.var = (1.0 - momentum) * p.var + momentum * var
@@ -373,12 +386,14 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
         if out.grad is None:
             return
         g = out.grad
-        tape._acc(gamma, (g * xhat).sum(axis=axes))
-        tape._acc(beta, g.sum(axis=axes))
-        gxhat = g * gamma.value
-        gvar = (gxhat * (x.value - mu)).sum(axis=axes) * (-0.5) * ivar**3
-        gmu = -(gxhat.sum(axis=axes)) * ivar + gvar * (-2.0 / m) * (x.value - mu).sum(axis=axes)
-        gx = gxhat * ivar + gvar * 2.0 * (x.value - mu) / m + gmu / m
+        gbeta = g.sum(axis=axes)
+        ggamma = (g * xhat).sum(axis=axes)
+        tape._acc(gamma, ggamma)
+        tape._acc(beta, gbeta)
+        # closed-form adjoint: gamma*ivar * (g - mean(g) - xhat*mean(g*xhat))
+        gx = g - xhat * (ggamma / m)
+        gx -= gbeta / m
+        gx *= gamma.value * ivar
         tape._acc(x, gx)
 
     tape.record(bwd, x, gamma, beta)

@@ -20,8 +20,8 @@ def heaviside(x):
 
 
 def heaviside_ste_grad(x):
-    """Surrogate gradient of heaviside: 1 where |x| <= 1, else 0."""
-    return (np.abs(np.asarray(x, dtype=np.float64)) <= 1).astype(np.float64)
+    """Surrogate gradient of heaviside as a bool mask: True where |x| <= 1."""
+    return np.abs(np.asarray(x, dtype=np.float64)) <= 1
 
 
 def clip(y):

@@ -78,23 +78,21 @@ def _windows(a: np.ndarray, window, strides) -> np.ndarray:
 
 
 def _columns(x: np.ndarray, kernel, strides, groups: int):
-    """Im2col for a same-padded grouped conv, one group at a time.
+    """Im2col for a same-padded grouped conv, one group per call.
 
-    Yields each group's (N*To*Ho*Wo, kt*kh*kw*C/groups) column matrix in
-    turn, so no caller holds every group's columns at once.  A 1x1x1
-    stride-1 kernel needs no padding or window copy: its columns are the
-    input's own rows.
+    Returns ``cols(gi)``, which builds group ``gi``'s
+    (N*To*Ho*Wo, kt*kh*kw*C/groups) column matrix.  Callers consume each
+    matrix inside one expression, so no two groups' columns are alive at
+    once.  A 1x1x1 stride-1 kernel needs no padding or window copy: its
+    columns are the input's own rows.
     """
     cig = x.shape[4] // groups
     if tuple(kernel) == (1, 1, 1) and tuple(strides) == (1, 1, 1):
         rows = x.reshape(-1, x.shape[4])
-        for gi in range(groups):
-            yield rows[:, gi * cig : (gi + 1) * cig]
-        return
+        return lambda gi: rows[:, gi * cig : (gi + 1) * cig]
     pads = [conv_same_pads(s, k, st)[1:] for s, k, st in zip(x.shape[1:4], kernel, strides)]
     view = _windows(np.pad(x, ((0, 0), *pads, (0, 0))), kernel, strides)
-    for gi in range(groups):
-        yield view[..., gi * cig : (gi + 1) * cig].reshape(-1, prod(kernel) * cig)
+    return lambda gi: view[..., gi * cig : (gi + 1) * cig].reshape(-1, prod(kernel) * cig)
 
 
 def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -107,9 +105,10 @@ def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     dims = conv_output_shape(x.shape[1:4], spec.kernel, spec.strides)
     cog = spec.out_channels // spec.groups
     out = np.empty((n, *dims, spec.out_channels))
-    for gi, cols in enumerate(_columns(x, spec.kernel, spec.strides, spec.groups)):
+    cols = _columns(x, spec.kernel, spec.strides, spec.groups)
+    for gi in range(spec.groups):
         wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
-        out[..., gi * cog : (gi + 1) * cog] = (cols @ wg).reshape(n, *dims, cog)
+        out[..., gi * cog : (gi + 1) * cog] = (cols(gi) @ wg).reshape(n, *dims, cog)
     return out
 
 

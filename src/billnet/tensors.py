@@ -154,9 +154,10 @@ class TernTensor:
 def pack_ternary(x: np.ndarray) -> TernTensor:
     """Pack a {-1, 0, +1} (N,T,H,W,C) tensor into two disjoint bit planes."""
     x = require_tensor5(x)
-    if not np.isin(x, (-1, 0, 1)).all():
+    plus, minus = x == 1, x == -1
+    if not (plus | minus | (x == 0)).all():
         raise NonBinaryInput("pack_ternary() requires elements in {-1, 0, 1}")
-    return TernTensor(pack(x == 1), pack(x == -1))
+    return TernTensor(pack(plus), pack(minus))
 
 
 def unpack_ternary(t: TernTensor) -> np.ndarray:

@@ -5,17 +5,36 @@ import numpy as np
 import pytest
 
 from billnet import autodiff as ad
+from billnet.quantize import BNParams
 from billnet.reference import ConvSpec, conv3d
 
 
+def numeric(arr, f, h=1e-4):
+    """Central differences of the scalar ``f()`` with respect to ``arr``, in place."""
+    g = np.empty_like(arr)
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + h
+        up = f()
+        arr[i] = orig - h
+        g[i] = (up - f()) / (2 * h)
+        arr[i] = orig
+    return g
+
+
 @pytest.mark.parametrize(
-    "kernel,strides,groups",
-    [((3, 3, 3), (2, 1, 2), 2), ((1, 1, 1), (1, 1, 1), 2)],
+    "kernel,strides,groups,size",
+    [
+        ((3, 3, 3), (2, 1, 2), 2, (3, 5, 4)),
+        ((1, 1, 1), (1, 1, 1), 2, (3, 5, 4)),
+        ((3, 3, 3), (1, 1, 1), 2, (3, 5, 7)),
+    ],
+    ids=["kernel0-strides0-2", "kernel1-strides1-2", "kernel2-strides2-2"],
 )
-def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups):
+def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups, size):
     rng = np.random.default_rng(12)
     spec = ConvSpec(kernel, strides, groups, 4, 6)
-    x0 = rng.normal(size=(2, 3, 5, 4, 4))
+    x0 = rng.normal(size=(2, *size, 4))
     w0 = rng.normal(size=spec.weight_shape)
     probe = rng.normal(size=conv3d(x0, w0, spec).shape)
 
@@ -24,22 +43,66 @@ def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups):
     loss = ad.sum_all(tape, ad.mul(tape, ad.conv3d_op(tape, x, w, spec), ad.Var(probe)))
     ad.backward(tape, loss)
 
-    def numeric(arr, f, h=1e-4):
-        g = np.empty_like(arr)
-        for i in np.ndindex(arr.shape):
-            orig = arr[i]
-            arr[i] = orig + h
-            up = f()
-            arr[i] = orig - h
-            g[i] = (up - f()) / (2 * h)
-            arr[i] = orig
-        return g
-
     def loss_value():
         return float((conv3d(x0, w0, spec) * probe).sum())
 
     np.testing.assert_allclose(w.grad, numeric(w0, loss_value), rtol=1e-7, atol=1e-8)
     np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def _fresh_norm(c):
+    return BNParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+
+
+def test_batchnorm_train_gradients_match_central_differences():
+    rng = np.random.default_rng(13)
+    x0 = rng.normal(1.0, 2.0, size=(2, 3, 2, 3, 4))
+    gamma0 = rng.normal(size=4)
+    beta0 = rng.normal(size=4)
+    probe = rng.normal(size=x0.shape)
+
+    def loss_value():
+        tape = ad.Tape()
+        y = ad.batchnorm_train(tape, ad.Var(x0), ad.Var(gamma0), ad.Var(beta0), _fresh_norm(4))
+        return float((y.value * probe).sum())
+
+    tape = ad.Tape()
+    x = ad.Var(x0)
+    gamma, beta = ad.Var(gamma0, trainable=True), ad.Var(beta0, trainable=True)
+    y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(4))
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))
+
+    np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(gamma.grad, numeric(gamma0, loss_value), rtol=1e-7, atol=1e-8)
+    np.testing.assert_allclose(beta.grad, numeric(beta0, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def test_batchnorm_train_momentum_one_stores_batch_statistics():
+    # stage 4 folds these statistics into shifts, so they must be x's own
+    x = np.random.default_rng(14).normal(0.3, 1.7, size=(2, 4, 6, 5, 7))
+    p = _fresh_norm(7)
+    ad.batchnorm_train(ad.Tape(), ad.Var(x), ad.Var(np.ones(7)), ad.Var(np.zeros(7)), p, momentum=1.0)
+    axes = (0, 1, 2, 3)
+    np.testing.assert_array_equal(p.mean, x.mean(axis=axes))
+    np.testing.assert_array_equal(p.var, x.var(axis=axes))
+
+
+def test_shared_upstream_gradient_is_not_written():
+    # add hands its upstream gradient array to both operands; a's later
+    # accumulation from the scaling op must not write into that shared array
+    rng = np.random.default_rng(15)
+    probe = rng.normal(size=(3, 4))
+    tape = ad.Tape()
+    a = ad.Var(rng.normal(size=(3, 4)), trainable=True)
+    b = ad.Var(rng.normal(size=(3, 4)), trainable=True)
+    scaled = ad.scale_const(tape, a, 3.0)
+    summed = ad.add(tape, a, b)
+    total = ad.add(tape, summed, scaled)
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, total, ad.Var(probe))))
+
+    np.testing.assert_array_equal(summed.grad, probe)
+    np.testing.assert_array_equal(b.grad, probe)
+    np.testing.assert_array_equal(a.grad, probe + 3.0 * probe)
 
 
 def test_backward_releases_forward_activations():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,20 @@ class TestConv3d:
             sub = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 2)
             got = conv3d(x[..., gi * 2 : gi * 2 + 2], w[..., gi * 2 : gi * 2 + 2], sub)
             np.testing.assert_allclose(full[..., gi * 2 : gi * 2 + 2], got, atol=1e-12)
+
+    def test_grouped_conv_holds_one_group_of_columns(self):
+        rng = np.random.default_rng(5)
+        spec = ConvSpec((3, 3, 3), (1, 1, 1), 2, 16, 8)
+        x = rng.normal(size=(1, 6, 12, 12, 16))
+        w = rng.normal(size=spec.weight_shape)
+        group_cols_bytes = 6 * 12 * 12 * 27 * 8 * x.itemsize
+        tracemalloc.start()
+        try:
+            conv3d(x, w, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * group_cols_bytes
 
     def test_bad_grouping_rejected(self):
         with pytest.raises(BadGrouping):

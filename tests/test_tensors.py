@@ -184,8 +184,9 @@ class TestTernary:
         np.testing.assert_array_equal(unpack_ternary(pack_ternary(x)), x)
 
     def test_pack_rejects_out_of_range(self):
-        with pytest.raises(NonBinaryInput):
-            pack_ternary(np.full((1, 1, 1, 1, 2), 2.0))
+        for bad in (2.0, 0.5, np.nan):
+            with pytest.raises(NonBinaryInput):
+                pack_ternary(np.full((1, 1, 1, 1, 2), bad))
 
     def test_balanced_dot(self):
         h = pack_ternary(np.array([1, 0, -1], dtype=float).reshape(1, 1, 1, 1, 3))
