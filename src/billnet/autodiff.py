@@ -417,8 +417,11 @@ def channel_affine(tape: Tape, x: Var, scale: np.ndarray, offset=0.0) -> Var:
 # ---------------------------------------------------------------------------
 
 
-def heaviside_ste(tape: Tape, x: Var) -> Var:
-    out = Var(q_heaviside(x.value))
+def heaviside_ste(tape: Tape, x: Var, exact: np.ndarray | None = None) -> Var:
+    """Strict step of ``x``.  ``exact``, when given, is a positive multiple of
+    ``x`` formed without rounding (an integer pre-activation); the step then
+    reads its sign, while the surrogate window still reads ``x``."""
+    out = Var(q_heaviside(x.value if exact is None else exact))
     window = heaviside_ste_grad(x.value)
 
     def bwd():
@@ -440,8 +443,9 @@ def clip_ste(tape: Tape, x: Var) -> Var:
     return out
 
 
-def sign_ste(tape: Tape, x: Var, scale: float = 1.0) -> Var:
-    out = Var(scale * sign_strict(x.value))
+def sign_ste(tape: Tape, x: Var, scale: float = 1.0, exact: np.ndarray | None = None) -> Var:
+    """Scaled strict sign of ``x``; ``exact`` as in ``heaviside_ste``."""
+    out = Var(scale * sign_strict(x.value if exact is None else exact))
     window = heaviside_ste_grad(x.value)
 
     def bwd():

@@ -13,10 +13,13 @@ binary/ternary intermediate of the arithmetic reference path.
 Every packed dot product (``pw-conv-bin``, the QLSTM carry, ``tern-dense``)
 is a formula over ``tensors.and_count``, the single AND + popcount kernel.
 
-Int slots that feed a convolution carry exact integers in float64, so the
-integer convolutions run through the reference path's BLAS kernel.  float64
-is exact only below 2**53; ``compile`` bounds every accumulator from its
-fan-in and refuses a model whose bound reaches that limit.
+Int slots that feed a convolution carry exact integers in floating point, so
+the integer convolutions run through the reference path's BLAS kernel.
+``compile`` bounds every conv's accumulator from its fan-in and gives the op
+the narrowest exact dtype: float32 below 2**24, else float64, which is exact
+below 2**53; a model whose bound reaches that limit is refused.  Every partial
+sum of an integer dot product obeys the same bound, so the product is exact
+whatever order BLAS sums it in.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .tensors import (
     unpack_ternary,
 )
 
-# Largest magnitude up to which float64 holds every integer exactly.
+# Largest magnitudes up to which float64 and float32 hold every integer exactly.
 EXACT_LIMIT = 2**53
+FLOAT32_EXACT_LIMIT = 2**24
 
 # ---------------------------------------------------------------------------
 # Plan structure
@@ -205,12 +209,14 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
     bound = {cur: 255}  # worst-case |value| of each int slot a conv writes or reads
 
     def conv_int(src, name, spec, w, kind="conv-int"):
+        acc = bound[src] * (w.size // spec.out_channels)  # times the fan-in
         out = plan.emit(
             kind, name, (src,), "int",
             w=_sign_int8(w), kernel=spec.kernel, strides=spec.strides,
             groups=spec.groups, out_channels=spec.out_channels,
+            bound=acc, dtype=np.dtype(np.float32 if acc < FLOAT32_EXACT_LIMIT else np.float64),
         )
-        bound[out] = bound[src] * (w.size // spec.out_channels)  # times the fan-in
+        bound[out] = acc
         return out
 
     def pw_bin(src, name, spec, w):
@@ -378,7 +384,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         p = op.params
         if op.kind in ("stem-conv", "conv-int"):
             spec = ConvSpec(p["kernel"], p["strides"], p["groups"], args[0].shape[4], p["out_channels"])
-            out = conv3d(args[0], p["w"].astype(np.float64), spec)
+            out = conv3d(args[0].astype(p["dtype"], copy=False), p["w"].astype(p["dtype"]), spec)
         elif op.kind == "pw-conv-bin":
             out = _pw_conv_bin(args[0], p["w_words"])
         elif op.kind == "threshold":

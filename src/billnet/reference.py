@@ -104,7 +104,7 @@ def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     n = x.shape[0]
     dims = conv_output_shape(x.shape[1:4], spec.kernel, spec.strides)
     cog = spec.out_channels // spec.groups
-    out = np.empty((n, *dims, spec.out_channels))
+    out = np.empty((n, *dims, spec.out_channels), dtype=np.result_type(x, w))
     cols = _columns(x, spec.kernel, spec.strides, spec.groups)
     for gi in range(spec.groups):
         wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
@@ -217,14 +217,8 @@ def lstm_cell(
         return o * np.tanh(c_new), c_new
     if mode != "fq":
         raise ValueError(f"unknown lstm mode {mode!r}")
-    n_i = weights.n_i
     if input_denominator:
-        d = input_denominator
-        counts = np.rint(x_t * d)
-        pre = [
-            counts @ sign_strict(w[:n_i]) + d * (h_prev @ sign_strict(w[n_i:]))
-            for w in weights.kernels()
-        ]
+        pre = exact_preactivations(x_t, h_prev, weights.kernels(), input_denominator)
     else:
         zx = np.concatenate([x_t, h_prev], axis=1)
         pre = [zx @ sign_strict(w) for w in weights.kernels()]
@@ -234,6 +228,15 @@ def lstm_cell(
     ctilde = sign_strict(pre[3])
     c_new = clip(f * c_prev + i * ctilde)
     return o * c_new, c_new
+
+
+def exact_preactivations(x_t, h_prev, kernels, d: int) -> list[np.ndarray]:
+    """'fq' gate pre-activations as exact integers for inputs on the grid k/d:
+    rint(x*d) @ sign(w_x) + d * (h @ sign(w_h)), the scaled float form times
+    the positive factor d/scale."""
+    counts = np.rint(x_t * d)
+    n_i = x_t.shape[1]
+    return [counts @ sign_strict(w[:n_i]) + d * (h_prev @ sign_strict(w[n_i:])) for w in kernels]
 
 
 def lstm_mode(stage: int) -> str:
@@ -335,16 +338,21 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
                 skip = apply_act(conv3d(x, conv_weight(layer.skip_w, stage), layer.skip_spec), stage)
             else:
                 skip = x
-            sel = tgap_select(skip, quantized=stage >= 3)
             v = apply_act(apply_norm(_cf_apply(x, layer, stage), layer.norm1), stage)
             i0 = clip(v + skip)
-            i1 = apply_act(apply_norm(i0, layer.norm2), stage)
-            x = mux(i0, i1, sel)
+            if stage >= 4:
+                # The second norm is a positive shift and the step fixes the
+                # binary i0, so i1 is i0 and the select cannot change a bit.
+                x = i1 = i0
+            else:
+                sel = tgap_select(skip, quantized=stage >= 3)
+                i1 = apply_act(apply_norm(i0, layer.norm2), stage)
+                x = mux(i0, i1, sel)
+                put(f"{layer.name}.sel", sel)
             put(f"{layer.name}.skip", skip)
             put(f"{layer.name}.v", v)
             put(f"{layer.name}.i0", i0)
             put(f"{layer.name}.i1", i1)
-            put(f"{layer.name}.sel", sel)
             put(f"{layer.name}.out", x)
         elif kind == "mp":
             x = maxpool3d(x, layer.window, layer.strides)

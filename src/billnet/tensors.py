@@ -5,10 +5,12 @@ the channel axis fastest ("Tensor5").  Binary signals are packed into uint64
 words along the channel axis, LSB first, so the channel vector of one pixel
 stays contiguous and pointwise convolutions reduce to AND + popcount over a
 handful of words.  Padding bits are forced to zero on construction, which
-keeps every popcount exact without masking.  Packing and unpacking run a
-byte at a time (``np.packbits`` / ``np.unpackbits``, little bit order) and
-view eight bytes as one little-endian word, so bit i of word j is still
-channel j*64 + i; no 64-lane temporary is formed.
+keeps every popcount exact without masking.  Packing and unpacking each make
+one ``np.packbits`` / ``np.unpackbits`` call (little bit order) over the
+whole flattened buffer, never one per channel row: the bits of a row are
+first padded to whole bytes, so every row starts on a byte boundary, and the
+bytes are then padded to whole words and viewed as little-endian uint64.
+Bit i of word j is channel j*64 + i; no 64-lane temporary is formed.
 
 Ternary signals {-1, 0, +1} are stored as two disjoint binary planes
 (plus, minus); integer accumulators are plain int64 ndarrays.
@@ -81,14 +83,19 @@ def _as_bits(x: np.ndarray, caller: str) -> np.ndarray:
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
     """bool (..., C) -> uint64 words (..., words_per_channel(C)), LSB first."""
-    c = bits.shape[-1]
+    lead, c = bits.shape[:-1], bits.shape[-1]
+    cbytes = -(-c // 8)
+    if c % 8:
+        padded = np.zeros(lead + (cbytes * 8,), dtype=bool)
+        padded[..., :c] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(lead + (cbytes,))
     nbytes = words_per_channel(c) * (WORD_BITS // 8)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    if packed.shape[-1] != nbytes:
-        padded = np.zeros(bits.shape[:-1] + (nbytes,), dtype=np.uint8)
-        padded[..., : packed.shape[-1]] = packed
+    if cbytes != nbytes:
+        padded = np.zeros(lead + (nbytes,), dtype=np.uint8)
+        padded[..., :cbytes] = packed
         packed = padded
-    return np.ascontiguousarray(packed).view("<u8").astype(np.uint64, copy=False)
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def pack(x: np.ndarray) -> BitTensor:
@@ -103,9 +110,12 @@ def pack(x: np.ndarray) -> BitTensor:
 
 def unpack(bt: BitTensor) -> np.ndarray:
     """Inverse of pack(): returns a float64 tensor of 0.0/1.0 values."""
-    octets = np.ascontiguousarray(bt.words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(octets, axis=-1, count=bt.channels, bitorder="little")
-    return bits.astype(np.float64)
+    c = bt.channels
+    cbytes = -(-c // 8)
+    octets = np.ascontiguousarray(bt.words, dtype="<u8").view(np.uint8)[..., :cbytes]
+    bits = np.unpackbits(np.ascontiguousarray(octets).reshape(-1), bitorder="little")
+    bits = bits.reshape(bt.shape[:4] + (cbytes * 8,))
+    return bits[..., :c].astype(np.float64)
 
 
 def pack_vector(bits: np.ndarray) -> np.ndarray:
@@ -120,7 +130,10 @@ def and_count(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     if a.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"word rows differ: {a.shape} vs {w.shape}")
-    return np.bitwise_count(a[..., None, :] & w).sum(axis=-1, dtype=np.int64)
+    out = np.zeros(a.shape[:-1] + (w.shape[0],), dtype=np.int64)
+    for j in range(w.shape[-1]):  # one word at a time: no (..., k, nw) temporary
+        out += np.bitwise_count(a[..., j, None] & w[:, j])
+    return out
 
 
 def bipolar_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:

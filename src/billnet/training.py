@@ -20,7 +20,7 @@ from .errors import StageOrderViolation
 from .model import ModelGraph, apply_stage_transition
 from .quantize import ssign_scale, stern_scale, tgap_select
 from .reference import forward as eval_forward
-from .reference import lstm_mode, snap_to_grid
+from .reference import exact_preactivations, lstm_mode, snap_to_grid
 
 # ---------------------------------------------------------------------------
 # Schedule
@@ -223,9 +223,10 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
         elif lay.kind == "mp":
             cur = ad.maxpool3d_op(tape, cur, lay.window)
         elif lay.kind == "gap":
+            gap_den = cur.shape[2] * cur.shape[3]
             cur = ad.mean_axes(tape, cur, (2, 3))
         elif lay.kind == "lstm":
-            cur = _lstm_nodes(tape, cur, lay, bound, stage)
+            cur = _lstm_nodes(tape, cur, lay, bound, stage, gap_den)
         elif lay.kind == "dense":
             w = bound.vars[f"{lay.name}.w"]
             if stage >= 2:
@@ -236,7 +237,10 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     return loss, scores.value
 
 
-def _lstm_nodes(tape, x_seq, lay, bound, stage):
+def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
+    """The recurrent layer on the tape.  In 'fq' mode the gates threshold the
+    exact integer pre-activations ``reference.lstm_cell`` uses; the STE
+    windows read the float pre-activations."""
     mode = lstm_mode(stage)
     wts = lay.weights
     scale = ssign_scale(wts.n_i, wts.n_o)
@@ -259,10 +263,12 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage):
                 p = ad.add(tape, p, bias)
             pre[tag] = p
         if mode == "fq":
-            i = ad.heaviside_ste(tape, pre["i"])
-            f = ad.heaviside_ste(tape, pre["f"])
-            o = ad.heaviside_ste(tape, pre["o"])
-            ct = ad.sign_ste(tape, pre["c"])
+            latents = (bound.vars[f"{lay.name}.w{tag}"].value for tag in "ifoc")
+            exact = dict(zip("ifoc", exact_preactivations(xt.value, h.value, latents, gap_den)))
+            i = ad.heaviside_ste(tape, pre["i"], exact["i"])
+            f = ad.heaviside_ste(tape, pre["f"], exact["f"])
+            o = ad.heaviside_ste(tape, pre["o"], exact["o"])
+            ct = ad.sign_ste(tape, pre["c"], exact=exact["c"])
             c = ad.clip_ste(tape, ad.add(tape, ad.mul(tape, f, c), ad.mul(tape, i, ct)))
             h = ad.mul(tape, o, c)
         else:

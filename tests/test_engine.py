@@ -77,6 +77,42 @@ class TestCompile:
         with pytest.raises(BadConfig):
             engine.compile(model)
 
+    def test_paper_plan_conv_dtypes(self, monkeypatch):
+        # float32 holds every integer below 2**24 exactly; only the cf3 convs
+        # fed by 128-channel grouped convs can exceed that and stay float64.
+        model = build(BillnetConfig())
+        for k in (2, 3, 4, 5):
+            apply_stage_transition(model, k)
+        plan = engine.compile(model)
+        convs = [op for op in plan.ops if op.kind in ("stem-conv", "conv-int")]
+        wide = sorted(op.name for op in convs if op.params["dtype"] == np.float64)
+        assert wide == ["mor10.cf3", "mor8.cf3", "mor9.cf3"]
+        assert len(convs) - len(wide) == 18
+        for op in convs:
+            assert (op.params["bound"] >= engine.FLOAT32_EXACT_LIMIT) == (op.name in wide)
+        frames = np.random.default_rng(13).integers(0, 256, size=(1, 16, 96, 128, 1), dtype=np.uint8)
+        planes = frames_to_bitplanes(frames)
+        ran, real_conv3d = [], engine.conv3d
+
+        def conv3d(x, w, spec):
+            ran.append(x.dtype)
+            return real_conv3d(x, w, spec)
+
+        monkeypatch.setattr(engine, "conv3d", conv3d)
+        want = execute(plan, planes)
+        assert ran == [op.params["dtype"] for op in convs]
+        monkeypatch.setattr(engine, "FLOAT32_EXACT_LIMIT", 0)
+        plan64 = engine.compile(model)
+        assert all(op.params["dtype"] == np.float64 for op in plan64.ops if "dtype" in op.params)
+        got = execute(plan64, planes)
+        for name, val in want.intermediates.items():
+            other = got.intermediates[name]
+            if isinstance(val, BitTensor):
+                val, other = val.words, other.words
+            assert np.array_equal(val, other), name
+        np.testing.assert_array_equal(got.intlogits, want.intlogits)
+        np.testing.assert_array_equal(got.pred, want.pred)
+
     def test_slots_written_once(self):
         plan = engine.compile(quantized_toy_model())
         outs = [op.output for op in plan.ops]

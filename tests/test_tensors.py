@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from billnet import tensors
 from billnet.errors import InvariantViolation, NonBinaryInput, ShapeMismatch
 from billnet.tensors import (
+    BitTensor,
     TernTensor,
     and_count,
     bipolar_dot,
@@ -107,6 +110,24 @@ class TestPack:
         x = (rng.random(tuple(dims)) < 0.5).astype(np.float64)
         np.testing.assert_array_equal(unpack(pack(x)), x)
 
+    @pytest.mark.parametrize("c", [*range(1, 10), 15, 17, 63, 65])
+    def test_whole_buffer_packing_matches_oracle(self, c):
+        # Channel counts off byte and word boundaries, contiguous or not.
+        rng = np.random.default_rng(c)
+        bits = rng.random((2, 3, 4, 5, c)) < 0.5
+        want = shift_lane_words(bits)
+        np.testing.assert_array_equal(pack(bits).words, want)
+        swapped = np.ascontiguousarray(bits.transpose(0, 1, 3, 2, 4)).transpose(0, 1, 3, 2, 4)
+        assert not swapped.flags.c_contiguous
+        np.testing.assert_array_equal(pack(swapped).words, want)
+        rows = bits.reshape(-1, c)
+        np.testing.assert_array_equal(
+            pack_vector(np.ascontiguousarray(rows.T).T), want.reshape(len(rows), -1)
+        )
+        sliced = BitTensor((2, 3, 4, 3, c), pack(bits).words[:, :, :, ::2])
+        assert not sliced.words.flags.c_contiguous
+        np.testing.assert_array_equal(unpack(sliced), bits[:, :, :, ::2])
+
     def test_padding_bits_zero(self):
         bt = pack(np.ones((1, 1, 1, 1, 67)))
         np.testing.assert_array_equal(bt.words.ravel(), [2**64 - 1, 0b111])
@@ -137,6 +158,22 @@ class TestPopcountAnd:
         w = rng.random((7, c)) < 0.5
         got = and_count(pack_vector(a), pack_vector(w))
         np.testing.assert_array_equal(got, a.astype(np.int64) @ w.T.astype(np.int64))
+
+    def test_no_word_axis_temporary(self):
+        # Words are counted one at a time, so the peak stays below what a
+        # single (rows, k, nw) uint64 temporary would take at nw = 4.
+        rng = np.random.default_rng(8)
+        a = pack_vector(rng.random((2048, 256)) < 0.5)
+        w = pack_vector(rng.random((16, 256)) < 0.5)
+        assert a.shape[1] == 4
+        wide = a.shape[0] * w.shape[0] * a.shape[1] * a.itemsize
+        tracemalloc.start()
+        try:
+            and_count(a, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < wide
 
 
 class TestBinaryDot:
