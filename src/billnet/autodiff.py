@@ -13,6 +13,15 @@ the surrogate (straight-through) gradients declared in ``quantize``:
 Latent (real) parameters therefore receive gradients straight through their
 quantized images.
 
+Only what some trainable depends on is differentiated.  A leaf ``Var``
+needs a gradient iff it is ``trainable``; data leaves need none.  An op's
+output needs one iff some input does.  ``Tape.record`` applies that rule
+for every op: it keeps the op's backward closure only when some input
+needs a gradient and returns whether one does, which the op stores on its
+output.  ``Tape._acc`` drops a gradient bound for a ``Var`` that needs
+none, so such a ``Var``'s ``grad`` stays None; an op whose input gradient
+is costly (``conv3d_op``) does not form it at all.
+
 Gradients are shared, never written in place: ``Tape._acc`` stores the array
 an op hands it (or a fresh sum), so one array may be the upstream gradient of
 several operands and the ``grad`` of several ``Var``s.  No op may write into
@@ -36,14 +45,16 @@ from .tensors import conv_same_pads
 
 
 class Var:
-    """Array node; ``trainable`` marks optimizer targets."""
+    """Array node; ``trainable`` marks optimizer targets, the leaves whose
+    gradient ``backward`` forms; ``requires_grad`` marks every node that
+    needs a gradient (see the module docstring)."""
 
-    __slots__ = ("value", "grad", "trainable", "name")
+    __slots__ = ("value", "grad", "trainable", "requires_grad", "name")
 
     def __init__(self, value, trainable=False, name=""):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.trainable = trainable
+        self.trainable = self.requires_grad = trainable
         self.name = name
 
     @property
@@ -62,12 +73,19 @@ class Tape:
             self.params.append(var)
         return var
 
-    def record(self, backward, *inputs: Var):
+    def record(self, backward, *inputs: Var) -> bool:
+        """Note an op on ``inputs``; returns whether its output needs a
+        gradient, and keeps ``backward`` only if so."""
         for v in inputs:
             self._touched.add(id(v))
-        self._backward.append(backward)
+        needs = any(v.requires_grad for v in inputs)
+        if needs:
+            self._backward.append(backward)
+        return needs
 
     def _acc(self, var: Var, g: np.ndarray):
+        if not var.requires_grad:
+            return
         g = _unbroadcast(g, var.value.shape)
         var.grad = g if var.grad is None else var.grad + g
 
@@ -120,7 +138,7 @@ def add(tape: Tape, a: Var, b: Var) -> Var:
         tape._acc(a, out.grad)
         tape._acc(b, out.grad)
 
-    tape.record(bwd, a, b)
+    out.requires_grad = tape.record(bwd, a, b)
     return out
 
 
@@ -133,7 +151,7 @@ def mul(tape: Tape, a: Var, b: Var) -> Var:
         tape._acc(a, out.grad * b.value)
         tape._acc(b, out.grad * a.value)
 
-    tape.record(bwd, a, b)
+    out.requires_grad = tape.record(bwd, a, b)
     return out
 
 
@@ -144,7 +162,7 @@ def scale_const(tape: Tape, a: Var, s) -> Var:
         if out.grad is not None:
             tape._acc(a, out.grad * s)
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -160,7 +178,7 @@ def matmul(tape: Tape, a: Var, w: Var) -> Var:
         go = out.grad.reshape(-1, out.grad.shape[-1])
         tape._acc(w, ga.T @ go)
 
-    tape.record(bwd, a, w)
+    out.requires_grad = tape.record(bwd, a, w)
     return out
 
 
@@ -175,7 +193,7 @@ def concat(tape: Tape, a: Var, b: Var, axis: int = -1) -> Var:
         tape._acc(a, ga)
         tape._acc(b, gb)
 
-    tape.record(bwd, a, b)
+    out.requires_grad = tape.record(bwd, a, b)
     return out
 
 
@@ -191,7 +209,7 @@ def mean_axes(tape: Tape, a: Var, axes: tuple, keepdims: bool = False) -> Var:
             g = np.expand_dims(g, axes)
         tape._acc(a, np.broadcast_to(g / count, a.value.shape))
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -202,7 +220,7 @@ def sum_all(tape: Tape, a: Var) -> Var:
         if out.grad is not None:
             tape._acc(a, np.broadcast_to(out.grad, a.value.shape))
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -214,7 +232,7 @@ def relu(tape: Tape, a: Var) -> Var:
         if out.grad is not None:
             tape._acc(a, out.grad * mask)
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -226,7 +244,7 @@ def sigmoid(tape: Tape, a: Var) -> Var:
         if out.grad is not None:
             tape._acc(a, out.grad * s * (1.0 - s))
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -238,7 +256,7 @@ def tanh(tape: Tape, a: Var) -> Var:
         if out.grad is not None:
             tape._acc(a, out.grad * (1.0 - t * t))
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -252,7 +270,7 @@ def select_time(tape: Tape, a: Var, t: int) -> Var:
         g[:, t] = out.grad
         tape._acc(a, g)
 
-    tape.record(bwd, a)
+    out.requires_grad = tape.record(bwd, a)
     return out
 
 
@@ -265,7 +283,7 @@ def stack_time(tape: Tape, items: list[Var]) -> Var:
         for t, v in enumerate(items):
             tape._acc(v, out.grad[:, t])
 
-    tape.record(bwd, *items)
+    out.requires_grad = tape.record(bwd, *items)
     return out
 
 
@@ -277,7 +295,6 @@ def stack_time(tape: Tape, items: list[Var]) -> Var:
 def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec) -> Var:
     out = Var(conv3d(x.value, w.value, spec))
     kt, kh, kw = spec.kernel
-    stt, sth, stw = spec.strides
     g = spec.groups
     cig = spec.in_channels // g
     cog = spec.out_channels // g
@@ -294,45 +311,27 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec) -> Var:
             gw[..., gi * cog : (gi + 1) * cog] = (cols(gi).T @ go).reshape(kt, kh, kw, cig, cog)
         del cols  # frees the padded input before the input gradient allocates
         tape._acc(w, gw)
-        if tuple(spec.strides) == (1, 1, 1):
-            # a stride-1 "same" conv's input gradient is the same conv of the
-            # output gradient with flipped weights, transposed within each group
-            wt = w.value[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
-            wt = wt.transpose(0, 1, 2, 5, 4, 3).reshape(kt, kh, kw, cog, g * cig)
-            tspec = ConvSpec(spec.kernel, spec.strides, g, spec.out_channels, spec.in_channels)
-            tape._acc(x, conv3d(gout, wt, tspec))
+        if not x.requires_grad:
             return
-        # strided: scatter each kernel offset back onto the padded input
-        n, to, ho, wo, _ = gout.shape
-        pads = [conv_same_pads(s, k, st) for s, k, st in
-                zip(x.value.shape[1:4], spec.kernel, spec.strides)]
-        tpad = x.value.shape[1] + pads[0][1] + pads[0][2]
-        hpad = x.value.shape[2] + pads[1][1] + pads[1][2]
-        wpad = x.value.shape[3] + pads[2][1] + pads[2][2]
-        gxp = np.zeros((n, tpad, hpad, wpad, spec.in_channels))
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    for gi in range(g):
-                        wk = w.value[dt, dh, dw, :, gi * cog : (gi + 1) * cog]
-                        gxp[
-                            :,
-                            dt : dt + to * stt : stt,
-                            dh : dh + ho * sth : sth,
-                            dw : dw + wo * stw : stw,
-                            gi * cig : (gi + 1) * cig,
-                        ] += gout[..., gi * cog : (gi + 1) * cog] @ wk.T
-        tape._acc(
-            x,
-            gxp[
-                :,
-                pads[0][1] : pads[0][1] + x.value.shape[1],
-                pads[1][1] : pads[1][1] + x.value.shape[2],
-                pads[2][1] : pads[2][1] + x.value.shape[3],
-            ],
-        )
+        # The input gradient is the transposed conv: the output gradient,
+        # dilated by the stride, correlated at stride 1 with the weights
+        # flipped and transposed within each group.  Along an axis of size s,
+        # kernel k and stride st, the dilated gradient sits at offset
+        # k//2 - pad_before in an input-sized array, which folds the "same"
+        # pads of both convs into that one offset (0 at stride 1).
+        if tuple(spec.strides) != (1, 1, 1):
+            dilated = np.zeros((*x.value.shape[:4], spec.out_channels))
+            dilated[(slice(None), *(
+                slice(k // 2 - conv_same_pads(s, k, st)[1], None, st)
+                for s, k, st in zip(x.value.shape[1:4], spec.kernel, spec.strides)
+            ))] = gout
+            gout = dilated
+        wt = w.value[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
+        wt = wt.transpose(0, 1, 2, 5, 4, 3).reshape(kt, kh, kw, cog, g * cig)
+        tspec = ConvSpec(spec.kernel, (1, 1, 1), g, spec.out_channels, spec.in_channels)
+        tape._acc(x, conv3d(gout, wt, tspec))
 
-    tape.record(bwd, x, w)
+    out.requires_grad = tape.record(bwd, x, w)
     return out
 
 
@@ -355,7 +354,7 @@ def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
         gx[:, : to * wt, : ho * wh, : wo * ww, :] = gb.reshape(n, to * wt, ho * wh, wo * ww, c)
         tape._acc(x, gx)
 
-    tape.record(bwd, x)
+    out.requires_grad = tape.record(bwd, x)
     return out
 
 
@@ -396,7 +395,7 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
         gx *= gamma.value * ivar
         tape._acc(x, gx)
 
-    tape.record(bwd, x, gamma, beta)
+    out.requires_grad = tape.record(bwd, x, gamma, beta)
     return out
 
 
@@ -408,7 +407,7 @@ def channel_affine(tape: Tape, x: Var, scale: np.ndarray, offset=0.0) -> Var:
         if out.grad is not None:
             tape._acc(x, out.grad * scale)
 
-    tape.record(bwd, x)
+    out.requires_grad = tape.record(bwd, x)
     return out
 
 
@@ -428,7 +427,7 @@ def heaviside_ste(tape: Tape, x: Var, exact: np.ndarray | None = None) -> Var:
         if out.grad is not None:
             tape._acc(x, out.grad * window)
 
-    tape.record(bwd, x)
+    out.requires_grad = tape.record(bwd, x)
     return out
 
 
@@ -439,7 +438,7 @@ def clip_ste(tape: Tape, x: Var) -> Var:
         if out.grad is not None:
             tape._acc(x, out.grad)
 
-    tape.record(bwd, x)
+    out.requires_grad = tape.record(bwd, x)
     return out
 
 
@@ -452,7 +451,7 @@ def sign_ste(tape: Tape, x: Var, scale: float = 1.0, exact: np.ndarray | None = 
         if out.grad is not None:
             tape._acc(x, out.grad * (scale * window))
 
-    tape.record(bwd, x)
+    out.requires_grad = tape.record(bwd, x)
     return out
 
 
@@ -465,7 +464,7 @@ def tern_ste(tape: Tape, x: Var, scale: float) -> Var:
         if out.grad is not None:
             tape._acc(x, out.grad * (scale * window))
 
-    tape.record(bwd, x)
+    out.requires_grad = tape.record(bwd, x)
     return out
 
 
@@ -479,7 +478,7 @@ def mux_select(tape: Tape, i0: Var, i1: Var, sel: np.ndarray) -> Var:
         tape._acc(i1, out.grad * sel)
         tape._acc(i0, out.grad * (1.0 - sel))
 
-    tape.record(bwd, i0, i1)
+    out.requires_grad = tape.record(bwd, i0, i1)
     return out
 
 
@@ -504,5 +503,5 @@ def softmax_cce(tape: Tape, logits: Var, labels: np.ndarray) -> Var:
         g[np.arange(n), labels] -= 1.0
         tape._acc(logits, out.grad * g / n)
 
-    tape.record(bwd, logits)
+    out.requires_grad = tape.record(bwd, logits)
     return out

@@ -8,7 +8,10 @@ zero threshold), and so do the fixed quantizer scales.  So does each MOR
 block's select: its second norm is such a shift, so both mux branches are
 the same bits and the block's output is its OR.  ``execute`` runs a plan on
 8-bit inputs presented as bit planes and reproduces, bit for bit, every
-binary/ternary intermediate of the arithmetic reference path.
+binary/ternary intermediate of the arithmetic reference path.  It keeps a
+slot's value only while a later op still reads it or a tap names it: each
+untapped slot is dropped once its last reader has run, so the int conv
+outputs of one layer are gone before the next layer's are formed.
 
 Every packed dot product (``pw-conv-bin``, the QLSTM carry, ``tern-dense``)
 is a formula over ``tensors.and_count``, the single AND + popcount kernel.
@@ -378,8 +381,11 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         feats += unpack(p) * (1 << b)
 
     values: dict[int, object] = {0: feats}
+    del feats
+    taps = set(plan.outputs.values())
+    last_read = {s: i for i, op in enumerate(plan.ops) for s in op.inputs}
     intlogits = None
-    for op in plan.ops:
+    for i, op in enumerate(plan.ops):
         args = [values[s] for s in op.inputs]
         p = op.params
         if op.kind in ("stem-conv", "conv-int"):
@@ -412,6 +418,9 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         else:
             raise SlotTypeMismatch(f"unknown op kind {op.kind!r}")
         values[op.output] = out
+        for s in set(op.inputs):
+            if last_read[s] == i and s not in taps:
+                del values[s]
 
     inter = {name: values[slot] for name, slot in plan.outputs.items()}
     return ExecutionResult(pred=values[plan.ops[-1].output], intlogits=intlogits, intermediates=inter)

@@ -81,18 +81,38 @@ def _columns(x: np.ndarray, kernel, strides, groups: int):
     """Im2col for a same-padded grouped conv, one group per call.
 
     Returns ``cols(gi)``, which builds group ``gi``'s
-    (N*To*Ho*Wo, kt*kh*kw*C/groups) column matrix.  Callers consume each
-    matrix inside one expression, so no two groups' columns are alive at
-    once.  A 1x1x1 stride-1 kernel needs no padding or window copy: its
-    columns are the input's own rows.
+    (N*To*Ho*Wo, kt*kh*kw*C/groups) column matrix, columns ordered
+    (kt, kh, kw, channel).  Every call writes the same buffer, so a caller
+    consumes each matrix before asking for the next group's.  A 1x1x1
+    stride-1 kernel needs no padding or window copy: its columns are the
+    input's own rows.
+
+    Otherwise the input is copied once, zero-padded and group-major, into a
+    (groups, N, T', H', W', C/groups) slab of the input's dtype.  Within one
+    group's slab the channels of neighbouring pixels are adjacent, so each
+    window row of kw pixels is one contiguous run of kw*C/groups values that
+    the column copy moves in one piece.
     """
-    cig = x.shape[4] // groups
+    n, t, h, w, c = x.shape
+    cig = c // groups
     if tuple(kernel) == (1, 1, 1) and tuple(strides) == (1, 1, 1):
-        rows = x.reshape(-1, x.shape[4])
+        rows = x.reshape(-1, c)
         return lambda gi: rows[:, gi * cig : (gi + 1) * cig]
-    pads = [conv_same_pads(s, k, st)[1:] for s, k, st in zip(x.shape[1:4], kernel, strides)]
-    view = _windows(np.pad(x, ((0, 0), *pads, (0, 0))), kernel, strides)
-    return lambda gi: view[..., gi * cig : (gi + 1) * cig].reshape(-1, prod(kernel) * cig)
+    pads = [conv_same_pads(s, k, st)[1:] for s, k, st in zip((t, h, w), kernel, strides)]
+    slab = np.zeros((groups, n, *(s + b + a for s, (b, a) in zip((t, h, w), pads)), cig), x.dtype)
+    (bt, _), (bh, _), (bw, _) = pads
+    slab[:, :, bt : bt + t, bh : bh + h, bw : bw + w] = np.moveaxis(x.reshape(n, t, h, w, groups, cig), 4, 0)
+    buf = None
+
+    def cols(gi):
+        nonlocal buf
+        view = _windows(slab[gi], kernel, strides)
+        if buf is None:
+            buf = np.empty(view.shape, x.dtype)
+        np.copyto(buf, view)
+        return buf.reshape(-1, prod(kernel) * cig)
+
+    return cols
 
 
 def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -104,12 +124,12 @@ def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     n = x.shape[0]
     dims = conv_output_shape(x.shape[1:4], spec.kernel, spec.strides)
     cog = spec.out_channels // spec.groups
-    out = np.empty((n, *dims, spec.out_channels), dtype=np.result_type(x, w))
+    out = np.empty((n * prod(dims), spec.out_channels), dtype=np.result_type(x, w))
     cols = _columns(x, spec.kernel, spec.strides, spec.groups)
     for gi in range(spec.groups):
         wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
-        out[..., gi * cog : (gi + 1) * cog] = (cols(gi) @ wg).reshape(n, *dims, cog)
-    return out
+        np.matmul(cols(gi), wg, out=out[:, gi * cog : (gi + 1) * cog])
+    return out.reshape(n, *dims, spec.out_channels)
 
 
 def maxpool3d(x: np.ndarray, window=(1, 2, 2), strides=None) -> np.ndarray:

@@ -28,8 +28,13 @@ def numeric(arr, f, h=1e-4):
         ((3, 3, 3), (2, 1, 2), 2, (3, 5, 4)),
         ((1, 1, 1), (1, 1, 1), 2, (3, 5, 4)),
         ((3, 3, 3), (1, 1, 1), 2, (3, 5, 7)),
+        ((3, 3, 3), (2, 2, 2), 2, (3, 5, 7)),
+        ((1, 1, 1), (2, 2, 2), 2, (4, 6, 4)),
     ],
-    ids=["kernel0-strides0-2", "kernel1-strides1-2", "kernel2-strides2-2"],
+    ids=[
+        "kernel0-strides0-2", "kernel1-strides1-2", "kernel2-strides2-2",
+        "strided-odd-hw", "kernel1-stride2-no-pad",
+    ],
 )
 def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups, size):
     rng = np.random.default_rng(12)
@@ -39,7 +44,7 @@ def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups, 
     probe = rng.normal(size=conv3d(x0, w0, spec).shape)
 
     tape = ad.Tape()
-    x, w = ad.Var(x0), ad.Var(w0, trainable=True)
+    x, w = ad.Var(x0, trainable=True), ad.Var(w0, trainable=True)
     loss = ad.sum_all(tape, ad.mul(tape, ad.conv3d_op(tape, x, w, spec), ad.Var(probe)))
     ad.backward(tape, loss)
 
@@ -48,6 +53,87 @@ def test_conv3d_op_gradients_match_central_differences(kernel, strides, groups, 
 
     np.testing.assert_allclose(w.grad, numeric(w0, loss_value), rtol=1e-7, atol=1e-8)
     np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def test_data_input_gets_no_gradient(monkeypatch):
+    # a clip fed to the strided stem: backward forms no input gradient unless
+    # the input is trainable
+    rng = np.random.default_rng(16)
+    spec = ConvSpec((3, 3, 3), (2, 2, 2), 1, 1, 4)
+    x0 = rng.normal(size=(2, 4, 6, 6, 1))
+    w0 = rng.normal(size=spec.weight_shape)
+    calls, real = [], ad.conv3d
+    monkeypatch.setattr(ad, "conv3d", lambda *args: calls.append(args) or real(*args))
+    for needs in (False, True):
+        tape = ad.Tape()
+        x, w = ad.Var(x0, trainable=needs), ad.Var(w0, trainable=True)
+        out = ad.conv3d_op(tape, x, w, spec)
+        assert out.requires_grad
+        loss = ad.sum_all(tape, out)
+        calls.clear()
+        ad.backward(tape, loss)
+        assert len(calls) == needs  # the transposed conv is the only input-gradient work
+        assert (x.grad is None) != needs
+        assert w.grad is not None
+
+
+def test_requires_grad_propagates():
+    tape = ad.Tape()
+    data = ad.Var(np.ones(3))
+    w = ad.Var(np.ones(3), trainable=True)
+    only_data = ad.tanh(tape, ad.add(tape, data, data))
+    mixed = ad.mul(tape, only_data, w)
+    assert not only_data.requires_grad
+    assert mixed.requires_grad
+    ad.backward(tape, ad.sum_all(tape, mixed))
+    assert data.grad is None and only_data.grad is None
+    np.testing.assert_array_equal(w.grad, only_data.value)
+
+
+@pytest.mark.parametrize("window,size", [((1, 2, 2), (3, 5, 4)), ((2, 2, 2), (5, 4, 7))])
+def test_maxpool3d_op_gradients_match_central_differences(window, size):
+    rng = np.random.default_rng(17)
+    # distinct values 0.1 apart: no ties, and no step of h reorders a window
+    x0 = 0.1 * rng.permutation(2 * np.prod(size) * 3).reshape(2, *size, 3)
+    probe = rng.normal(size=ad.maxpool3d_op(ad.Tape(), ad.Var(x0), window).shape)
+
+    def loss_value():
+        return float((ad.maxpool3d_op(ad.Tape(), ad.Var(x0), window).value * probe).sum())
+
+    tape = ad.Tape()
+    x = ad.Var(x0, trainable=True)
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, ad.maxpool3d_op(tape, x, window), ad.Var(probe))))
+    np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def test_mux_select_gradients_match_central_differences():
+    rng = np.random.default_rng(18)
+    i00, i10 = rng.normal(size=(2, 2, 3, 4, 5)), rng.normal(size=(2, 2, 3, 4, 5))
+    sel = (rng.random((2, 2, 1, 1, 5)) < 0.5).astype(np.float64)
+    probe = rng.normal(size=i00.shape)
+
+    def loss_value():
+        return float((ad.mux_select(ad.Tape(), ad.Var(i00), ad.Var(i10), sel).value * probe).sum())
+
+    tape = ad.Tape()
+    i0, i1 = ad.Var(i00, trainable=True), ad.Var(i10, trainable=True)
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, ad.mux_select(tape, i0, i1, sel), ad.Var(probe))))
+    np.testing.assert_allclose(i0.grad, numeric(i00, loss_value), rtol=1e-7, atol=1e-8)
+    np.testing.assert_allclose(i1.grad, numeric(i10, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def test_softmax_cce_gradients_match_central_differences():
+    rng = np.random.default_rng(19)
+    z0 = rng.normal(0.0, 3.0, size=(4, 5))
+    labels = np.array([0, 3, 3, 4])
+
+    def loss_value():
+        return float(ad.softmax_cce(ad.Tape(), ad.Var(z0), labels).value)
+
+    tape = ad.Tape()
+    z = ad.Var(z0, trainable=True)
+    ad.backward(tape, ad.softmax_cce(tape, z, labels))
+    np.testing.assert_allclose(z.grad, numeric(z0, loss_value), rtol=1e-7, atol=1e-9)
 
 
 def _fresh_norm(c):
@@ -67,7 +153,7 @@ def test_batchnorm_train_gradients_match_central_differences():
         return float((y.value * probe).sum())
 
     tape = ad.Tape()
-    x = ad.Var(x0)
+    x = ad.Var(x0, trainable=True)
     gamma, beta = ad.Var(gamma0, trainable=True), ad.Var(beta0, trainable=True)
     y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(4))
     ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from billnet import engine
+from billnet import engine, reference
 from billnet.engine import (
     QLSTMGates,
     QLSTMState,
@@ -192,6 +194,47 @@ class TestExecute:
         res = execute(plan, frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)))
         assert isinstance(res.intermediates["mp1.out"], BitTensor)
         assert isinstance(res.intermediates["gap.counts"], np.ndarray)
+
+    def test_dead_int_slots_are_released(self, monkeypatch):
+        # No tap names an int conv or pw-conv-bin output and one later op
+        # reads each; dropped after that op, they no longer pile up, so the
+        # traced peak of a deeper model grows by far less than the outputs
+        # its extra blocks form.
+        outputs = []
+
+        def spy(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                outputs.append(out.nbytes)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(engine, "conv3d", spy(engine.conv3d))
+        monkeypatch.setattr(engine, "_pw_conv_bin", spy(engine._pw_conv_bin))
+        frames = np.random.default_rng(13).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
+        planes = frames_to_bitplanes(frames)
+        peaks, formed = [], []
+        for depth in (2, 8):
+            model = build(toy_config(seed=depth, blocks=("cf:n",) * depth))
+            for k in (2, 3, 4, 5):
+                apply_stage_transition(model, k)
+            plan = engine.compile(model)
+            want = reference.forward(model, frames / 255.0, record=True).intermediates
+            outputs.clear()
+            tracemalloc.start()
+            try:
+                res = execute(plan, planes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            formed.append(sum(outputs))
+            for name, val in res.intermediates.items():
+                got = unpack(val) if isinstance(val, BitTensor) else val
+                np.testing.assert_array_equal(got, np.reshape(want[name], got.shape), err_msg=name)
+            np.testing.assert_array_equal(res.intlogits, want["dense.intlogits"])
+            np.testing.assert_array_equal(res.pred, want["pred"])
+        assert peaks[1] - peaks[0] < (formed[1] - formed[0]) / 4, (peaks, formed)
 
     @pytest.mark.parametrize("c", WORD_BOUNDARY_CHANNELS)
     def test_pw_conv_bin_matches_integer_matmul(self, c):

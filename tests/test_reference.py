@@ -123,6 +123,25 @@ class TestConv3d:
             tracemalloc.stop()
         assert peak < 1.5 * group_cols_bytes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 3, 3)])
+    @pytest.mark.parametrize("strides", [(1, 1, 1), (2, 2, 2), (1, 2, 2)])
+    def test_group_columns_match_padded_channel_slices(self, dtype, kernel, strides):
+        # oracle: pad the NTHWC input, take its windows, slice one group's
+        # channels and flatten each window in (kt, kh, kw, channel) order
+        rng = np.random.default_rng(6)
+        for groups in (1, 2, 4):
+            for cig in range(1, 9):
+                x = rng.normal(size=(2, 3, 5, 4, groups * cig)).astype(dtype)
+                pads = [conv_same_pads(s, k, st)[1:] for s, k, st in zip(x.shape[1:4], kernel, strides)]
+                view = ref._windows(np.pad(x, ((0, 0), *pads, (0, 0))), kernel, strides)
+                cols = ref._columns(x, kernel, strides, groups)
+                for gi in range(groups):
+                    want = view[..., gi * cig : (gi + 1) * cig].reshape(-1, np.prod(kernel) * cig)
+                    got = cols(gi)
+                    assert got.dtype == dtype
+                    assert np.array_equal(got, want), (groups, cig, gi)
+
     def test_bad_grouping_rejected(self):
         with pytest.raises(BadGrouping):
             ConvSpec((3, 3, 3), (1, 1, 1), 3, 4, 6)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from billnet import reference
-from billnet.autodiff import Tape
+from billnet import autodiff, reference
+from billnet.autodiff import Tape, backward
 from billnet.model import apply_stage_transition, build, toy_config
 from billnet.training import bind_params, training_graph
 
@@ -48,3 +48,25 @@ def test_tape_scores_match_reference_forward(config, stage, seeds):
         _, scores = training_graph(Tape(), model, bind_params(model), x, labels)
         want = reference.forward(model, x).scores
         assert np.abs(scores - want).max() <= 1e-12, (seed, np.abs(scores - want).max())
+
+
+@pytest.mark.parametrize("stage", [1, 3, 5])
+def test_only_the_stem_input_goes_without_gradient(stage, monkeypatch):
+    # The clip is data: the stem's conv forms no input gradient, every other
+    # conv still hands one back to the layer below.
+    inputs, real = [], autodiff.conv3d_op
+
+    def conv3d_op(tape, x, w, spec):
+        inputs.append(x)
+        return real(tape, x, w, spec)
+
+    monkeypatch.setattr(autodiff, "conv3d_op", conv3d_op)
+    model = model_at(stage, 0)
+    cfg = model.config
+    frames = np.random.default_rng(3).integers(0, 256, size=(2, cfg.t, cfg.h, cfg.w, 1), dtype=np.uint8)
+    tape = Tape()
+    bound = bind_params(model)
+    loss, _ = training_graph(tape, model, bound, frames / 255.0, np.arange(2))
+    backward(tape, loss)
+    assert [x.grad is None for x in inputs] == [True] + [False] * (len(inputs) - 1)
+    assert all(v.grad is not None for v in bound.vars.values())
