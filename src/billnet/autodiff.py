@@ -371,12 +371,14 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
     """
     axes = tuple(range(x.value.ndim - 1))
     mu = x.value.mean(axis=axes)
-    d = x.value - mu
-    var = np.square(d).mean(axis=axes)  # the same sum x.var forms
+    xhat = x.value - mu
+    y = np.square(xhat)
+    var = y.mean(axis=axes)  # the same sum x.var forms
     ivar = 1.0 / np.sqrt(var + p.eps)
-    xhat = d * ivar
-    del d
-    out = Var(gamma.value * xhat + beta.value)
+    xhat *= ivar
+    np.multiply(gamma.value, xhat, out=y)  # the squares' buffer becomes the output
+    y += beta.value
+    out = Var(y)
     p.mean = (1.0 - momentum) * p.mean + momentum * mu
     p.var = (1.0 - momentum) * p.var + momentum * var
     m = x.value.size // x.value.shape[-1]
@@ -386,11 +388,14 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
             return
         g = out.grad
         gbeta = g.sum(axis=axes)
-        ggamma = (g * xhat).sum(axis=axes)
+        gx = g * xhat
+        ggamma = gx.sum(axis=axes)
         tape._acc(gamma, ggamma)
         tape._acc(beta, gbeta)
-        # closed-form adjoint: gamma*ivar * (g - mean(g) - xhat*mean(g*xhat))
-        gx = g - xhat * (ggamma / m)
+        # closed-form adjoint: gamma*ivar * (g - mean(g) - xhat*mean(g*xhat)),
+        # in the buffer that held g*xhat
+        np.multiply(xhat, ggamma / m, out=gx)
+        np.subtract(g, gx, out=gx)
         gx -= gbeta / m
         gx *= gamma.value * ivar
         tape._acc(x, gx)

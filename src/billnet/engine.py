@@ -8,21 +8,26 @@ zero threshold), and so do the fixed quantizer scales.  So does each MOR
 block's select: its second norm is such a shift, so both mux branches are
 the same bits and the block's output is its OR.  ``execute`` runs a plan on
 8-bit inputs presented as bit planes and reproduces, bit for bit, every
-binary/ternary intermediate of the arithmetic reference path.  It keeps a
-slot's value only while a later op still reads it or a tap names it: each
-untapped slot is dropped once its last reader has run, so the int conv
-outputs of one layer are gone before the next layer's are formed.
+binary/ternary intermediate of the arithmetic reference path.  It
+reassembles the 8-bit input from its planes in uint8, and the stem conv
+casts it once.  It keeps a slot's value only while a later op still reads it
+or a tap names it: each untapped slot is dropped once its last reader has
+run, so the int conv outputs of one layer are gone before the next layer's
+are formed.
 
 Every packed dot product (``pw-conv-bin``, the QLSTM carry, ``tern-dense``)
 is a formula over ``tensors.and_count``, the single AND + popcount kernel.
 
-Int slots that feed a convolution carry exact integers in floating point, so
-the integer convolutions run through the reference path's BLAS kernel.
+Int slots that feed a convolution carry exact integers, so the integer
+convolutions run through the reference path's BLAS kernel in floating point.
 ``compile`` bounds every conv's accumulator from its fan-in and gives the op
-the narrowest exact dtype: float32 below 2**24, else float64, which is exact
-below 2**53; a model whose bound reaches that limit is refused.  Every partial
-sum of an integer dot product obeys the same bound, so the product is exact
-whatever order BLAS sums it in.
+the dtype ``reference.exact_dtype`` picks for that bound, the same rule the
+reference forward follows from stage 4: float32 below 2**24, else float64;
+a model whose bound reaches ``reference.EXACT_LIMIT`` (2**53), where float64
+stops being exact, is refused.  Every partial sum of an integer dot product
+obeys the same bound, so the product is exact whatever order BLAS sums it in.
+``pw-conv-bin`` hands on the int64 sums of its packed dot products; the
+conv that reads them casts once.
 """
 
 from __future__ import annotations
@@ -31,17 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reference as ref
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
 from .quantize import stern
 from .reference import ConvSpec, _windows, conv3d
 from .tensors import (
     BitTensor, TernTensor, and_count, bipolar_dot, pack, pack_ternary, pack_vector, unpack,
-    unpack_ternary,
+    unpack_bits, unpack_ternary,
 )
-
-# Largest magnitudes up to which float64 and float32 hold every integer exactly.
-EXACT_LIMIT = 2**53
-FLOAT32_EXACT_LIMIT = 2**24
 
 # ---------------------------------------------------------------------------
 # Plan structure
@@ -198,7 +200,7 @@ def qlstm_step(
 def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the model
     """Lower a stage-5 graph to a gate plan (no reals, no norm nodes).
 
-    Raises BadConfig when an int accumulator could reach ``EXACT_LIMIT``.
+    Raises BadConfig when an int accumulator could reach ``reference.EXACT_LIMIT``.
     """
     if model.stage != 5:
         raise NotFullyQuantized(f"model is at stage {model.stage}, need 5")
@@ -212,12 +214,12 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
     bound = {cur: 255}  # worst-case |value| of each int slot a conv writes or reads
 
     def conv_int(src, name, spec, w, kind="conv-int"):
-        acc = bound[src] * (w.size // spec.out_channels)  # times the fan-in
+        acc = bound[src] * spec.fan_in
         out = plan.emit(
             kind, name, (src,), "int",
             w=_sign_int8(w), kernel=spec.kernel, strides=spec.strides,
             groups=spec.groups, out_channels=spec.out_channels,
-            bound=acc, dtype=np.dtype(np.float32 if acc < FLOAT32_EXACT_LIMIT else np.float64),
+            bound=acc, dtype=ref.exact_dtype(acc),
         )
         bound[out] = acc
         return out
@@ -227,7 +229,7 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
             "pw-conv-bin", name, (src,), "int",
             w_words=_pw_weight_words(w), out_channels=spec.out_channels,
         )
-        bound[out] = spec.in_channels
+        bound[out] = spec.fan_in
         return out
 
     def cf_chain(src, base, lay):
@@ -291,8 +293,8 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
     pred = plan.emit("argmax", "pred", (cur,), "int")
     plan.outputs["pred"] = pred
     max_acc = plan.meta["max_abs_acc"] = max(bound.values())
-    if max_acc >= EXACT_LIMIT:
-        raise BadConfig(f"accumulator bound {max_acc} reaches {EXACT_LIMIT}: float64 is not exact there")
+    if max_acc >= ref.EXACT_LIMIT:
+        raise BadConfig(f"accumulator bound {max_acc} reaches {ref.EXACT_LIMIT}: float64 is not exact there")
     _check_plan(plan)
     return plan
 
@@ -334,7 +336,7 @@ def frames_to_bitplanes(frames: np.ndarray) -> list[BitTensor]:
 
 
 def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray) -> np.ndarray:
-    return bipolar_dot(bt.words, w_words).astype(np.float64)
+    return bipolar_dot(bt.words, w_words)
 
 
 def _threshold(x: np.ndarray) -> BitTensor:
@@ -376,9 +378,9 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
     meta = plan.meta
     if shape[1:] != (meta["t"], meta["h"], meta["w"], meta["in_channels"]):
         raise ShapeMismatch(f"input {shape} does not match plan {meta}")
-    feats = np.zeros(shape)
+    feats = np.zeros(shape, dtype=np.uint8)
     for b, p in enumerate(planes):
-        feats += unpack(p) * (1 << b)
+        feats |= unpack_bits(p) << b
 
     values: dict[int, object] = {0: feats}
     del feats
@@ -448,8 +450,6 @@ class Divergence:
 def compare_paths(model, frames: np.ndarray) -> Divergence | None:
     """Run both paths on uint8 frames; None when every shared intermediate
     and the final prediction agree exactly."""
-    from . import reference as ref
-
     res_ref = ref.forward(model, frames.astype(np.float64) / 255.0, record=True)
     res_logic = execute(compile(model), frames_to_bitplanes(frames))
     for name, val in res_logic.intermediates.items():

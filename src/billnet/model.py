@@ -210,9 +210,7 @@ def build(cfg: BillnetConfig) -> ModelGraph:
     c = cfg.in_channels
 
     def conv_init(spec: ConvSpec) -> np.ndarray:
-        kt, kh, kw = spec.kernel
-        fan_in = kt * kh * kw * spec.in_channels // spec.groups
-        return _uniform(rng, fan_in, spec.weight_shape)
+        return _uniform(rng, spec.fan_in, spec.weight_shape)
 
     stem_spec = ConvSpec((3, 3, 3), (2, 2, 2), 1, c, cfg.n)
     in_shape = shape + (c,)

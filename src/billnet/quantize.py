@@ -44,9 +44,9 @@ def or_gate(x1, x2):
 
 
 def sign_strict(x):
-    """+1 where x > 0, else -1.  sign_strict(0) = -1 so that
-    sign_strict(x) == 2*heaviside(x) - 1 everywhere."""
-    return np.where(np.asarray(x, dtype=np.float64) > 0, 1.0, -1.0)
+    """+1.0 where x > 0, else -1.0 (float64).  sign_strict(0) = -1 so that
+    sign_strict(x) == 2*heaviside(x) - 1 everywhere; -0 and NaN also give -1."""
+    return (np.asarray(x) > 0) * 2.0 - 1.0
 
 
 def ssign_scale(n_i: int, n_o: int) -> float:

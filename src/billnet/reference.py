@@ -7,10 +7,20 @@ ternary intermediates the logic path must reproduce, and returns per-step
 logits plus aggregated class scores.
 
 Inputs are 8-bit fixed point (gray levels scaled by 1/255).  In the
-offset-free stages every threshold sits exactly at zero, so pre-activations
-that feed a step function are accumulated over integer-valued operands;
-float64 keeps such sums exact and the two execution paths agree bit for bit
-rather than merely within tolerance.
+offset-free stages (4 and 5) every threshold sits exactly at zero, so
+pre-activations that feed a step function are accumulated over
+integer-valued operands, and the two execution paths agree bit for bit
+rather than merely within tolerance.  Such a sum is exact in floating point
+whatever order BLAS adds it in, as long as its worst-case magnitude stays
+below the limit where the format stops holding every integer.
+``exact_dtype`` is the one home of that precision rule: float32 below 2**24,
+else float64, which is exact below 2**53.  From stage 4 ``forward`` bounds
+each conv's accumulator from its input's bound and its fan-in, as the
+logic-path compiler does (255 x fan-in for the stem on the 8-bit grid,
+fan-in for a conv reading {0,1}, the previous bound x fan-in along a
+pointwise -> grouped -> pointwise chain), and runs the conv in that dtype.
+Every result goes back to float64 before a norm, so the recorded
+intermediates are float64 and carry the same bits as an all-float64 run.
 """
 
 from __future__ import annotations
@@ -61,6 +71,11 @@ class ConvSpec:
     def weight_shape(self) -> tuple[int, ...]:
         kt, kh, kw = self.kernel
         return (kt, kh, kw, self.in_channels // self.groups, self.out_channels)
+
+    @property
+    def fan_in(self) -> int:
+        """Products summed into one output value."""
+        return prod(self.kernel) * self.in_channels // self.groups
 
 
 def _windows(a: np.ndarray, window, strides) -> np.ndarray:
@@ -130,6 +145,31 @@ def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
         np.matmul(cols(gi), wg, out=out[:, gi * cog : (gi + 1) * cog])
     return out.reshape(n, *dims, spec.out_channels)
+
+
+# Largest magnitudes below which float32 and float64 hold every integer exactly.
+FLOAT32_EXACT_LIMIT = 2**24
+EXACT_LIMIT = 2**53
+
+
+def exact_dtype(bound: int) -> np.dtype:
+    """Narrowest float dtype for an integer dot product whose every partial
+    sum is at most ``bound`` in magnitude: float32 below ``FLOAT32_EXACT_LIMIT``,
+    else float64, which is exact only below ``EXACT_LIMIT``."""
+    return np.dtype(np.float32 if bound < FLOAT32_EXACT_LIMIT else np.float64)
+
+
+def _conv(x, w, spec: ConvSpec, bound: int | None = None):
+    """``conv3d`` and the bound on its output.
+
+    With ``bound`` (integer-valued ``x`` of at most that magnitude, +-1
+    weights ``w``) the conv runs in ``exact_dtype`` of its accumulator bound
+    and the result stays in that dtype; without it, as given."""
+    if bound is None:
+        return conv3d(x, w, spec), None
+    bound *= spec.fan_in
+    dtype = exact_dtype(bound)
+    return conv3d(x.astype(dtype, copy=False), w.astype(dtype, copy=False), spec), bound
 
 
 def maxpool3d(x: np.ndarray, window=(1, 2, 2), strides=None) -> np.ndarray:
@@ -315,11 +355,14 @@ class ForwardResult:
     intermediates: dict[str, np.ndarray]
 
 
-def _cf_apply(x, layer, stage):
-    """Pointwise -> grouped -> pointwise, no nonlinearity in between."""
-    z = conv3d(x, conv_weight(layer.pw1_w, stage), layer.pw1_spec)
-    z = conv3d(z, conv_weight(layer.gconv_w, stage), layer.gconv_spec)
-    return conv3d(z, conv_weight(layer.pw2_w, stage), layer.pw2_spec)
+def _cf_apply(x, layer, stage, bound=None):
+    """Pointwise -> grouped -> pointwise, no nonlinearity in between; with an
+    input ``bound``, each conv at its exact precision (see ``_conv``).
+    Returns float64."""
+    parts = ((layer.pw1_w, layer.pw1_spec), (layer.gconv_w, layer.gconv_spec), (layer.pw2_w, layer.pw2_spec))
+    for w, spec in parts:
+        x, bound = _conv(x, conv_weight(w, stage), spec, bound)
+    return x.astype(np.float64, copy=False)
 
 
 def snap_to_grid(x: np.ndarray, levels: int = 255) -> np.ndarray:
@@ -333,6 +376,8 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
     inter: dict[str, np.ndarray] = {}
     x = snap_to_grid(x)
     gap_den = 0
+    # From stage 4 every conv after the stem reads {0,1} and sums integers.
+    bits = 1 if stage >= 4 else None
 
     def put(key, value):
         if record:
@@ -344,21 +389,23 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
             wq = conv_weight(layer.w, stage)
             if stage >= 4:
                 # Offset-free norm ahead: accumulate the 8-bit grid exactly.
-                z = conv3d(np.rint(x * 255.0), wq, layer.spec) / 255.0
+                z, _ = _conv(np.rint(x * 255.0), wq, layer.spec, 255)
+                z = np.divide(z, 255.0, dtype=np.float64)
             else:
                 z = conv3d(x, wq, layer.spec)
             x = apply_act(apply_norm(z, layer.norm), stage)
             put(f"{layer.name}.out", x)
         elif kind == "cf":
-            z = _cf_apply(x, layer, stage)
+            z = _cf_apply(x, layer, stage, bits)
             x = apply_act(apply_norm(z, layer.norm), stage)
             put(f"{layer.name}.out", x)
         elif kind == "mor":
             if layer.skip_w is not None:
-                skip = apply_act(conv3d(x, conv_weight(layer.skip_w, stage), layer.skip_spec), stage)
+                zs, _ = _conv(x, conv_weight(layer.skip_w, stage), layer.skip_spec, bits)
+                skip = apply_act(zs, stage)
             else:
                 skip = x
-            v = apply_act(apply_norm(_cf_apply(x, layer, stage), layer.norm1), stage)
+            v = apply_act(apply_norm(_cf_apply(x, layer, stage, bits), layer.norm1), stage)
             i0 = clip(v + skip)
             if stage >= 4:
                 # The second norm is a positive shift and the step fixes the

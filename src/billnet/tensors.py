@@ -108,14 +108,18 @@ def pack(x: np.ndarray) -> BitTensor:
     return BitTensor(bits.shape, _pack_words(bits))
 
 
-def unpack(bt: BitTensor) -> np.ndarray:
-    """Inverse of pack(): returns a float64 tensor of 0.0/1.0 values."""
+def unpack_bits(bt: BitTensor) -> np.ndarray:
+    """The bits of a BitTensor as a uint8 (N,T,H,W,C) tensor of 0/1 values."""
     c = bt.channels
     cbytes = -(-c // 8)
     octets = np.ascontiguousarray(bt.words, dtype="<u8").view(np.uint8)[..., :cbytes]
     bits = np.unpackbits(np.ascontiguousarray(octets).reshape(-1), bitorder="little")
-    bits = bits.reshape(bt.shape[:4] + (cbytes * 8,))
-    return bits[..., :c].astype(np.float64)
+    return bits.reshape(bt.shape[:4] + (cbytes * 8,))[..., :c]
+
+
+def unpack(bt: BitTensor) -> np.ndarray:
+    """Inverse of pack(): returns a float64 tensor of 0.0/1.0 values."""
+    return unpack_bits(bt).astype(np.float64)
 
 
 def pack_vector(bits: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ class TestCompile:
         for k in (2, 3, 4, 5):
             apply_stage_transition(model, k)
         assert engine.compile(model).meta["max_abs_acc"] == 28_311_552
-        monkeypatch.setattr(engine, "EXACT_LIMIT", 28_311_552)
+        monkeypatch.setattr(reference, "EXACT_LIMIT", 28_311_552)
         with pytest.raises(BadConfig):
             engine.compile(model)
 
@@ -91,7 +91,7 @@ class TestCompile:
         assert wide == ["mor10.cf3", "mor8.cf3", "mor9.cf3"]
         assert len(convs) - len(wide) == 18
         for op in convs:
-            assert (op.params["bound"] >= engine.FLOAT32_EXACT_LIMIT) == (op.name in wide)
+            assert (op.params["bound"] >= reference.FLOAT32_EXACT_LIMIT) == (op.name in wide)
         frames = np.random.default_rng(13).integers(0, 256, size=(1, 16, 96, 128, 1), dtype=np.uint8)
         planes = frames_to_bitplanes(frames)
         ran, real_conv3d = [], engine.conv3d
@@ -103,7 +103,7 @@ class TestCompile:
         monkeypatch.setattr(engine, "conv3d", conv3d)
         want = execute(plan, planes)
         assert ran == [op.params["dtype"] for op in convs]
-        monkeypatch.setattr(engine, "FLOAT32_EXACT_LIMIT", 0)
+        monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
         plan64 = engine.compile(model)
         assert all(op.params["dtype"] == np.float64 for op in plan64.ops if "dtype" in op.params)
         got = execute(plan64, planes)
@@ -242,7 +242,7 @@ class TestExecute:
         bits = rng.random((2, 2, 3, 3, c)) < 0.5
         w = rng.normal(size=(1, 1, 1, c, 70))
         got = engine._pw_conv_bin(pack(bits), engine._pw_weight_words(w))
-        assert got.dtype == np.float64
+        assert got.dtype == np.int64
         np.testing.assert_array_equal(got, bits @ np.where(w[0, 0, 0] > 0, 1, -1))
 
     @pytest.mark.parametrize("c", WORD_BOUNDARY_CHANNELS)

@@ -66,6 +66,24 @@ class TestSignStrict:
         x = np.linspace(-2, 2, 4001)
         np.testing.assert_array_equal(q.sign_strict(x), 2 * q.heaviside(x) - 1)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300, 2.0, -2.0]),
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1.0, -1.0], dtype=np.float32),
+            np.array([-3, -1, 0, 1, 3]),
+            np.array([[0, 1], [1, 0]], dtype=np.uint8),
+        ],
+        ids=["float64", "float32", "int", "uint8"],
+    )
+    def test_matches_where_oracle(self, x):
+        # 0, -0 and NaN all fail x > 0 and map to -1; the result is float64
+        # whatever the input dtype.
+        got = q.sign_strict(x)
+        want = np.where(np.asarray(x, dtype=np.float64) > 0, 1.0, -1.0)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
 
 class TestSSign:
     def test_formula_256(self):

@@ -370,3 +370,45 @@ class TestModelForward:
         np.testing.assert_array_equal(
             res.intermediates["mor1.out"], res.intermediates["mor1.i0"]
         )
+
+
+class TestExactPrecision:
+    def test_exact_dtype_limits(self):
+        assert ref.exact_dtype(2**24 - 1) == np.float32
+        assert ref.exact_dtype(2**24) == np.float64
+        assert ref.exact_dtype(2**53) == np.float64
+
+    def test_paper_stage5_convs_run_at_their_exact_precision(self, monkeypatch):
+        # Stem 255 x 27, every pointwise conv its fan-in, grouped convs and
+        # their pw2 the chain's product: only pw2 of the three 256-channel
+        # blocks passes 2**24 (256 * 864 * 128).  Float32 sums there are
+        # still exact, so every recorded array matches an all-float64 run.
+        from billnet.model import BillnetConfig, apply_stage_transition
+
+        model = build(BillnetConfig())
+        for k in (2, 3, 4, 5):
+            apply_stage_transition(model, k)
+        x = np.random.default_rng(17).integers(0, 256, size=(1, 16, 96, 128, 1)) / 255.0
+        ran, real = [], ref.conv3d
+
+        def conv3d(x, w, spec):
+            assert x.dtype == w.dtype
+            ran.append((x.dtype, spec.in_channels, spec.kernel))
+            return real(x, w, spec)
+
+        monkeypatch.setattr(ref, "conv3d", conv3d)
+        got = ref.forward(model, x, record=True)
+        assert len(ran) == 33
+        assert sum(dt == np.float32 for dt, _, _ in ran) == 30
+        assert [(c, k) for dt, c, k in ran if dt == np.float64] == [(128, (1, 1, 1))] * 3
+        monkeypatch.setattr(ref, "FLOAT32_EXACT_LIMIT", 0)
+        ran.clear()
+        want = ref.forward(model, x, record=True)
+        assert len(ran) == 33 and all(dt == np.float64 for dt, _, _ in ran)
+        assert got.intermediates.keys() == want.intermediates.keys()
+        pairs = [(name, got.intermediates[name], v) for name, v in want.intermediates.items()]
+        pairs += [("logits", got.logits, want.logits), ("scores", got.scores, want.scores)]
+        for name, a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            if a.dtype.kind == "f":
+                assert a.dtype == np.float64, name

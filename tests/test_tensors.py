@@ -16,6 +16,7 @@ from billnet.tensors import (
     pack_ternary,
     pack_vector,
     unpack,
+    unpack_bits,
     unpack_ternary,
 )
 
@@ -127,6 +128,14 @@ class TestPack:
         sliced = BitTensor((2, 3, 4, 3, c), pack(bits).words[:, :, :, ::2])
         assert not sliced.words.flags.c_contiguous
         np.testing.assert_array_equal(unpack(sliced), bits[:, :, :, ::2])
+
+    @pytest.mark.parametrize("c", (1, 3, 8, 9, 64, 65, 200))
+    def test_unpack_bits_round_trip(self, c):
+        bits = np.random.default_rng(c).random((2, 3, 2, 5, c)) < 0.5
+        got = unpack_bits(pack(bits))
+        assert got.dtype == np.uint8 and got.shape == bits.shape
+        np.testing.assert_array_equal(got, bits)
+        np.testing.assert_array_equal(unpack(pack(bits)), got.astype(np.float64))
 
     def test_padding_bits_zero(self):
         bt = pack(np.ones((1, 1, 1, 1, 67)))

@@ -3,8 +3,9 @@ import pytest
 
 from billnet import autodiff, reference
 from billnet.autodiff import Tape, backward
+from billnet.engine import compare_paths
 from billnet.model import apply_stage_transition, build, toy_config
-from billnet.training import bind_params, training_graph
+from billnet.training import PAPER_LRS, StageConfig, bind_params, run_stage, training_graph
 
 CONFIGS = {
     "toy": {},
@@ -70,3 +71,60 @@ def test_only_the_stem_input_goes_without_gradient(stage, monkeypatch):
     backward(tape, loss)
     assert [x.grad is None for x in inputs] == [True] + [False] * (len(inputs) - 1)
     assert all(v.grad is not None for v in bound.vars.values())
+
+
+def latent_weights(model):
+    """Every latent weight array that a stage from 2 on quantizes."""
+    out = []
+    for lay in model.layers:
+        if lay.kind in ("stem", "dense"):
+            out.append(lay.w)
+        elif lay.kind in ("cf", "mor"):
+            out += [lay.pw1_w, lay.gconv_w, lay.pw2_w]
+            if lay.kind == "mor" and lay.skip_w is not None:
+                out.append(lay.skip_w)
+        elif lay.kind == "lstm":
+            out += list(lay.weights.kernels())
+    return out
+
+
+def run_pipeline(seed):
+    """Toy model through ``run_stage`` 1 -> 5, one epoch of two batches per
+    stage on 16 random clips; returns the model, clips, history and the
+    largest |latent| after each stage."""
+    cfg = toy_config(seed=seed)
+    rng = np.random.default_rng(seed)
+    frames = rng.integers(0, 256, size=(16, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8)
+    labels = np.arange(16) % cfg.num_classes
+    model = build(cfg)
+    history, widest = [], []
+    for stage in range(1, 6):
+        # From stage 2, Adam's first step moves every latent with a gradient
+        # by the learning rate: at 1.0 most would leave [-1, 1] unclipped.
+        lr = PAPER_LRS[stage] if stage == 1 else 1.0
+        cfg_k = StageConfig(stage, lr, epochs=1, decay_epochs=1, batch_size=8)
+        history += run_stage(model, cfg_k, frames, labels)
+        widest.append(max(np.abs(w).max() for w in latent_weights(model)))
+    return model, frames, history, widest
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    return run_pipeline(seed=2)
+
+
+def test_stage_driver_is_deterministic(pipeline):
+    history = pipeline[2]
+    assert [row["stage"] for row in history] == [1, 2, 3, 4, 5]
+    assert all(np.isfinite(row["loss"]) for row in history)
+    assert run_pipeline(seed=2)[2] == history
+
+
+def test_stage_driver_keeps_latents_clipped(pipeline):
+    widest = pipeline[3]
+    assert max(widest) <= 1.0, widest
+
+
+def test_trained_stage5_model_passes_compare_paths(pipeline):
+    model, frames = pipeline[:2]
+    assert compare_paths(model, frames) is None
