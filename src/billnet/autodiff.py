@@ -40,7 +40,7 @@ from .quantize import (
     sign_strict,
     tern,
 )
-from .reference import ConvSpec, _columns, conv3d
+from .reference import ConvSpec, _columns, _conv, conv3d
 from .tensors import conv_same_pads
 
 
@@ -292,8 +292,13 @@ def stack_time(tape: Tape, items: list[Var]) -> Var:
 # ---------------------------------------------------------------------------
 
 
-def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec) -> Var:
-    out = Var(conv3d(x.value, w.value, spec))
+def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = None) -> Var:
+    """Grouped 3-D conv.  With ``bound`` (integer-valued ``x`` of at most that
+    magnitude, +-1 weights ``w``) the forward runs through
+    ``reference._conv`` at the precision ``reference.exact_dtype`` proves
+    exact for its sums, so the float64 output carries the same bits as a
+    float64 conv.  The backward is float64 either way."""
+    out = Var(_conv(x.value, w.value, spec, bound)[0])
     kt, kh, kw = spec.kernel
     g = spec.groups
     cig = spec.in_channels // g

@@ -27,7 +27,10 @@ a model whose bound reaches ``reference.EXACT_LIMIT`` (2**53), where float64
 stops being exact, is refused.  Every partial sum of an integer dot product
 obeys the same bound, so the product is exact whatever order BLAS sums it in.
 ``pw-conv-bin`` hands on the int64 sums of its packed dot products; the
-conv that reads them casts once.
+conv that reads them casts once.  ``execute`` looks each conv up as
+``reference.conv3d`` at call time, so a profiler that wraps that one name
+times the engine's convs apart from the rest of ``execute``, as it does the
+reference's.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from . import reference as ref
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
 from .quantize import stern
-from .reference import ConvSpec, _windows, conv3d
+from .reference import ConvSpec, _windows
 from .tensors import (
     BitTensor, TernTensor, and_count, bipolar_dot, pack, pack_ternary, pack_vector, unpack,
     unpack_bits, unpack_ternary,
@@ -392,7 +395,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         p = op.params
         if op.kind in ("stem-conv", "conv-int"):
             spec = ConvSpec(p["kernel"], p["strides"], p["groups"], args[0].shape[4], p["out_channels"])
-            out = conv3d(args[0].astype(p["dtype"], copy=False), p["w"].astype(p["dtype"]), spec)
+            out = ref.conv3d(args[0].astype(p["dtype"], copy=False), p["w"].astype(p["dtype"]), spec)
         elif op.kind == "pw-conv-bin":
             out = _pw_conv_bin(args[0], p["w_words"])
         elif op.kind == "threshold":

@@ -16,7 +16,7 @@ from .errors import NonBinaryInput, ZeroScale
 
 def heaviside(x):
     """1 where x > 0, else 0 (strict at the boundary)."""
-    return (np.asarray(x, dtype=np.float64) > 0).astype(np.float64)
+    return (np.asarray(x) > 0).astype(np.float64)
 
 
 def heaviside_ste_grad(x):

@@ -19,8 +19,11 @@ each conv's accumulator from its input's bound and its fan-in, as the
 logic-path compiler does (255 x fan-in for the stem on the 8-bit grid,
 fan-in for a conv reading {0,1}, the previous bound x fan-in along a
 pointwise -> grouped -> pointwise chain), and runs the conv in that dtype.
-Every result goes back to float64 before a norm, so the recorded
-intermediates are float64 and carry the same bits as an all-float64 run.
+It then steps on the raw integer sums, as the logic path does: the folded
+norm is a positive power-of-two scale (the stem's also divides by 255), and
+no positive scale can move a strict zero step, so ``apply_norm`` is skipped.
+The step's output is float64, so every recorded intermediate is float64 and
+carries the same bits as an all-float64 run through the norms.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .quantize import (
     clip,
     heaviside,
     sign_strict,
-    ssign_scale,
+    ssign,
     stern,
     tgap_select,
 )
@@ -238,6 +241,18 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def lstm_kernels(weights: LSTMWeights, mode: str) -> tuple[np.ndarray, ...]:
+    """The four gate kernels as ``mode`` reads them: latent in 'float',
+    ``ssign`` in 'wq', strict signs in 'fq'."""
+    if mode == "float":
+        return weights.kernels()
+    if mode == "wq":
+        return tuple(ssign(w, weights.n_i, weights.n_o) for w in weights.kernels())
+    if mode == "fq":
+        return tuple(sign_strict(w) for w in weights.kernels())
+    raise ValueError(f"unknown lstm mode {mode!r}")
+
+
 def lstm_cell(
     x_t: np.ndarray,
     h_prev: np.ndarray,
@@ -245,6 +260,7 @@ def lstm_cell(
     weights: LSTMWeights,
     mode: str,
     input_denominator: int | None = None,
+    kernels: tuple[np.ndarray, ...] | None = None,
 ):
     """One recurrent step; returns (h_t, c_t).
 
@@ -257,31 +273,35 @@ def lstm_cell(
     In 'fq' mode with ``input_denominator`` d, inputs are taken to lie on
     the grid k/d; pre-activations are then accumulated as exact integers so
     the strict zero thresholds match the logic path bit for bit.
+
+    ``kernels``, when given, is ``lstm_kernels(weights, mode)``: a caller
+    stepping through a sequence quantizes the kernels once, not per step.
     """
     if x_t.shape[1] + h_prev.shape[1] != weights.wi.shape[0]:
         raise ShapeMismatch(
             f"x {x_t.shape} + h {h_prev.shape} does not match kernel {weights.wi.shape}"
         )
+    if kernels is None:
+        kernels = lstm_kernels(weights, mode)
     if mode == "float":
         zx = np.concatenate([x_t, h_prev], axis=1)
-        pre = [zx @ w + (b if b is not None else 0.0) for w, b in zip(weights.kernels(), weights.biases())]
+        pre = [zx @ w + (b if b is not None else 0.0) for w, b in zip(kernels, weights.biases())]
         i, f, o = _sigmoid(pre[0]), _sigmoid(pre[1]), _sigmoid(pre[2])
         c_new = f * c_prev + i * np.tanh(pre[3])
         return o * np.tanh(c_new), c_new
-    scale = ssign_scale(weights.n_i, weights.n_o)
     if mode == "wq":
         zx = np.concatenate([x_t, h_prev], axis=1)
-        pre = [zx @ (scale * sign_strict(w)) for w in weights.kernels()]
+        pre = [zx @ w for w in kernels]
         i, f, o = _sigmoid(pre[0]), _sigmoid(pre[1]), _sigmoid(pre[2])
         c_new = f * c_prev + i * np.tanh(pre[3])
         return o * np.tanh(c_new), c_new
     if mode != "fq":
         raise ValueError(f"unknown lstm mode {mode!r}")
     if input_denominator:
-        pre = exact_preactivations(x_t, h_prev, weights.kernels(), input_denominator)
+        pre = exact_preactivations(x_t, h_prev, kernels, input_denominator)
     else:
         zx = np.concatenate([x_t, h_prev], axis=1)
-        pre = [zx @ sign_strict(w) for w in weights.kernels()]
+        pre = [zx @ w for w in kernels]
     # The positive factor scale/d cannot move a strict zero threshold, so the
     # gates are taken on the integer form directly.
     i, f, o = heaviside(pre[0]), heaviside(pre[1]), heaviside(pre[2])
@@ -290,13 +310,14 @@ def lstm_cell(
     return o * c_new, c_new
 
 
-def exact_preactivations(x_t, h_prev, kernels, d: int) -> list[np.ndarray]:
-    """'fq' gate pre-activations as exact integers for inputs on the grid k/d:
+def exact_preactivations(x_t, h_prev, signs, d: int) -> list[np.ndarray]:
+    """'fq' gate pre-activations as exact integers for inputs on the grid k/d,
+    from the kernels' strict signs (``lstm_kernels(weights, "fq")``):
     rint(x*d) @ sign(w_x) + d * (h @ sign(w_h)), the scaled float form times
     the positive factor d/scale."""
     counts = np.rint(x_t * d)
     n_i = x_t.shape[1]
-    return [counts @ sign_strict(w[:n_i]) + d * (h_prev @ sign_strict(w[n_i:])) for w in kernels]
+    return [counts @ s[:n_i] + d * (h_prev @ s[n_i:]) for s in signs]
 
 
 def lstm_mode(stage: int) -> str:
@@ -347,6 +368,13 @@ def apply_act(x, stage: int):
     return relu(x) if stage <= 2 else heaviside(x)
 
 
+def _norm_act(z, norm, stage: int):
+    """Norm, then activation.  From stage 4 the norm is a positive
+    power-of-two shift, which cannot move the strict zero step, so the step
+    reads the raw sum ``z`` in whatever dtype its conv ran."""
+    return heaviside(z) if stage >= 4 else apply_act(apply_norm(z, norm), stage)
+
+
 @dataclass
 class ForwardResult:
     logits: np.ndarray  # (N, T', classes) per-step responses
@@ -357,12 +385,12 @@ class ForwardResult:
 
 def _cf_apply(x, layer, stage, bound=None):
     """Pointwise -> grouped -> pointwise, no nonlinearity in between; with an
-    input ``bound``, each conv at its exact precision (see ``_conv``).
-    Returns float64."""
+    input ``bound``, each conv at its exact precision (see ``_conv``), and
+    the result in that dtype."""
     parts = ((layer.pw1_w, layer.pw1_spec), (layer.gconv_w, layer.gconv_spec), (layer.pw2_w, layer.pw2_spec))
     for w, spec in parts:
         x, bound = _conv(x, conv_weight(w, stage), spec, bound)
-    return x.astype(np.float64, copy=False)
+    return x
 
 
 def snap_to_grid(x: np.ndarray, levels: int = 255) -> np.ndarray:
@@ -388,16 +416,15 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
         if kind == "stem":
             wq = conv_weight(layer.w, stage)
             if stage >= 4:
-                # Offset-free norm ahead: accumulate the 8-bit grid exactly.
+                # Accumulate the 8-bit grid exactly: 1/255 is one more
+                # positive scale ahead of the step.
                 z, _ = _conv(np.rint(x * 255.0), wq, layer.spec, 255)
-                z = np.divide(z, 255.0, dtype=np.float64)
             else:
                 z = conv3d(x, wq, layer.spec)
-            x = apply_act(apply_norm(z, layer.norm), stage)
+            x = _norm_act(z, layer.norm, stage)
             put(f"{layer.name}.out", x)
         elif kind == "cf":
-            z = _cf_apply(x, layer, stage, bits)
-            x = apply_act(apply_norm(z, layer.norm), stage)
+            x = _norm_act(_cf_apply(x, layer, stage, bits), layer.norm, stage)
             put(f"{layer.name}.out", x)
         elif kind == "mor":
             if layer.skip_w is not None:
@@ -405,7 +432,7 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
                 skip = apply_act(zs, stage)
             else:
                 skip = x
-            v = apply_act(apply_norm(_cf_apply(x, layer, stage, bits), layer.norm1), stage)
+            v = _norm_act(_cf_apply(x, layer, stage, bits), layer.norm1, stage)
             i0 = clip(v + skip)
             if stage >= 4:
                 # The second norm is a positive shift and the step fixes the
@@ -435,10 +462,12 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
             h = np.zeros((n, layer.weights.n_o))
             c = np.zeros((n, layer.weights.n_o))
             hs = []
+            kernels = lstm_kernels(layer.weights, mode)
             for t in range(t_steps):
                 h, c = lstm_cell(
                     x[:, t, :], h, c, layer.weights, mode,
                     input_denominator=gap_den if mode == "fq" else None,
+                    kernels=kernels,
                 )
                 hs.append(h)
             x = np.stack(hs, axis=1)  # (N, T', n_o)

@@ -6,6 +6,13 @@ normalization uses batch statistics (advancing the moving estimates that
 stage 4 later folds into shifts).  Optimizer moments are reset at stage
 boundaries; latent weights of quantized layers are clipped to [-1, 1] after
 every update.
+
+From stage 3 every conv after the stem reads {0,1} activations with +-1
+weights, and from stage 4 the stem reads the 8-bit grid as integers up to
+255, so those forward convs sum integers.  The graph carries each one's
+input bound, as ``reference.forward`` does, and ``autodiff.conv3d_op`` runs
+it at the precision ``reference.exact_dtype`` proves exact: the same bits
+as float64, at float32 cost where the bound allows.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import StageOrderViolation
 from .model import ModelGraph, apply_stage_transition
 from .quantize import ssign_scale, stern_scale, tgap_select
 from .reference import forward as eval_forward
-from .reference import exact_preactivations, lstm_mode, snap_to_grid
+from .reference import exact_preactivations, lstm_kernels, lstm_mode, snap_to_grid
 
 # ---------------------------------------------------------------------------
 # Schedule
@@ -178,10 +185,13 @@ def _quant_w(tape, bound, name, stage):
     return ad.sign_ste(tape, w) if stage >= 2 else w
 
 
-def _cf_nodes(tape, x, lay, bound, stage):
-    """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``."""
+def _cf_nodes(tape, x, lay, bound, stage, int_bound=None):
+    """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``: with the
+    input's ``int_bound``, each conv at its exact precision."""
     for part, spec in (("pw1", lay.pw1_spec), ("gconv", lay.gconv_spec), ("pw2", lay.pw2_spec)):
-        x = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec)
+        x = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec, int_bound)
+        if int_bound is not None:
+            int_bound *= spec.fan_in
     return x
 
 
@@ -196,26 +206,28 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     x = snap_to_grid(x)
     cur = Var(x)
     gap_den = 0
+    # From stage 3 every conv after the stem reads {0,1} and sums integers.
+    bits = 1 if stage >= 3 else None
     for lay in model.layers:
         if lay.kind == "stem":
             w = _quant_w(tape, bound, f"{lay.name}.w", stage)
             if stage >= 4:
                 cur = Var(np.rint(x * 255.0))
-                z = ad.scale_const(tape, ad.conv3d_op(tape, cur, w, lay.spec), 1.0 / 255.0)
+                z = ad.scale_const(tape, ad.conv3d_op(tape, cur, w, lay.spec, 255), 1.0 / 255.0)
             else:
                 z = ad.conv3d_op(tape, cur, w, lay.spec)
             cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
         elif lay.kind == "cf":
-            z = _cf_nodes(tape, cur, lay, bound, stage)
+            z = _cf_nodes(tape, cur, lay, bound, stage, bits)
             cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
         elif lay.kind == "mor":
             if lay.skip_w is not None:
-                zs = ad.conv3d_op(tape, cur, _quant_w(tape, bound, f"{lay.name}.skip", stage), lay.skip_spec)
+                zs = ad.conv3d_op(tape, cur, _quant_w(tape, bound, f"{lay.name}.skip", stage), lay.skip_spec, bits)
                 skip = _act_node(tape, zs, stage)
             else:
                 skip = cur
             sel = tgap_select(skip.value, quantized=stage >= 3)
-            z = _cf_nodes(tape, cur, lay, bound, stage)
+            z = _cf_nodes(tape, cur, lay, bound, stage, bits)
             v = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm1, bound, "1"), stage)
             i0 = ad.clip_ste(tape, ad.add(tape, v, skip))
             i1 = _act_node(tape, _norm_node(tape, i0, lay.name, lay.norm2, bound, "2"), stage)
@@ -248,6 +260,7 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
     for tag in "ifoc":
         w = bound.vars[f"{lay.name}.w{tag}"]
         kernels[tag] = w if mode == "float" else ad.sign_ste(tape, w, scale)
+    signs = lstm_kernels(wts, mode) if mode == "fq" else None  # the latents' signs, once
     n, t_steps, _ = x_seq.value.shape
     h = Var(np.zeros((n, wts.n_o)))
     c = Var(np.zeros((n, wts.n_o)))
@@ -263,8 +276,7 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
                 p = ad.add(tape, p, bias)
             pre[tag] = p
         if mode == "fq":
-            latents = (bound.vars[f"{lay.name}.w{tag}"].value for tag in "ifoc")
-            exact = dict(zip("ifoc", exact_preactivations(xt.value, h.value, latents, gap_den)))
+            exact = dict(zip("ifoc", exact_preactivations(xt.value, h.value, signs, gap_den)))
             i = ad.heaviside_ste(tape, pre["i"], exact["i"])
             f = ad.heaviside_ste(tape, pre["f"], exact["f"])
             o = ad.heaviside_ste(tape, pre["o"], exact["o"])

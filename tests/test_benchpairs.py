@@ -1,0 +1,70 @@
+"""The pair runner's reduction, on synthetic perfbench records (no runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "benchpairs.py"
+spec = importlib.util.spec_from_file_location("benchpairs", TOOL)
+benchpairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchpairs)
+
+
+def record(unit_s, rss, clips, failed=0, attempted=10):
+    """A perfbench record as ``run.py --trace 0`` writes it."""
+    metrics = {"setup_s": 0.01, "unit_s": unit_s, "phase1_s": unit_s / 2, "peak_rss_mb": rss}
+    return {
+        "header": {"nproc": 2, "blas": "openblas", "numpy": "2", "uncontrolled": ["shared"]},
+        "result": {
+            "failed": failed,
+            "attempted": attempted,
+            "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
+        },
+        "samples": {
+            "untraced": [
+                {"ref_clip_s": c, "unit_s": 9.0, "phase1_s": 9.0, "gc_objects": 3} for c in clips
+            ]
+        },
+    }
+
+
+def test_parse_seeds():
+    assert benchpairs.parse_seeds("7-9") == [7, 8, 9]
+    assert benchpairs.parse_seeds("5") == [5]
+    with pytest.raises(ValueError):
+        benchpairs.parse_seeds("9-7")
+
+
+def test_run_figures_take_sample_medians_but_not_the_end_to_end_ones():
+    figs = benchpairs.run_figures(record(0.2, 100.0, [0.3, 0.1, 0.2, 0.9]))
+    assert figs == {"setup_s": 0.01, "unit_s": 0.2, "phase1_s": 0.1, "peak_rss_mb": 100.0, "ref_clip_s": 0.25}
+
+
+def test_reduce_pairs_medians_quartiles_and_better_counts():
+    parent_units = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change_units = [0.5, 2.5, 1.0, 3.0, 4.0]  # lower in pairs 0, 2, 3 and 4
+    pairs = [
+        (record(p, 100.0, [p], failed=1), record(c, 99.0, [c], attempted=12))
+        for p, c in zip(parent_units, change_units)
+    ]
+    entry = benchpairs.reduce_pairs(list(range(11, 16)), pairs)
+    assert entry["seeds"] == [11, 12, 13, 14, 15] and entry["pairs"] == 5
+    assert entry["parent"]["unit_s"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert entry["change"]["unit_s"] == {"median": 2.5, "q1": 1.0, "q3": 3.0}
+    assert entry["change"]["phase1_s"] == {"median": 1.25, "q1": 0.5, "q3": 1.5}
+    assert entry["change"]["ref_clip_s"]["median"] == 2.5
+    assert entry["change_better_pairs"] == {
+        "setup_s": 0, "unit_s": 4, "phase1_s": 4, "peak_rss_mb": 5, "ref_clip_s": 4,
+    }
+    assert (entry["parent"]["failed"], entry["parent"]["attempted"]) == (5, 50)
+    assert (entry["change"]["failed"], entry["change"]["attempted"]) == (0, 60)
+
+
+def test_reduce_pairs_drops_a_figure_one_side_lacks():
+    parent = record(1.0, 100.0, [1.0])
+    change = record(0.9, 100.0, [0.9])
+    del change["samples"]["untraced"][0]["ref_clip_s"]
+    entry = benchpairs.reduce_pairs([1], [(parent, change)])
+    assert "ref_clip_s" not in entry["parent"] and "ref_clip_s" not in entry["change_better_pairs"]
+    assert entry["parent"]["unit_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}

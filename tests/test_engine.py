@@ -94,13 +94,13 @@ class TestCompile:
             assert (op.params["bound"] >= reference.FLOAT32_EXACT_LIMIT) == (op.name in wide)
         frames = np.random.default_rng(13).integers(0, 256, size=(1, 16, 96, 128, 1), dtype=np.uint8)
         planes = frames_to_bitplanes(frames)
-        ran, real_conv3d = [], engine.conv3d
+        ran, real_conv3d = [], reference.conv3d
 
         def conv3d(x, w, spec):
             ran.append(x.dtype)
             return real_conv3d(x, w, spec)
 
-        monkeypatch.setattr(engine, "conv3d", conv3d)
+        monkeypatch.setattr(reference, "conv3d", conv3d)
         want = execute(plan, planes)
         assert ran == [op.params["dtype"] for op in convs]
         monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
@@ -209,7 +209,7 @@ class TestExecute:
                 return out
             return wrapper
 
-        monkeypatch.setattr(engine, "conv3d", spy(engine.conv3d))
+        monkeypatch.setattr(reference, "conv3d", spy(reference.conv3d))
         monkeypatch.setattr(engine, "_pw_conv_bin", spy(engine._pw_conv_bin))
         frames = np.random.default_rng(13).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
         planes = frames_to_bitplanes(frames)

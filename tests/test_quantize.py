@@ -22,6 +22,24 @@ class TestHeaviside:
         assert q.heaviside_ste_grad(1.0) == 1.0  # boundary included
         assert q.heaviside_ste_grad(2.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1e-38, -1e-38, 2.0, -2.0], dtype=np.float32),
+            np.array([-3, -1, 0, 1, 3]),
+            np.array([True, False]),
+            np.array([[0, 1], [255, 0]], dtype=np.uint8),
+        ],
+        ids=["float32", "int", "bool", "uint8"],
+    )
+    def test_any_dtype_steps_as_its_float64_cast(self, x):
+        # The step reads its input's own dtype (the reference hands it raw
+        # float32 conv sums); +-0 and NaN stay 0, denormals stay 1, and the
+        # result is float64 as before.
+        got, want = q.heaviside(x), q.heaviside(x.astype(np.float64))
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
     def test_grad_closed_form_on_grid(self):
         x = np.arange(-3.0, 3.0 + 1e-9, 1e-3)
         np.testing.assert_array_equal(

@@ -310,6 +310,44 @@ class TestLSTMCell:
             np.testing.assert_array_equal(got_h, exp_h)
 
 
+    def test_wq_matches_scaled_sign_oracle(self):
+        # 'wq' reads the ssign kernels, +-3/sqrt(n_i+n_o), and no biases.
+        rng = np.random.default_rng(14)
+        n_i, n_o = 5, 4
+        wts = random_weights(rng, n_i, n_o)
+        s = ssign_scale(n_i, n_o)
+        signed = LSTMWeights(*(s * sign_strict(w) for w in wts.kernels()), *(np.zeros(n_o),) * 4)
+        x, h, c = (rng.normal(size=(3, k)) for k in (n_i, n_o, n_o))
+        got_h, got_c = lstm_cell(x, h, c, wts, "wq")
+        exp_h, exp_c = textbook_lstm_oracle(x, h, c, signed)
+        np.testing.assert_allclose(got_h, exp_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_c, exp_c, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["float", "wq", "fq"])
+    def test_kernels_quantized_once_give_the_same_steps(self, mode):
+        # A caller may quantize the kernels once per sequence and hand them
+        # in; every step must equal the one that quantizes them itself.
+        rng = np.random.default_rng(15)
+        n_i, n_o, den = 6, 5, 48
+        wts = random_weights(rng, n_i, n_o, biases=mode == "float")
+        kernels = ref.lstm_kernels(wts, mode)
+        d = den if mode == "fq" else None
+        h = c = h2 = c2 = np.zeros((2, n_o))
+        for _ in range(8):
+            x = rng.integers(0, den + 1, size=(2, n_i)) / den
+            h, c = lstm_cell(x, h, c, wts, mode, input_denominator=d)
+            h2, c2 = lstm_cell(x, h2, c2, wts, mode, input_denominator=d, kernels=kernels)
+            assert np.array_equal(h, h2) and np.array_equal(c, c2)
+
+    def test_unknown_mode(self):
+        wts = random_weights(np.random.default_rng(16), 2, 2)
+        x, h = np.zeros((1, 2)), np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            ref.lstm_kernels(wts, "bogus")
+        with pytest.raises(ValueError):
+            lstm_cell(x, h, h, wts, "bogus", kernels=wts.kernels())
+
+
 class TestHead:
     def test_zero_sequence_ties_break_low(self):
         logits = ref.dense_head(np.zeros((2, 3, 5)), np.zeros((5, 4)))
@@ -362,6 +400,20 @@ class TestModelForward:
         assert np.isin(res.intermediates["lstm.h"], (-1, 0, 1)).all()
         assert res.intermediates["gap.counts"].dtype == np.int64
 
+    @pytest.mark.parametrize("stage", [1, 3, 5])
+    def test_lstm_kernels_quantized_once_per_forward(self, stage, monkeypatch):
+        from billnet.model import apply_stage_transition
+
+        model = build(toy_config(seed=5))
+        for k in range(2, stage + 1):
+            apply_stage_transition(model, k)
+        made, steps, real_kernels, real_cell = [], [], ref.lstm_kernels, ref.lstm_cell
+        monkeypatch.setattr(ref, "lstm_kernels", lambda *a: made.append(a) or real_kernels(*a))
+        monkeypatch.setattr(ref, "lstm_cell", lambda *a, **k: steps.append(a) or real_cell(*a, **k))
+        x = np.random.default_rng(14).integers(0, 256, size=(2, 8, 24, 32, 1)) / 255.0
+        res = ref.forward(model, x)
+        assert len(made) == 1 and len(steps) == res.logits.shape[1] > 1
+
     def test_zero_input_mor_takes_or_branch(self):
         model = build(toy_config(seed=4))
         x = np.zeros((1, 8, 24, 32, 1))
@@ -372,7 +424,49 @@ class TestModelForward:
         )
 
 
+def quantized_model(config: str, stage: int):
+    """Toy, ``cf:``-block or paper model with seeded norm statistics at ``stage``."""
+    from billnet.model import BillnetConfig, apply_stage_transition
+
+    blocks = {"toy": {}, "cf-blocks": {"blocks": ("cf:n", "mor:n", "mp", "mor:2n")}}
+    model = build(BillnetConfig() if config == "paper" else toy_config(seed=6, **blocks[config]))
+    rng = np.random.default_rng(1000)
+    for lay in model.layers:
+        for nm in [getattr(lay, a) for a in ("norm", "norm1", "norm2") if hasattr(lay, a)]:
+            nm.gamma = rng.lognormal(0.0, 2.0, nm.gamma.shape)
+            nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
+            nm.var = rng.lognormal(0.0, 2.0, nm.var.shape)
+    for k in range(2, stage + 1):
+        apply_stage_transition(model, k)
+    return model
+
+
 class TestExactPrecision:
+    @pytest.mark.parametrize("stage", [4, 5])
+    @pytest.mark.parametrize("config", ["toy", "cf-blocks", "paper"])
+    def test_stages_4_5_step_on_raw_sums(self, config, stage, monkeypatch):
+        # From stage 4 every norm is a positive power-of-two shift (the
+        # stem's 1/255 one more positive scale), which cannot move a strict
+        # zero step: the forward steps on the raw conv sums and applies no
+        # norm, and at stage 5 still matches the logic path bit for bit.
+        from billnet.engine import compare_paths
+
+        model = quantized_model(config, stage)
+        cfg = model.config
+
+        def unreachable(*args):
+            raise AssertionError("a norm was applied from stage 4 on")
+
+        monkeypatch.setattr(ref, "bsn_forward", unreachable)
+        monkeypatch.setattr(ref, "apply_norm", unreachable)
+        frames = np.random.default_rng(18).integers(
+            0, 256, size=(1, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8
+        )
+        res = ref.forward(model, frames / 255.0, record=True)
+        assert all(v.dtype == np.float64 for k, v in res.intermediates.items() if k.endswith((".out", ".v")))
+        if stage == 5:
+            assert compare_paths(model, frames) is None
+
     def test_exact_dtype_limits(self):
         assert ref.exact_dtype(2**24 - 1) == np.float32
         assert ref.exact_dtype(2**24) == np.float64

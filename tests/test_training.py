@@ -4,7 +4,7 @@ import pytest
 from billnet import autodiff, reference
 from billnet.autodiff import Tape, backward
 from billnet.engine import compare_paths
-from billnet.model import apply_stage_transition, build, toy_config
+from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
 from billnet.training import PAPER_LRS, StageConfig, bind_params, run_stage, training_graph
 
 CONFIGS = {
@@ -57,9 +57,9 @@ def test_only_the_stem_input_goes_without_gradient(stage, monkeypatch):
     # conv still hands one back to the layer below.
     inputs, real = [], autodiff.conv3d_op
 
-    def conv3d_op(tape, x, w, spec):
+    def conv3d_op(tape, x, w, spec, bound=None):
         inputs.append(x)
-        return real(tape, x, w, spec)
+        return real(tape, x, w, spec, bound)
 
     monkeypatch.setattr(autodiff, "conv3d_op", conv3d_op)
     model = model_at(stage, 0)
@@ -71,6 +71,64 @@ def test_only_the_stem_input_goes_without_gradient(stage, monkeypatch):
     backward(tape, loss)
     assert [x.grad is None for x in inputs] == [True] + [False] * (len(inputs) - 1)
     assert all(v.grad is not None for v in bound.vars.values())
+
+
+# toy_config overrides that give the paper-scale BillnetConfig.
+PAPER_CONFIG = {f: getattr(BillnetConfig(), f) for f in ("n", "g", "m", "t", "h", "w", "num_classes", "blocks")}
+
+
+def train_step(model, frames, labels):
+    """One tape step's loss, scores, norm statistics and gradients."""
+    tape, bound = Tape(), bind_params(model)
+    loss, scores = training_graph(tape, model, bound, frames / 255.0, labels)
+    backward(tape, loss)
+    out = {"loss": loss.value, "scores": scores}
+    out.update({f"grad/{k}": v.grad for k, v in bound.vars.items()})
+    for lay in model.layers:
+        for attr in ("norm", "norm1", "norm2"):
+            for field in ("mean", "var", "shift"):
+                if hasattr(getattr(lay, attr, None), field):
+                    out[f"{lay.name}.{attr}.{field}"] = getattr(getattr(lay, attr), field)
+    return out
+
+
+@pytest.mark.parametrize("stage", [3, 4, 5])
+@pytest.mark.parametrize("config", ["toy", "paper"])
+def test_tape_integer_convs_run_at_exact_precision(config, stage, monkeypatch):
+    # From stage 3 every conv after the stem reads {0,1} with +-1 weights,
+    # and from stage 4 the stem reads the 8-bit grid as integers: each runs
+    # at reference.exact_dtype of its bound, float32 but for the paper's
+    # three 128-channel pw2 convs (bound 28,311,552).  Its sums are exact,
+    # so a step with every forward conv forced to float64 has the same bits.
+    overrides = PAPER_CONFIG if config == "paper" else {}
+    model = model_at(stage, 4, **overrides)
+    cfg = model.config
+    frames = np.random.default_rng(5).integers(0, 256, size=(1, cfg.t, cfg.h, cfg.w, 1), dtype=np.uint8)
+    labels = np.arange(1)
+    ran, real = [], reference.conv3d
+
+    def conv3d(x, w, spec):
+        assert x.dtype == w.dtype
+        ran.append((x.dtype, spec.in_channels, spec.kernel))
+        return real(x, w, spec)
+
+    monkeypatch.setattr(reference, "conv3d", conv3d)
+    got = train_step(model, frames, labels)
+    stem, rest = ran[0], ran[1:]
+    assert stem[0] == (np.float64 if stage == 3 else np.float32)
+    wide = [(c, k) for dt, c, k in rest if dt == np.float64]
+    assert wide == ([(128, (1, 1, 1))] * 3 if config == "paper" else [])
+    assert len(rest) > len(wide) and all(dt in (np.float32, np.float64) for dt, _, _ in rest)
+    monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
+    ran.clear()
+    want = train_step(model_at(stage, 4, **overrides), frames, labels)
+    assert len(ran) == len(rest) + 1 and all(dt == np.float64 for dt, _, _ in ran)
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        if val is None:
+            assert got[key] is None, key
+        else:
+            assert got[key].dtype == val.dtype and np.array_equal(got[key], val), key
 
 
 def latent_weights(model):
