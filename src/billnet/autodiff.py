@@ -3,7 +3,7 @@
 A ``Tape`` records one closure per primal op in execution order; ``backward``
 replays them in exact reverse order, accumulating gradients additively into
 each ``Var``.  Smooth ops carry their analytic adjoints; the quantizers carry
-the surrogate (straight-through) gradients declared in ``quantize``:
+surrogate (straight-through) gradients, windowed by ``quantize.heaviside_ste_grad``:
 
     step(x)            backward  g * 1_{|x| <= 1}
     clip(x)            backward  g            (identity)
@@ -197,17 +197,13 @@ def concat(tape: Tape, a: Var, b: Var, axis: int = -1) -> Var:
     return out
 
 
-def mean_axes(tape: Tape, a: Var, axes: tuple, keepdims: bool = False) -> Var:
-    out = Var(a.value.mean(axis=axes, keepdims=keepdims))
+def mean_axes(tape: Tape, a: Var, axes: tuple) -> Var:
+    out = Var(a.value.mean(axis=axes))
     count = np.prod([a.value.shape[ax] for ax in axes])
 
     def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        tape._acc(a, np.broadcast_to(g / count, a.value.shape))
+        if out.grad is not None:
+            tape._acc(a, np.broadcast_to(np.expand_dims(out.grad, axes) / count, a.value.shape))
 
     out.requires_grad = tape.record(bwd, a)
     return out
@@ -409,9 +405,9 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
     return out
 
 
-def channel_affine(tape: Tape, x: Var, scale: np.ndarray, offset=0.0) -> Var:
-    """Fixed per-channel affine (eval-form norm or power-of-two shift)."""
-    out = Var(x.value * scale + offset)
+def channel_affine(tape: Tape, x: Var, scale: np.ndarray) -> Var:
+    """Fixed per-channel scale (a folded power-of-two shift)."""
+    out = Var(x.value * scale)
 
     def bwd():
         if out.grad is not None:

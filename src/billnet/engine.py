@@ -17,14 +17,18 @@ are formed.
 
 Every packed dot product (``pw-conv-bin``, the QLSTM carry, ``tern-dense``)
 is a formula over ``tensors.and_count``, the single AND + popcount kernel.
+Ternary values (the QLSTM carry and the hidden sequence it emits) are int8
+arrays in {-1, 0, 1}.  Where one feeds a popcount, ``_pack_tern_rows`` packs
+it as two word rows, the bits of its +1 and of its -1 entries: the form
+``compile`` gives the ``tern-dense`` weights.
 
 Int slots that feed a convolution carry exact integers, so the integer
 convolutions run through the reference path's BLAS kernel in floating point.
 ``compile`` bounds every conv's accumulator from its fan-in and gives the op
 the dtype ``reference.exact_dtype`` picks for that bound, the same rule the
-reference forward follows from stage 4: float32 below 2**24, else float64;
-a model whose bound reaches ``reference.EXACT_LIMIT`` (2**53), where float64
-stops being exact, is refused.  Every partial sum of an integer dot product
+reference forward and the training tape follow from stage 3: float32 below
+2**24, else float64; a model whose bound reaches ``reference.EXACT_LIMIT``
+(2**53), where float64 stops being exact, is refused.  Every partial sum of an integer dot product
 obeys the same bound, so the product is exact whatever order BLAS sums it in.
 ``pw-conv-bin`` hands on the int64 sums of its packed dot products; the
 conv that reads them casts once.  ``execute`` looks each conv up as
@@ -41,12 +45,9 @@ import numpy as np
 
 from . import reference as ref
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
-from .quantize import stern
+from .quantize import sign_strict, stern
 from .reference import ConvSpec, _windows
-from .tensors import (
-    BitTensor, TernTensor, and_count, bipolar_dot, pack, pack_ternary, pack_vector, unpack,
-    unpack_bits, unpack_ternary,
-)
+from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, unpack, unpack_bits
 
 # ---------------------------------------------------------------------------
 # Plan structure
@@ -106,10 +107,6 @@ _OP_INPUT_DTYPES = {
 # ---------------------------------------------------------------------------
 
 
-def _sign_int8(w: np.ndarray) -> np.ndarray:
-    return np.where(w > 0, 1, -1).astype(np.int8)
-
-
 def _pw_weight_words(w: np.ndarray) -> np.ndarray:
     """1x1x1 kernel (1,1,1,Ci,Co) -> per-output-channel sign words (Co, nw)."""
     signs = w.reshape(w.shape[3], w.shape[4]) > 0
@@ -118,8 +115,10 @@ def _pw_weight_words(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QLSTMGates:
-    """Per-gate packed kernels: int8 signs for the count features, packed
-    sign planes for the ternary recurrent part (one lane per output unit)."""
+    """Per-gate kernels: int8 signs for the count features, packed sign
+    rows for the ternary recurrent part (one row per output unit).  The
+    signs stay int8 and are widened per step: an int64 copy held in the
+    plan costs ~1 MB per paper-scale plan, more than the casts cost time."""
 
     wx: list[np.ndarray]  # 4 x int8 (n_i, n_o)
     wh_words: list[np.ndarray]  # 4 x uint64 (n_o, words(n_o))
@@ -131,33 +130,9 @@ class QLSTMGates:
         n_i, n_o = weights.n_i, weights.n_o
         wx, whw = [], []
         for w in weights.kernels():
-            wx.append(_sign_int8(w[:n_i]))
+            wx.append(sign_strict(w[:n_i]).astype(np.int8))
             whw.append(pack_vector((w[n_i:] > 0).T))
         return cls(wx, whw, n_i, n_o)
-
-
-@dataclass
-class QLSTMState:
-    """Recurrent carry in two-plane ternary form, one lane per unit."""
-
-    c: TernTensor
-    h: TernTensor
-
-    @classmethod
-    def zeros(cls, batch: int, n_o: int) -> "QLSTMState":
-        z = pack(np.zeros((batch, 1, 1, 1, n_o), dtype=bool))  # frozen, so shareable
-        return cls(TernTensor(z, z), TernTensor(z, z))
-
-    def h_values(self) -> np.ndarray:
-        return _carry_values(self.h)
-
-    def c_values(self) -> np.ndarray:
-        return _carry_values(self.c)
-
-
-def _carry_values(t: TernTensor) -> np.ndarray:
-    """(N,1,1,1,n) ternary carry -> int8 (N, n)."""
-    return unpack_ternary(t).reshape(t.shape[0], t.shape[4]).astype(np.int8)
 
 
 def _pack_tern_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,33 +141,30 @@ def _pack_tern_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qlstm_step(
-    x_counts: np.ndarray, state: QLSTMState, gates: QLSTMGates, input_scale: int
-) -> QLSTMState:
-    """One fully quantized recurrent step on integer features.
+    x_counts: np.ndarray, h: np.ndarray, c: np.ndarray, gates: QLSTMGates, input_scale: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fully quantized recurrent step on integer features; returns (h, c).
 
-    Gate pre-activations are exact integers: count features enter with
-    weight signs, the ternary carry enters via plane popcounts weighted by
-    ``input_scale`` (the pooling denominator), matching the reference path's
-    normalized inputs without ever forming a real number.  The cell update
-    is a saturating ternary add; the new hidden state is the gated cell.
+    The carry ``h``, ``c`` is two int8 (N, n_o) arrays in {-1, 0, 1}.  Gate
+    pre-activations are exact integers: count features enter with weight
+    signs, and ``h`` enters as its plus/minus word rows through
+    ``bipolar_dot``, weighted by ``input_scale`` (the pooling denominator),
+    matching the reference path's normalized inputs without ever forming a
+    real number.  The cell update is a saturating ternary add; the new
+    hidden state is the gated cell.
     """
     counts = np.asarray(x_counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != gates.n_i:
         raise ShapeMismatch(f"counts {counts.shape} vs n_i={gates.n_i}")
-    batch = counts.shape[0]
-    hp = state.h.plus.words.reshape(batch, -1)
-    hm = state.h.minus.words.reshape(batch, -1)
-    c = state.c_values().astype(np.int64)
+    hp, hm = _pack_tern_rows(h)
     pre = [
         counts @ wx.astype(np.int64) + input_scale * (bipolar_dot(hp, whw) - bipolar_dot(hm, whw))
         for wx, whw in zip(gates.wx, gates.wh_words)
     ]
-    i, f, o = ((p > 0).astype(np.int64) for p in pre[:3])
-    ctilde = np.where(pre[3] > 0, 1, -1)
+    i, f, o = (p > 0 for p in pre[:3])
+    ctilde = np.where(pre[3] > 0, np.int8(1), np.int8(-1))
     c_new = np.clip(f * c + i * ctilde, -1, 1)
-    h_new = o * c_new
-    shape = (batch, 1, 1, 1, gates.n_o)
-    return QLSTMState(pack_ternary(c_new.reshape(shape)), pack_ternary(h_new.reshape(shape)))
+    return o * c_new, c_new
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +192,7 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
         acc = bound[src] * spec.fan_in
         out = plan.emit(
             kind, name, (src,), "int",
-            w=_sign_int8(w), kernel=spec.kernel, strides=spec.strides,
+            w=sign_strict(w).astype(np.int8), kernel=spec.kernel, strides=spec.strides,
             groups=spec.groups, out_channels=spec.out_channels,
             bound=acc, dtype=ref.exact_dtype(acc),
         )
@@ -409,11 +381,11 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         elif op.kind == "qlstm":
             counts = args[0]  # (N, T', n_i)
             gates = p["gates"]
-            state = QLSTMState.zeros(counts.shape[0], gates.n_o)
+            h = c = np.zeros((counts.shape[0], gates.n_o), dtype=np.int8)
             hs = []
             for t in range(counts.shape[1]):
-                state = qlstm_step(counts[:, t, :], state, gates, p["input_scale"])
-                hs.append(state.h_values())
+                h, c = qlstm_step(counts[:, t, :], h, c, gates, p["input_scale"])
+                hs.append(h)
             out = np.stack(hs, axis=1)  # int8 (N, T', n_o)
         elif op.kind == "tern-dense":
             out = _tern_dense(args[0], p["w_plus"], p["w_minus"])

@@ -13,10 +13,6 @@ class NonBinaryInput(BillnetError):
     pass
 
 
-class InvariantViolation(BillnetError):
-    pass
-
-
 class BadGrouping(BillnetError):
     pass
 

@@ -10,7 +10,7 @@ weights are consumed raw in stage 1 and through their quantizers afterwards.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -64,17 +64,6 @@ class BillnetConfig:
     @property
     def lstm_hidden(self) -> int:
         return 4 * self.m
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["blocks"] = list(self.blocks)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BillnetConfig":
-        d = dict(d)
-        d["blocks"] = tuple(d.get("blocks", DEFAULT_BLOCKS))
-        return cls(**d)
 
 
 def toy_config(**overrides) -> BillnetConfig:
@@ -350,7 +339,7 @@ class ParamReport:
         return sum(l.bookkeeping_bits for l in self.layers)
 
 
-def _norm_bits(norm, stage: int) -> int:
+def _norm_bits(norm) -> int:
     if isinstance(norm, ShiftNorm):
         return norm.shift.size * 8
     # four per-channel statistics at full precision
@@ -370,15 +359,15 @@ def count_params(model: ModelGraph, stage: int | None = None) -> ParamReport:
         bits = _weight_bits(lay.kind, stage)
         if lay.kind == "stem":
             n = lay.w.size
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, _norm_bits(lay.norm, stage)))
+            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, _norm_bits(lay.norm)))
         elif lay.kind == "cf":
             n = lay.pw1_w.size + lay.gconv_w.size + lay.pw2_w.size
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, _norm_bits(lay.norm, stage)))
+            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, _norm_bits(lay.norm)))
         elif lay.kind == "mor":
             n = lay.pw1_w.size + lay.gconv_w.size + lay.pw2_w.size
             if lay.skip_w is not None:
                 n += lay.skip_w.size
-            book = _norm_bits(lay.norm1, stage) + _norm_bits(lay.norm2, stage)
+            book = _norm_bits(lay.norm1) + _norm_bits(lay.norm2)
             rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, book))
         elif lay.kind == "lstm":
             n = sum(w.size for w in lay.weights.kernels())

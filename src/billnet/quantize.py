@@ -1,8 +1,8 @@
 """Element-wise quantizers, their surrogate gradients, and norm folding.
 
-All forward functions accept scalars or ndarrays and are pure.  The
-surrogate-gradient functions return the closed forms used by the training
-tape; they are exposed here so tests can pin them on a grid.
+All forward functions accept scalars or ndarrays and are pure.
+``heaviside_ste_grad`` is the surrogate-gradient window the training tape's
+step, sign and ternary nodes share.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonBinaryInput, ZeroScale
+from .errors import ZeroScale
 
 
 def heaviside(x):
@@ -27,20 +27,6 @@ def heaviside_ste_grad(x):
 def clip(y):
     """Clipped identity: saturate to [-1, 1]."""
     return np.clip(np.asarray(y, dtype=np.float64), -1.0, 1.0)
-
-
-def clip_ste_grad(y):
-    """Surrogate gradient of the clipped identity: identically 1."""
-    return np.ones_like(np.asarray(y, dtype=np.float64))
-
-
-def or_gate(x1, x2):
-    """Logical OR on {0,1} signals; equals clip(x1 + x2) bit for bit."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if not (np.isin(x1, (0, 1)).all() and np.isin(x2, (0, 1)).all()):
-        raise NonBinaryInput("or_gate() requires binary inputs")
-    return np.logical_or(x1, x2).astype(np.float64)
 
 
 def sign_strict(x):
@@ -104,11 +90,6 @@ def tgap_select(x, quantized: bool):
     else:
         m = float(ap.max()) if ap.size else 0.0
     return (ap > 0.5 * m).astype(np.float64)
-
-
-def tgap_count_threshold(h: int, w: int) -> int:
-    """Integer threshold for the bitcount form: strictly more ones than this."""
-    return (h * w) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ rather than merely within tolerance.  Such a sum is exact in floating point
 whatever order BLAS adds it in, as long as its worst-case magnitude stays
 below the limit where the format stops holding every integer.
 ``exact_dtype`` is the one home of that precision rule: float32 below 2**24,
-else float64, which is exact below 2**53.  From stage 4 ``forward`` bounds
-each conv's accumulator from its input's bound and its fan-in, as the
-logic-path compiler does (255 x fan-in for the stem on the 8-bit grid,
-fan-in for a conv reading {0,1}, the previous bound x fan-in along a
-pointwise -> grouped -> pointwise chain), and runs the conv in that dtype.
-It then steps on the raw integer sums, as the logic path does: the folded
+else float64, which is exact below 2**53.  From stage 3 every conv after
+the stem reads {0,1} with +-1 weights, and from stage 4 the stem reads the
+8-bit grid as integers.  ``forward`` bounds each such conv's accumulator
+from its input's bound and its fan-in, as the logic-path compiler and the
+training tape do (255 x fan-in for the stem on the 8-bit grid, fan-in for a
+conv reading {0,1}, the previous bound x fan-in along a pointwise ->
+grouped -> pointwise chain), and runs the conv in that dtype; at stage 3
+the batch norm that follows reads the sums as float64.  From stage 4 it
+steps on the raw integer sums, as the logic path does: the folded
 norm is a positive power-of-two scale (the stem's also divides by 255), and
 no positive scale can move a strict zero step, so ``apply_norm`` is skipped.
 The step's output is float64, so every recorded intermediate is float64 and
@@ -59,7 +62,6 @@ class ConvSpec:
     groups: int
     in_channels: int
     out_channels: int
-    padding: str = "same"
 
     def __post_init__(self):
         if self.in_channels % self.groups or self.out_channels % self.groups:
@@ -67,7 +69,7 @@ class ConvSpec:
                 f"channels ({self.in_channels}->{self.out_channels}) not divisible "
                 f"by {self.groups} groups"
             )
-        if self.padding == "same" and any(k % 2 == 0 for k in self.kernel):
+        if any(k % 2 == 0 for k in self.kernel):
             raise BadConfig(f"'same' padding requires odd kernel dims, got {self.kernel}")
 
     @property
@@ -393,9 +395,9 @@ def _cf_apply(x, layer, stage, bound=None):
     return x
 
 
-def snap_to_grid(x: np.ndarray, levels: int = 255) -> np.ndarray:
-    """Snap input values onto the 8-bit fixed-point grid k/levels."""
-    return np.rint(np.asarray(x, dtype=np.float64) * levels) / levels
+def snap_to_grid(x: np.ndarray) -> np.ndarray:
+    """Snap input values onto the 8-bit fixed-point grid k/255."""
+    return np.rint(np.asarray(x, dtype=np.float64) * 255) / 255
 
 
 def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
@@ -404,8 +406,8 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
     inter: dict[str, np.ndarray] = {}
     x = snap_to_grid(x)
     gap_den = 0
-    # From stage 4 every conv after the stem reads {0,1} and sums integers.
-    bits = 1 if stage >= 4 else None
+    # From stage 3 every conv after the stem reads {0,1} and sums integers.
+    bits = 1 if stage >= 3 else None
 
     def put(key, value):
         if record:

@@ -12,13 +12,14 @@ first padded to whole bytes, so every row starts on a byte boundary, and the
 bytes are then padded to whole words and viewed as little-endian uint64.
 Bit i of word j is channel j*64 + i; no 64-lane temporary is formed.
 
-Ternary signals {-1, 0, +1} are stored as two disjoint binary planes
-(plus, minus); integer accumulators are plain int64 ndarrays.
+Ternary values {-1, 0, +1} are int8 ndarrays; integer accumulators are
+plain int64 ndarrays.  A ternary operand of a dot product is packed as two
+word rows, the bits of its +1 and of its -1 entries (``pack_vector`` of
+each), and the product is the difference of the two rows' terms.
 
 ``and_count`` is the one packed dot-product kernel: every AND + popcount
 of the logic path runs through it.  ``bipolar_dot`` builds the {0,1} x
-{-1,+1} product on it; ternary operands are sums of such terms over their
-two planes.
+{-1,+1} product on it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NonBinaryInput, ShapeMismatch
+from .errors import NonBinaryInput, ShapeMismatch
 
 WORD_BITS = 64
 
@@ -148,37 +149,6 @@ def bipolar_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     ones = np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
     return 2 * and_count(a, w) - ones[..., None]
-
-
-@dataclass(frozen=True)
-class TernTensor:
-    """Two-plane ternary tensor: value = plus - minus, planes disjoint."""
-
-    plus: BitTensor
-    minus: BitTensor
-
-    def __post_init__(self):
-        if self.plus.shape != self.minus.shape:
-            raise ShapeMismatch(f"plane shapes differ: {self.plus.shape} vs {self.minus.shape}")
-        if np.any(self.plus.words & self.minus.words):
-            raise InvariantViolation("ternary planes overlap (+1 and -1 at one index)")
-
-    @property
-    def shape(self):
-        return self.plus.shape
-
-
-def pack_ternary(x: np.ndarray) -> TernTensor:
-    """Pack a {-1, 0, +1} (N,T,H,W,C) tensor into two disjoint bit planes."""
-    x = require_tensor5(x)
-    plus, minus = x == 1, x == -1
-    if not (plus | minus | (x == 0)).all():
-        raise NonBinaryInput("pack_ternary() requires elements in {-1, 0, 1}")
-    return TernTensor(pack(plus), pack(minus))
-
-
-def unpack_ternary(t: TernTensor) -> np.ndarray:
-    return unpack(t.plus) - unpack(t.minus)
 
 
 def conv_same_pads(size: int, kernel: int, stride: int) -> tuple[int, int, int]:

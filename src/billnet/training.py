@@ -37,6 +37,7 @@ PAPER_LRS = {1: 5e-4, 2: 3e-4, 3: 3e-4, 4: 2e-4, 5: 1e-6}
 PAPER_EPOCHS = {1: 100, 2: 80, 3: 80, 4: 80, 5: 80}
 PAPER_DECAY_EPOCHS = 50
 DECAY_RATE = 0.85
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -45,7 +46,6 @@ class StageConfig:
     initial_lr: float
     epochs: int
     decay_epochs: int
-    decay_rate: float = DECAY_RATE
     batch_size: int = 40
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ def lr_schedule(cfg: StageConfig, epoch: int) -> float:
     start = cfg.epochs - cfg.decay_epochs
     if epoch < start:
         return cfg.initial_lr
-    return cfg.initial_lr * cfg.decay_rate ** (epoch - start + 1)
+    return cfg.initial_lr * DECAY_RATE ** (epoch - start + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +83,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -95,16 +92,16 @@ class AdamState:
 def adam_step(params, grads, state: AdamState, lr: float):
     """In-place Adam update with bias correction; zero grads are no-ops."""
     state.t += 1
-    b1c = 1.0 - state.beta1**state.t
-    b2c = 1.0 - state.beta2**state.t
+    b1c = 1.0 - ADAM_BETA1**state.t
+    b2c = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             continue
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
     return params
 
 

@@ -122,6 +122,19 @@ def test_mux_select_gradients_match_central_differences():
     np.testing.assert_allclose(i1.grad, numeric(i10, loss_value), rtol=1e-7, atol=1e-8)
 
 
+def test_clip_ste_backward_is_the_identity():
+    # The straight-through clip passes the upstream gradient unchanged,
+    # inside [-1, 1] and where the forward saturates.
+    x0 = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.7, 4.0])
+    probe = np.random.default_rng(20).normal(size=x0.shape)
+    tape = ad.Tape()
+    x = ad.Var(x0, trainable=True)
+    y = ad.clip_ste(tape, x)
+    np.testing.assert_array_equal(y.value, np.clip(x0, -1.0, 1.0))
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))
+    np.testing.assert_array_equal(x.grad, probe)
+
+
 def test_softmax_cce_gradients_match_central_differences():
     rng = np.random.default_rng(19)
     z0 = rng.normal(0.0, 3.0, size=(4, 5))

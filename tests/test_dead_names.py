@@ -1,0 +1,92 @@
+"""Every public module-level function and class in ``billnet`` has a caller.
+
+A name counts as used when code in ``src/billnet``, ``tools/`` or
+``perfbench/`` refers to it: by name inside its own module (outside its own
+definition), through an import from its module, as an attribute of a name
+bound to its module, or, in ``tools/`` and ``perfbench/``, as a string (the
+benchmark's tracer looks wrap points up by name).  Tests do not count: code
+that only a test calls is deleted together with its test.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "billnet"
+
+# name -> why it stays without a caller in the scanned trees
+ALLOWED = {
+    "autodiff.sum_all": "the reducer the tape's gradient checks build their scalar losses with",
+}
+
+
+def _public_defs(tree):
+    defs = (ast.FunctionDef, ast.ClassDef)
+    return {s.name for s in tree.body if isinstance(s, defs) and not s.name.startswith("_")}
+
+
+def _module_aliases(tree, modules):
+    """Local names bound to a ``billnet`` module, e.g. ``ad`` -> ``autodiff``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "billnet"):
+            for a in node.names:
+                if a.name in modules:
+                    out[a.asname or a.name] = a.name
+    return out
+
+
+def _uses(path, modules):
+    """The (module, name) pairs ``path`` imports or reaches as attributes,
+    its string constants, and the names it reads outside the definition
+    that binds them."""
+    tree = ast.parse(path.read_text())
+    aliases = _module_aliases(tree, modules)
+    used, strings = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            mod = node.module.removeprefix("billnet.")
+            if mod in modules:
+                used.update((mod, a.name) for a in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                used.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    local = {
+        n.id
+        for stmt in tree.body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and n.id != getattr(stmt, "name", None)
+    }
+    return used, strings, local
+
+
+def dead_names():
+    files = {p.stem: p for p in sorted(PACKAGE.glob("*.py"))}
+    modules = set(files)
+    defs = {m: _public_defs(ast.parse(p.read_text())) for m, p in files.items()}
+    used, strings = set(), set()
+    for path in [*files.values(), *(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        u, s, local = _uses(path, modules)
+        used |= u
+        if path.parent == PACKAGE:
+            used |= {(path.stem, name) for name in local}
+        else:
+            strings |= s
+    return sorted(
+        f"{m}.{name}"
+        for m, names in defs.items()
+        for name in names
+        if (m, name) not in used and name not in strings and f"{m}.{name}" not in ALLOWED
+    )
+
+
+def test_every_public_name_has_a_caller():
+    assert dead_names() == []
+
+
+def test_allowlist_names_existing_definitions():
+    for entry in ALLOWED:
+        module, name = entry.split(".")
+        assert name in _public_defs(ast.parse((PACKAGE / f"{module}.py").read_text())), entry

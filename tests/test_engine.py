@@ -6,7 +6,6 @@ import pytest
 from billnet import engine, reference
 from billnet.engine import (
     QLSTMGates,
-    QLSTMState,
     compare_paths,
     execute,
     frames_to_bitplanes,
@@ -269,14 +268,17 @@ def random_gates(rng, n_i, n_o):
     return wts, QLSTMGates.from_latent(wts)
 
 
+def zero_carry(batch, n_o):
+    return np.zeros((batch, n_o), dtype=np.int8), np.zeros((batch, n_o), dtype=np.int8)
+
+
 class TestQLSTMStep:
     def test_zero_everything_stays_zero(self):
         rng = np.random.default_rng(7)
         _, gates = random_gates(rng, 4, 3)
-        state = QLSTMState.zeros(1, 3)
-        out = qlstm_step(np.zeros((1, 4), dtype=np.int64), state, gates, 48)
-        np.testing.assert_array_equal(out.h_values(), 0)
-        np.testing.assert_array_equal(out.c_values(), 0)
+        h, c = qlstm_step(np.zeros((1, 4), dtype=np.int64), *zero_carry(1, 3), gates, 48)
+        np.testing.assert_array_equal(h, 0)
+        np.testing.assert_array_equal(c, 0)
 
     def test_saturating_add_clips_to_one(self):
         # All-positive kernels and strong inputs: every gate fires with a +1
@@ -284,16 +286,10 @@ class TestQLSTMStep:
         n_i, n_o = 2, 2
         wts = LSTMWeights(*(np.ones((n_i + n_o, n_o)) for _ in range(4)))
         gates = QLSTMGates.from_latent(wts)
-        ones = np.ones((1, 1, 1, 1, n_o))
-        from billnet.tensors import pack, TernTensor
-
-        state = QLSTMState(
-            TernTensor(pack(ones), pack(np.zeros_like(ones))),
-            TernTensor(pack(np.zeros_like(ones)), pack(np.zeros_like(ones))),
-        )
-        out = qlstm_step(np.full((1, n_i), 10, dtype=np.int64), state, gates, 48)
-        np.testing.assert_array_equal(out.c_values(), 1)
-        np.testing.assert_array_equal(out.h_values(), 1)
+        h0, c0 = np.zeros((1, n_o), dtype=np.int8), np.ones((1, n_o), dtype=np.int8)
+        h, c = qlstm_step(np.full((1, n_i), 10, dtype=np.int64), h0, c0, gates, 48)
+        np.testing.assert_array_equal(c, 1)
+        np.testing.assert_array_equal(h, 1)
 
     @pytest.mark.parametrize("n_o", [5, 64, 65, 130])
     def test_matches_reference_cell_with_scales(self, n_o):
@@ -303,31 +299,31 @@ class TestQLSTMStep:
         rng = np.random.default_rng(8)
         n_i, den = 6, 48
         wts, gates = random_gates(rng, n_i, n_o)
-        state = QLSTMState.zeros(2, n_o)
+        h, c = zero_carry(2, n_o)
         h_ref = np.zeros((2, n_o))
         c_ref = np.zeros((2, n_o))
         for _ in range(500):
             counts = rng.integers(0, den + 1, size=(2, n_i))
-            state = qlstm_step(counts, state, gates, den)
+            h, c = qlstm_step(counts, h, c, gates, den)
             h_ref, c_ref = lstm_cell(
                 counts / den, h_ref, c_ref, wts, "fq", input_denominator=den
             )
-            np.testing.assert_array_equal(state.h_values(), h_ref)
-            np.testing.assert_array_equal(state.c_values(), c_ref)
+            np.testing.assert_array_equal(h, h_ref)
+            np.testing.assert_array_equal(c, c_ref)
 
-    def test_state_stays_ternary_with_disjoint_planes(self):
+    def test_carry_stays_int8_ternary(self):
         rng = np.random.default_rng(9)
         _, gates = random_gates(rng, 4, 6)
-        state = QLSTMState.zeros(1, 6)
+        h, c = zero_carry(1, 6)
         for _ in range(1000):
             counts = rng.integers(0, 49, size=(1, 4))
-            state = qlstm_step(counts, state, gates, 48)
-            assert not np.any(state.h.plus.words & state.h.minus.words)
-            assert not np.any(state.c.plus.words & state.c.minus.words)
-            assert np.isin(state.c_values(), (-1, 0, 1)).all()
+            h, c = qlstm_step(counts, h, c, gates, 48)
+            for carry in (h, c):
+                assert carry.dtype == np.int8 and carry.shape == (1, 6)
+                assert np.isin(carry, (-1, 0, 1)).all()
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(10)
         _, gates = random_gates(rng, 4, 3)
         with pytest.raises(ShapeMismatch):
-            qlstm_step(np.zeros((1, 5), dtype=np.int64), QLSTMState.zeros(1, 3), gates, 48)
+            qlstm_step(np.zeros((1, 5), dtype=np.int64), *zero_carry(1, 3), gates, 48)

@@ -22,10 +22,6 @@ class TestConfig:
         with pytest.raises(BadConfig):
             BillnetConfig(blocks=("mor:n", "avgpool"))
 
-    def test_round_trip_dict(self):
-        cfg = toy_config(seed=7)
-        assert BillnetConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_lstm_hidden_is_4m(self):
         assert BillnetConfig(m=32).lstm_hidden == 128
 

@@ -1,10 +1,9 @@
-import itertools
 
 import numpy as np
 import pytest
 
 from billnet import quantize as q
-from billnet.errors import NonBinaryInput, ZeroScale
+from billnet.errors import ZeroScale
 
 
 class TestHeaviside:
@@ -54,24 +53,6 @@ class TestClip:
 
     def test_identity_inside(self):
         assert q.clip(0.5) == 0.5
-
-    def test_grad_is_one_on_grid(self):
-        x = np.arange(-3.0, 3.0 + 1e-9, 1e-3)
-        np.testing.assert_array_equal(q.clip_ste_grad(x), np.ones_like(x))
-
-
-class TestOrGate:
-    @pytest.mark.parametrize("a,b,expect", [(1, 1, 1), (0, 0, 0), (0, 1, 1), (1, 0, 1)])
-    def test_truth_table(self, a, b, expect):
-        assert q.or_gate(a, b) == expect
-
-    def test_equals_clip_of_sum_exhaustively(self):
-        for a, b in itertools.product([0.0, 1.0], repeat=2):
-            assert q.or_gate(a, b) == q.clip(a + b)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(NonBinaryInput):
-            q.or_gate(0.5, 1.0)
 
 
 class TestSignStrict:
@@ -163,9 +144,6 @@ class TestTGAP:
     def test_all_zero_map(self):
         assert q.tgap_select(self._map(0), quantized=True) == 0.0
 
-    def test_count_threshold_constant(self):
-        assert q.tgap_count_threshold(6, 8) == 24
-
     def test_bitcount_form_equals_definition_random_6x8(self):
         rng = np.random.default_rng(3)
         x = (rng.random((10, 4, 6, 8, 3)) < rng.random((10, 1, 1, 1, 3))).astype(float)
@@ -180,7 +158,7 @@ class TestTGAP:
             bits = [(code >> i) & 1 for i in range(9)]
             x = np.array(bits, dtype=float).reshape(1, 1, 3, 3, 1)
             sel = q.tgap_select(x, quantized=True)
-            assert sel.ravel()[0] == float(sum(bits) > q.tgap_count_threshold(3, 3))
+            assert sel.ravel()[0] == float(sum(bits) > 4)  # (3 * 3) // 2
             assert sel.ravel()[0] == float(np.mean(bits) > 0.5)
 
     def test_float_mode_batch_max(self):

@@ -6,18 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billnet import tensors
-from billnet.errors import InvariantViolation, NonBinaryInput, ShapeMismatch
+from billnet.errors import NonBinaryInput, ShapeMismatch
 from billnet.tensors import (
     BitTensor,
-    TernTensor,
     and_count,
     bipolar_dot,
     pack,
-    pack_ternary,
     pack_vector,
     unpack,
     unpack_bits,
-    unpack_ternary,
 )
 
 WORD_BOUNDARY_CHANNELS = (1, 63, 64, 65, 129, 200)
@@ -35,8 +32,10 @@ def rows(bits):
 
 
 def tern_dot(h, w_row):
-    """{-1,0,+1} x {-1,+1}: the plus plane's bipolar dot minus the minus plane's."""
-    return int(bipolar_dot(h.plus.words, w_row).sum() - bipolar_dot(h.minus.words, w_row).sum())
+    """{-1,0,+1} x {-1,+1}: ``h`` packed as word rows of its +1 and its -1
+    entries; the plus row's bipolar dot minus the minus row's."""
+    h = np.asarray(h, dtype=np.int8)[None]
+    return int(bipolar_dot(pack_vector(h == 1), w_row).sum() - bipolar_dot(pack_vector(h == -1), w_row).sum())
 
 
 def shift_lane_words(bits):
@@ -220,40 +219,22 @@ class TestBinaryDot:
 
 
 class TestTernary:
-    def test_plane_overlap_rejected(self):
-        with pytest.raises(InvariantViolation):
-            TernTensor(bits_to_tensor([1, 0]), bits_to_tensor([1, 0]))
-
-    def test_pack_round_trip(self):
-        rng = np.random.default_rng(6)
-        x = rng.integers(-1, 2, size=(2, 2, 1, 3, 40)).astype(np.float64)
-        np.testing.assert_array_equal(unpack_ternary(pack_ternary(x)), x)
-
-    def test_pack_rejects_out_of_range(self):
-        for bad in (2.0, 0.5, np.nan):
-            with pytest.raises(NonBinaryInput):
-                pack_ternary(np.full((1, 1, 1, 1, 2), bad))
-
     def test_balanced_dot(self):
-        h = pack_ternary(np.array([1, 0, -1], dtype=float).reshape(1, 1, 1, 1, 3))
-        assert tern_dot(h, rows([1, 1, 1])) == 0
+        assert tern_dot([1, 0, -1], rows([1, 1, 1])) == 0
 
     def test_zero_state(self):
-        h = pack_ternary(np.zeros((1, 1, 1, 1, 9)))
-        assert tern_dot(h, rows([1] * 9)) == 0
+        assert tern_dot(np.zeros(9), rows([1] * 9)) == 0
 
     def test_sign_product(self):
-        h = pack_ternary(np.array([-1.0]).reshape(1, 1, 1, 1, 1))
-        assert tern_dot(h, rows([0])) == 1  # weight -1
+        assert tern_dot([-1], rows([0])) == 1  # weight -1
 
     def test_matches_integer_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
             n = int(rng.integers(1, 200))
-            h = rng.integers(-1, 2, size=n).astype(np.float64)
+            h = rng.integers(-1, 2, size=n)
             w_bits = (rng.random(n) < 0.5).astype(int)
-            got = tern_dot(pack_ternary(h.reshape(1, 1, 1, 1, n)), rows(w_bits))
-            assert got == int((h * np.where(w_bits, 1, -1)).sum())
+            assert tern_dot(h, rows(w_bits)) == int((h * np.where(w_bits, 1, -1)).sum())
 
 
 class TestShapeAlgebra:

@@ -131,6 +131,29 @@ def test_tape_integer_convs_run_at_exact_precision(config, stage, monkeypatch):
             assert got[key].dtype == val.dtype and np.array_equal(got[key], val), key
 
 
+@pytest.mark.parametrize("config", ["toy", "paper"])
+def test_reference_convs_run_at_the_tape_precision_from_stage_3(config, monkeypatch):
+    # Both walks bound the convs after the stem from stage 3, so the
+    # reference forward runs each conv in the dtype the tape's forward does.
+    overrides = PAPER_CONFIG if config == "paper" else {}
+    model = model_at(3, 4, **overrides)
+    cfg = model.config
+    x = np.random.default_rng(5).integers(0, 256, size=(1, cfg.t, cfg.h, cfg.w, 1)) / 255.0
+    ran, real = [], reference.conv3d
+
+    def conv3d(x, w, spec):
+        ran.append((x.dtype, w.dtype, spec.in_channels, spec.kernel))
+        return real(x, w, spec)
+
+    monkeypatch.setattr(reference, "conv3d", conv3d)
+    reference.forward(model, x)
+    ref_convs = ran[:]
+    ran.clear()
+    training_graph(Tape(), model, bind_params(model), x, np.arange(1))
+    assert ref_convs == ran
+    assert ran[0][0] == np.float64 and any(dt == np.float32 for dt, *_ in ran)
+
+
 def latent_weights(model):
     """Every latent weight array that a stage from 2 on quantizes."""
     out = []
