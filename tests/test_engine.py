@@ -311,7 +311,9 @@ class TestQLSTMStep:
             np.testing.assert_array_equal(h, h_ref)
             np.testing.assert_array_equal(c, c_ref)
 
-    def test_carry_stays_int8_ternary(self):
+    def test_state_stays_ternary_with_disjoint_planes(self):
+        # The carry stays int8 in {-1, 0, 1}, and the plus/minus rows the
+        # step packs h into never share a bit.
         rng = np.random.default_rng(9)
         _, gates = random_gates(rng, 4, 6)
         h, c = zero_carry(1, 6)
@@ -321,6 +323,8 @@ class TestQLSTMStep:
             for carry in (h, c):
                 assert carry.dtype == np.int8 and carry.shape == (1, 6)
                 assert np.isin(carry, (-1, 0, 1)).all()
+            plus, minus = engine._pack_tern_rows(h)
+            assert not np.any(plus & minus)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(10)

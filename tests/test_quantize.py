@@ -1,9 +1,10 @@
-
 import numpy as np
 import pytest
 
+from billnet import autodiff as ad
 from billnet import quantize as q
 from billnet.errors import ZeroScale
+from billnet.tensors import BitTensor, pack, unpack
 
 
 class TestHeaviside:
@@ -53,6 +54,38 @@ class TestClip:
 
     def test_identity_inside(self):
         assert q.clip(0.5) == 0.5
+
+    def test_grad_is_one_on_grid(self):
+        # The tape's straight-through clip: d(sum clip(x))/dx is 1 everywhere.
+        x = np.arange(-3.0, 3.0 + 1e-9, 1e-3)
+        tape = ad.Tape()
+        v = ad.Var(x, trainable=True)
+        ad.backward(tape, ad.sum_all(tape, ad.clip_ste(tape, v)))
+        np.testing.assert_array_equal(v.grad, np.ones_like(x))
+
+
+class TestOrGate:
+    """The residual OR: the reference forms it as clip(x1 + x2) on {0,1}
+    signals, the logic path as the bitwise OR of their packed words."""
+
+    @pytest.mark.parametrize("a,b,expect", [(1, 1, 1), (0, 0, 0), (0, 1, 1), (1, 0, 1)])
+    def test_truth_table(self, a, b, expect):
+        assert q.clip(a + b) == expect
+
+    def test_equals_clip_of_sum_exhaustively(self):
+        # All four (a, b) pairs at every channel of a 130-channel map (three
+        # words), then random maps: packed OR == clip of the sum, bit for bit.
+        c = 130
+        a = (np.arange(c) % 4 >= 2).astype(np.float64)
+        b = (np.arange(c) % 2).astype(np.float64)
+        rng = np.random.default_rng(4)
+        maps = [(a.reshape(1, 1, 1, 1, c), b.reshape(1, 1, 1, 1, c))]
+        for _ in range(20):
+            x1, x2 = rng.integers(0, 2, (2, 2, 1, 2, 2, c)).astype(np.float64)
+            maps.append((x1, x2))
+        for x1, x2 in maps:
+            ored = BitTensor(x1.shape, pack(x1).words | pack(x2).words)
+            np.testing.assert_array_equal(unpack(ored), q.clip(x1 + x2))
 
 
 class TestSignStrict:
@@ -137,6 +170,13 @@ class TestTGAP:
 
     def test_25_of_48_fires(self):
         assert q.tgap_select(self._map(25), quantized=True) == 1.0
+
+    def test_count_threshold_constant(self):
+        # Bitcount form: fire on strictly more than (h * w) // 2 ones, which
+        # is mean > 1/2 for odd and even map sizes alike.
+        for h, w, threshold in ((6, 8, 24), (3, 3, 4), (5, 7, 17), (1, 1, 0)):
+            assert q.tgap_select(self._map(threshold, h, w), quantized=True) == 0.0
+            assert q.tgap_select(self._map(threshold + 1, h, w), quantized=True) == 1.0
 
     def test_exactly_half_does_not_fire(self):
         assert q.tgap_select(self._map(24), quantized=True) == 0.0

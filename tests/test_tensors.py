@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billnet import tensors
+from billnet.engine import _pack_tern_rows
 from billnet.errors import NonBinaryInput, ShapeMismatch
 from billnet.tensors import (
     BitTensor,
@@ -219,6 +220,17 @@ class TestBinaryDot:
 
 
 class TestTernary:
+    def test_pack_round_trip(self):
+        # {-1, 0, 1} int8 values -> the plus and minus word rows a ternary
+        # dot-product operand is packed as -> plus - minus.
+        rng = np.random.default_rng(6)
+        for c in (40, 64, 130):
+            x = rng.integers(-1, 2, size=(2, 2, 1, 3, c)).astype(np.int8)
+            plus, minus = _pack_tern_rows(x)
+            assert not np.any(plus & minus)
+            back = unpack_bits(BitTensor(x.shape, plus)).astype(np.int8) - unpack_bits(BitTensor(x.shape, minus))
+            np.testing.assert_array_equal(back, x)
+
     def test_balanced_dot(self):
         assert tern_dot([1, 0, -1], rows([1, 1, 1])) == 0
 
