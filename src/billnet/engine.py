@@ -35,6 +35,11 @@ conv that reads them casts once.  ``execute`` looks each conv up as
 ``reference.conv3d`` at call time, so a profiler that wraps that one name
 times the engine's convs apart from the rest of ``execute``, as it does the
 reference's.
+
+``compare_paths`` checks the paths against each other tap by tap, streaming:
+the logic taps stay packed while the reference forms its intermediates one
+at a time, each compared in the byte domain (bits as uint8, ints as they
+are) and dropped.  Its report names every diverging tap, not only the first.
 """
 
 from __future__ import annotations
@@ -410,28 +415,88 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
 
 @dataclass
 class Divergence:
+    """A tap on which the two paths disagree.
+
+    ``index``, ``got`` (logic) and ``want`` (reference) locate the first
+    differing element in C order, and ``count`` is how many elements differ.
+    ``why`` is set instead when the tap could not be compared element by
+    element: the reference never produced it, or its size differs; ``count``
+    is then the logic tap's size.  The report ``compare_paths`` returns is
+    the first diverging tap, with every later one in ``later``.
+    """
+
     name: str
     index: tuple
-    got: float
-    want: float
+    got: float | None
+    want: float | None
+    count: int = 1
+    why: str = ""
+    later: list[Divergence] = field(default_factory=list)
+
+    def _summary(self) -> str:
+        if self.why:
+            return f"{self.name}: {self.why}"
+        return (
+            f"{self.name}, index {self.index} (logic={self.got}, reference={self.want}); "
+            f"{self.count} element(s) differ"
+        )
 
     def describe(self) -> str:
-        return (
-            f"first divergence at {self.name}, index {self.index} "
-            f"(logic={self.got}, reference={self.want})"
+        return "\n".join(
+            [f"first divergence at {self._summary()}"] + [f"  then at {d._summary()}" for d in self.later]
         )
 
 
+def _tap_divergence(name: str, got, want: np.ndarray) -> Divergence | None:
+    """Compare one logic tap with the reference intermediate of its name.
+
+    A bit tap is compared as ``unpack_bits`` uint8 and an int tap as it is;
+    the comparison with the reference's float64 casts in the ufunc's
+    buffer, so no full-size float64 copy of a tap is formed."""
+    got = unpack_bits(got) if isinstance(got, BitTensor) else got
+    if want.size != got.size:
+        why = f"shape {got.shape} in the logic path, {want.shape} in the reference"
+        return Divergence(name, (), None, None, got.size, why)
+    want = want.reshape(got.shape)
+    differ = got != want
+    count = int(np.count_nonzero(differ))
+    if not count:
+        return None
+    idx = tuple(int(v) for v in np.unravel_index(np.argmax(differ), differ.shape))
+    return Divergence(name, idx, float(got[idx]), float(want[idx]), count)
+
+
 def compare_paths(model, frames: np.ndarray) -> Divergence | None:
-    """Run both paths on uint8 frames; None when every shared intermediate
-    and the final prediction agree exactly."""
-    res_ref = ref.forward(model, frames.astype(np.float64) / 255.0, record=True)
-    res_logic = execute(compile(model), frames_to_bitplanes(frames))
-    for name, val in res_logic.intermediates.items():
-        got = unpack(val) if isinstance(val, BitTensor) else np.asarray(val, dtype=np.float64)
-        want = np.asarray(res_ref.intermediates[name], dtype=np.float64)
-        want = want.reshape(got.shape)
-        if not np.array_equal(got, want):
-            idx = tuple(int(v) for v in np.argwhere(got != want)[0])
-            return Divergence(name, idx, float(got[idx]), float(want[idx]))
-    return None
+    """Run both paths on uint8 frames and check every logic tap against the
+    reference intermediate of the same name; None when all agree exactly.
+
+    The check streams.  The logic path runs first and its taps stay packed;
+    the reference then runs without recording, and each intermediate it
+    forms is compared with its logic tap at once and dropped (see
+    ``_tap_divergence``), so the check holds about one reference forward
+    plus the packed taps, never every intermediate at once.
+
+    Every tap is checked, not only up to the first that differs.  The
+    report is the first diverging tap in plan order, carrying each later
+    one in ``later``; a tap the reference never produces, or whose size it
+    cannot match, is reported rather than skipped.
+    """
+    taps = execute(compile(model), frames_to_bitplanes(frames)).intermediates
+    found: dict[str, Divergence | None] = {}  # every tap the reference formed
+
+    def check(name: str, want: np.ndarray):
+        if name in taps:
+            found[name] = _tap_divergence(name, taps[name], want)
+
+    ref.forward(model, frames / 255.0, on_tap=check)
+    report = []
+    for name, val in taps.items():
+        if name not in found:
+            size = int(np.prod(val.shape))
+            report.append(Divergence(name, (), None, None, size, "not produced by the reference"))
+        elif found[name] is not None:
+            report.append(found[name])
+    if not report:
+        return None
+    report[0].later = report[1:]
+    return report[0]

@@ -31,6 +31,7 @@ carries the same bits as an all-float64 run through the norms.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
@@ -400,8 +401,16 @@ def snap_to_grid(x: np.ndarray) -> np.ndarray:
     return np.rint(np.asarray(x, dtype=np.float64) * 255) / 255
 
 
-def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
-    """Evaluate the graph at ``model.stage`` on a (N,T,H,W,C) input."""
+def forward(
+    model, x: np.ndarray, record: bool = False, on_tap: Callable[[str, np.ndarray], None] | None = None
+) -> ForwardResult:
+    """Evaluate the graph at ``model.stage`` on a (N,T,H,W,C) input.
+
+    ``record`` keeps every named intermediate in the result; ``on_tap``,
+    when given, is called with each one's name and value as it is formed,
+    in graph order, so a caller can inspect intermediates without the
+    forward holding them all.
+    """
     stage = model.stage
     inter: dict[str, np.ndarray] = {}
     x = snap_to_grid(x)
@@ -412,6 +421,8 @@ def forward(model, x: np.ndarray, record: bool = False) -> ForwardResult:
     def put(key, value):
         if record:
             inter[key] = value
+        if on_tap is not None:
+            on_tap(key, value)
 
     for layer in model.layers:
         kind = layer.kind

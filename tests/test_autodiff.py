@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from billnet import autodiff as ad
-from billnet.quantize import BNParams
-from billnet.reference import ConvSpec, conv3d
+from billnet.model import LSTMLayer
+from billnet.quantize import BNParams, heaviside_ste_grad, sign_strict, tern
+from billnet.reference import ConvSpec, LSTMWeights, conv3d
+from billnet.training import BoundParams, _lstm_nodes
 
 
 def numeric(arr, f, h=1e-4):
@@ -220,3 +222,114 @@ def test_backward_releases_forward_activations():
         assert w.grad is not None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "node,forward,scale",
+    [
+        (lambda tape, x: ad.heaviside_ste(tape, x), lambda x: (x > 0).astype(float), 1.0),
+        (lambda tape, x: ad.sign_ste(tape, x, 0.7), lambda x: 0.7 * sign_strict(x), 0.7),
+        (lambda tape, x: ad.tern_ste(tape, x, 0.7), lambda x: 0.7 * tern(x), 0.7),
+    ],
+    ids=["heaviside", "sign", "tern"],
+)
+def test_ste_windows_are_heaviside_ste_grad(node, forward, scale):
+    # Each quantizer passes its (scaled) upstream gradient through
+    # quantize.heaviside_ste_grad's window: |x| <= 1, both ends included.
+    x0 = np.array([-3.0, -1.0 - 1e-12, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.5])
+    probe = np.random.default_rng(21).normal(size=x0.shape)
+    tape = ad.Tape()
+    x = ad.Var(x0, trainable=True)
+    y = node(tape, x)
+    np.testing.assert_array_equal(y.value, forward(x0))
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))
+    window = heaviside_ste_grad(x0)
+    np.testing.assert_array_equal(window, np.abs(x0) <= 1)
+    np.testing.assert_array_equal(x.grad, probe * scale * window)
+
+
+def test_ste_window_reads_the_float_input_not_exact():
+    # With ``exact`` the step reads the integer form's sign, but the window
+    # still reads the float pre-activation.
+    x0 = np.array([0.5, 3.0, -0.5, -3.0])
+    exact = np.array([-2.0, 6.0, 1.0, -6.0])
+    for node, q in ((ad.heaviside_ste, (exact > 0).astype(float)), (ad.sign_ste, sign_strict(exact))):
+        tape = ad.Tape()
+        x = ad.Var(x0, trainable=True)
+        y = node(tape, x, exact=exact)
+        np.testing.assert_array_equal(y.value, q)
+        ad.backward(tape, ad.sum_all(tape, y))
+        np.testing.assert_array_equal(x.grad, heaviside_ste_grad(x0).astype(float))
+
+
+class Linearized:
+    """Stand-ins for the tape's straight-through nodes, for checking their
+    surrogate gradients by central differences.
+
+    On the first pass each call is anchored at the input it sees: it
+    records the quantized output ``q0`` there, the input ``x0`` and the
+    node's surrogate slope ``s0``.  Every pass returns ``q0 + s0 * (x - x0)``
+    for its call in order.  At the anchor that is the quantized forward,
+    and its exact derivative is the surrogate gradient the tape propagates.
+    """
+
+    def __init__(self, monkeypatch):
+        self.anchors = []
+        self.calls = 0
+        slopes = {
+            "heaviside_ste": lambda x, exact=None: heaviside_ste_grad(x),
+            "sign_ste": lambda x, scale=1.0, exact=None: scale * heaviside_ste_grad(x),
+            "clip_ste": np.ones_like,
+        }
+        for name, slope in slopes.items():
+            monkeypatch.setattr(ad, name, self._node(getattr(ad, name), slope))
+
+    def _node(self, real, slope):
+        def node(tape, x, *args, **kwargs):
+            if self.calls == len(self.anchors):
+                q0 = real(ad.Tape(), ad.Var(x.value), *args, **kwargs).value
+                self.anchors.append((q0, x.value.copy(), slope(x.value, *args, **kwargs)))
+            q0, x0, s0 = self.anchors[self.calls]
+            self.calls += 1
+            return ad.Var(q0 + s0 * (x.value - x0))
+
+        return node
+
+
+@pytest.mark.parametrize("stage", [1, 3, 5], ids=["float", "wq", "fq"])
+def test_lstm_nodes_gradients_match_central_differences(stage, monkeypatch):
+    # float: the smooth cell.  wq: sign_ste kernels under a smooth cell.
+    # fq: step gates and strict-sign candidate read the exact integer
+    # pre-activations, the carry is clip_ste'd.  The quantized modes are
+    # checked against the central differences of their straight-through
+    # linearization (``Linearized``), anchored at the forward's own values.
+    rng = np.random.default_rng(22)
+    n, t_steps, n_i, n_o, den = 2, 3, 3, 4, 6
+    kernels = [rng.uniform(-1.5, 1.5, size=(n_i + n_o, n_o)) for _ in range(4)]
+    biases = [rng.normal(size=n_o) for _ in range(4)] if stage == 1 else [None] * 4
+    lay = LSTMLayer("lstm", LSTMWeights(*kernels, *biases))
+    x0 = rng.integers(0, den + 1, size=(n, t_steps, n_i)) / den  # on the pooled grid k/den
+    probe = rng.normal(size=(n, t_steps, n_o))
+    arrays = {f"lstm.w{tag}": w for tag, w in zip("ifoc", kernels)}
+    arrays.update({f"lstm.b{tag}": b for tag, b in zip("ifoc", biases) if b is not None})
+
+    tape = ad.Tape()
+    bound = BoundParams({name: tape.watch(ad.Var(a, trainable=True)) for name, a in arrays.items()})
+    x = ad.Var(x0, trainable=True)
+    out = _lstm_nodes(tape, x, lay, bound, stage, den)
+    loss = ad.sum_all(tape, ad.mul(tape, out, ad.Var(probe)))
+    ad.backward(tape, loss)
+
+    lin = Linearized(monkeypatch)
+
+    def loss_value():
+        lin.calls = 0
+        free = BoundParams({name: ad.Var(a) for name, a in arrays.items()})
+        return float((_lstm_nodes(ad.Tape(), ad.Var(x0), lay, free, stage, den).value * probe).sum())
+
+    assert loss_value() == float(loss.value)  # anchored at the forward itself
+    assert bool(lin.anchors) == (stage > 1)
+    checks = [(x.grad, x0)] + [(bound.vars[name].grad, a) for name, a in arrays.items()]
+    for grad, arr in checks:
+        np.testing.assert_allclose(grad, numeric(arr, loss_value), rtol=1e-6, atol=1e-9)
+    assert np.any(x.grad != 0) and all(np.any(bound.vars[k].grad != 0) for k in arrays)

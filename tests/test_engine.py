@@ -183,10 +183,74 @@ class TestExecute:
 
         monkeypatch.setattr(engine, "_maxpool_or", dropped)
         frames = np.random.default_rng(12).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
-        div = compare_paths(quantized_toy_model(seed=1), frames)
+        model = quantized_toy_model(seed=1)
+        div = compare_paths(model, frames)
         assert div is not None
         assert div.name == "mp1.out"
         assert (div.got, div.want) == (0.0, 1.0)
+        # Every dropped one differs, and the scan goes on past the first tap:
+        # the report lists the later diverging taps, in plan order.
+        want = reference.forward(model, frames / 255.0, record=True).intermediates
+        assert div.count == np.count_nonzero(want["mp1.out"])
+        names = list(engine.compile(model).outputs)
+        later = [d.name for d in div.later]
+        assert later and "gap.counts" in later
+        assert later == sorted(later, key=names.index)
+        assert names.index(later[0]) > names.index("mp1.out")
+        logic = execute(engine.compile(model), frames_to_bitplanes(frames)).intermediates
+        for d in div.later:
+            got = unpack(logic[d.name]) if isinstance(logic[d.name], BitTensor) else logic[d.name]
+            differ = got != np.reshape(want[d.name], got.shape)
+            assert d.count == np.count_nonzero(differ) > 0
+            assert d.index == tuple(np.argwhere(differ)[0])
+            assert (d.got, d.want) == (got[d.index], np.reshape(want[d.name], got.shape)[d.index])
+            assert not d.later
+        lines = div.describe().splitlines()
+        assert lines[0].startswith("first divergence at mp1.out, index ")
+        assert [line.split()[2].rstrip(",:") for line in lines[1:]] == later
+
+    @pytest.mark.parametrize("bogus", ["missing", "reshaped"])
+    def test_unmatched_tap_is_reported(self, bogus, monkeypatch):
+        # A logic tap the reference never forms, or one whose shape it cannot
+        # match, is a divergence, not a skipped tap or a KeyError.
+        real = engine.compile
+
+        def bogus_compile(model):
+            plan = real(model)
+            if bogus == "missing":
+                plan.outputs["mp1.bogus"] = plan.outputs["mp1.out"]
+            else:
+                plan.outputs["mp1.out"] = plan.outputs["stem.out"]
+            return plan
+
+        monkeypatch.setattr(engine, "compile", bogus_compile)
+        frames = np.random.default_rng(14).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
+        div = compare_paths(quantized_toy_model(seed=1), frames)
+        assert div is not None and not div.later
+        assert div.name == ("mp1.bogus" if bogus == "missing" else "mp1.out")
+        assert (div.index, div.got, div.want) == ((), None, None)
+        assert div.why and div.why in div.describe()
+
+    def test_compare_paths_peak_below_recorded_reference(self):
+        # Streaming: compare_paths holds the packed logic taps and one
+        # unrecorded reference forward, less than a recorded forward alone.
+        model = build(toy_config(seed=3, blocks=("cf:n",) * 8))
+        for k in (2, 3, 4, 5):
+            apply_stage_transition(model, k)
+        frames = np.random.default_rng(15).integers(0, 256, size=(2, 8, 24, 32, 1), dtype=np.uint8)
+        x = frames / 255.0
+
+        def traced(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, recorded = traced(lambda: reference.forward(model, x, record=True))
+        div, streamed = traced(lambda: compare_paths(model, frames))
+        assert div is None
+        assert streamed < recorded, (streamed, recorded)
 
     def test_intermediates_stay_packed(self):
         plan = engine.compile(quantized_toy_model(seed=6))
