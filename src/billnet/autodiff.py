@@ -13,14 +13,17 @@ surrogate (straight-through) gradients, windowed by ``quantize.heaviside_ste_gra
 Latent (real) parameters therefore receive gradients straight through their
 quantized images.
 
-Only what some trainable depends on is differentiated.  A leaf ``Var``
-needs a gradient iff it is ``trainable``; data leaves need none.  An op's
-output needs one iff some input does.  ``Tape.record`` applies that rule
-for every op: it keeps the op's backward closure only when some input
-needs a gradient and returns whether one does, which the op stores on its
-output.  ``Tape._acc`` drops a gradient bound for a ``Var`` that needs
-none, so such a ``Var``'s ``grad`` stays None; an op whose input gradient
-is costly (``conv3d_op``) does not form it at all.
+Every op is its forward value plus a gradient formula, handed to ``_op``,
+the one place that records on the tape.  Only what some trainable depends
+on is differentiated.  A leaf ``Var`` needs a gradient iff it is
+``trainable``; data leaves need none.  An op's output needs one iff some
+input does.  ``_op`` wraps the value in a ``Var`` and, through
+``Tape.record``, keeps a backward closure only when some input needs a
+gradient.  The closure runs the formula only once the output has received
+a gradient, and passes the formula's gradients, one per input, to
+``Tape._acc``, which drops a gradient bound for a ``Var`` that needs none,
+so such a ``Var``'s ``grad`` stays None.  A formula whose input gradient is
+costly (``conv3d_op``) is a generator that stops before forming it.
 
 Gradients are shared, never written in place: ``Tape._acc`` stores the array
 an op hands it (or a fresh sum), so one array may be the upstream gradient of
@@ -124,163 +127,98 @@ def backward(tape: Tape, loss: Var):
     tape._backward.clear()
 
 
+def _op(tape: Tape, value, inputs, grads) -> Var:
+    """The output ``Var`` of an op with forward ``value`` on ``inputs``.
+
+    Its backward runs only if some input needs a gradient and the output
+    received one: ``grads(out.grad)`` then gives one gradient per input, in
+    the order of ``inputs``, and each is accumulated as it comes.  A
+    generator ``grads`` forms each gradient after the previous one is
+    accumulated, and may stop early to skip the rest.
+    """
+    out = Var(value)
+
+    def bwd():
+        if out.grad is not None:
+            for v, g in zip(inputs, grads(out.grad)):
+                tape._acc(v, g)
+
+    out.requires_grad = tape.record(bwd, *inputs)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Smooth primitives
 # ---------------------------------------------------------------------------
 
 
 def add(tape: Tape, a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value)
-
-    def bwd():
-        if out.grad is None:
-            return
-        tape._acc(a, out.grad)
-        tape._acc(b, out.grad)
-
-    out.requires_grad = tape.record(bwd, a, b)
-    return out
+    return _op(tape, a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def mul(tape: Tape, a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value)
-
-    def bwd():
-        if out.grad is None:
-            return
-        tape._acc(a, out.grad * b.value)
-        tape._acc(b, out.grad * a.value)
-
-    out.requires_grad = tape.record(bwd, a, b)
-    return out
+    return _op(tape, a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def scale_const(tape: Tape, a: Var, s) -> Var:
-    out = Var(a.value * s)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, out.grad * s)
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(tape, a.value * s, (a,), lambda g: (g * s,))
 
 
 def matmul(tape: Tape, a: Var, w: Var) -> Var:
     """(..., k) @ (k, m); weight is 2-D."""
-    out = Var(a.value @ w.value)
 
-    def bwd():
-        if out.grad is None:
-            return
-        tape._acc(a, out.grad @ w.value.T)
-        ga = a.value.reshape(-1, a.value.shape[-1])
-        go = out.grad.reshape(-1, out.grad.shape[-1])
-        tape._acc(w, ga.T @ go)
+    def grads(g):
+        yield g @ w.value.T
+        yield a.value.reshape(-1, a.value.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
-    out.requires_grad = tape.record(bwd, a, w)
-    return out
+    return _op(tape, a.value @ w.value, (a, w), grads)
 
 
 def concat(tape: Tape, a: Var, b: Var, axis: int = -1) -> Var:
-    out = Var(np.concatenate([a.value, b.value], axis=axis))
     na = a.value.shape[axis]
-
-    def bwd():
-        if out.grad is None:
-            return
-        ga, gb = np.split(out.grad, [na], axis=axis)
-        tape._acc(a, ga)
-        tape._acc(b, gb)
-
-    out.requires_grad = tape.record(bwd, a, b)
-    return out
+    value = np.concatenate([a.value, b.value], axis=axis)
+    return _op(tape, value, (a, b), lambda g: np.split(g, [na], axis=axis))
 
 
 def mean_axes(tape: Tape, a: Var, axes: tuple) -> Var:
-    out = Var(a.value.mean(axis=axes))
     count = np.prod([a.value.shape[ax] for ax in axes])
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, np.broadcast_to(np.expand_dims(out.grad, axes) / count, a.value.shape))
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(
+        tape, a.value.mean(axis=axes), (a,),
+        lambda g: (np.broadcast_to(np.expand_dims(g, axes) / count, a.value.shape),),
+    )
 
 
 def sum_all(tape: Tape, a: Var) -> Var:
-    out = Var(a.value.sum())
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, np.broadcast_to(out.grad, a.value.shape))
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(tape, a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape),))
 
 
 def relu(tape: Tape, a: Var) -> Var:
-    out = Var(np.maximum(a.value, 0.0))
     mask = a.value > 0
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, out.grad * mask)
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(tape, np.maximum(a.value, 0.0), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(tape: Tape, a: Var) -> Var:
     s = 1.0 / (1.0 + np.exp(-a.value))
-    out = Var(s)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, out.grad * s * (1.0 - s))
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(tape, s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def tanh(tape: Tape, a: Var) -> Var:
     t = np.tanh(a.value)
-    out = Var(t)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(a, out.grad * (1.0 - t * t))
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(tape, t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def select_time(tape: Tape, a: Var, t: int) -> Var:
-    out = Var(a.value[:, t])
+    def grads(g):
+        ga = np.zeros_like(a.value)
+        ga[:, t] = g
+        return (ga,)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.value)
-        g[:, t] = out.grad
-        tape._acc(a, g)
-
-    out.requires_grad = tape.record(bwd, a)
-    return out
+    return _op(tape, a.value[:, t], (a,), grads)
 
 
 def stack_time(tape: Tape, items: list[Var]) -> Var:
-    out = Var(np.stack([v.value for v in items], axis=1))
-
-    def bwd():
-        if out.grad is None:
-            return
-        for t, v in enumerate(items):
-            tape._acc(v, out.grad[:, t])
-
-    out.requires_grad = tape.record(bwd, *items)
-    return out
+    value = np.stack([v.value for v in items], axis=1)
+    return _op(tape, value, items, lambda g: [g[:, t] for t in range(len(items))])
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +232,12 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
     ``reference._conv`` at the precision ``reference.exact_dtype`` proves
     exact for its sums, so the float64 output carries the same bits as a
     float64 conv.  The backward is float64 either way."""
-    out = Var(_conv(x.value, w.value, spec, bound)[0])
     kt, kh, kw = spec.kernel
     g = spec.groups
     cig = spec.in_channels // g
     cog = spec.out_channels // g
 
-    def bwd():
-        if out.grad is None:
-            return
-        gout = out.grad
+    def grads(gout):
         # weight gradient: the forward's im2col columns against the output grad
         gw = np.empty_like(w.value)
         cols = _columns(x.value, spec.kernel, spec.strides, g)
@@ -311,7 +245,7 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
             go = gout[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
             gw[..., gi * cog : (gi + 1) * cog] = (cols(gi).T @ go).reshape(kt, kh, kw, cig, cog)
         del cols  # frees the padded input before the input gradient allocates
-        tape._acc(w, gw)
+        yield gw
         if not x.requires_grad:
             return
         # The input gradient is the transposed conv: the output gradient,
@@ -330,10 +264,9 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
         wt = w.value[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
         wt = wt.transpose(0, 1, 2, 5, 4, 3).reshape(kt, kh, kw, cog, g * cig)
         tspec = ConvSpec(spec.kernel, (1, 1, 1), g, spec.out_channels, spec.in_channels)
-        tape._acc(x, conv3d(gout, wt, tspec))
+        yield conv3d(gout, wt, tspec)
 
-    out.requires_grad = tape.record(bwd, x, w)
-    return out
+    return _op(tape, _conv(x.value, w.value, spec, bound)[0], (w, x), grads)
 
 
 def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
@@ -344,19 +277,15 @@ def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
     crop = x.value[:, : to * wt, : ho * wh, : wo * ww, :]
     blocks = crop.reshape(n, to, wt, ho, wh, wo, ww, c)
     out_val = blocks.max(axis=(2, 4, 6))
-    out = Var(out_val)
     mask = blocks == out_val[:, :, None, :, None, :, None, :]
 
-    def bwd():
-        if out.grad is None:
-            return
+    def grads(g):
         gx = np.zeros_like(x.value)
-        gb = mask * out.grad[:, :, None, :, None, :, None, :]
+        gb = mask * g[:, :, None, :, None, :, None, :]
         gx[:, : to * wt, : ho * wh, : wo * ww, :] = gb.reshape(n, to * wt, ho * wh, wo * ww, c)
-        tape._acc(x, gx)
+        return (gx,)
 
-    out.requires_grad = tape.record(bwd, x)
-    return out
+    return _op(tape, out_val, (x,), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -379,42 +308,30 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
     xhat *= ivar
     np.multiply(gamma.value, xhat, out=y)  # the squares' buffer becomes the output
     y += beta.value
-    out = Var(y)
     p.mean = (1.0 - momentum) * p.mean + momentum * mu
     p.var = (1.0 - momentum) * p.var + momentum * var
     m = x.value.size // x.value.shape[-1]
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def grads(g):
         gbeta = g.sum(axis=axes)
         gx = g * xhat
         ggamma = gx.sum(axis=axes)
-        tape._acc(gamma, ggamma)
-        tape._acc(beta, gbeta)
+        yield ggamma
+        yield gbeta
         # closed-form adjoint: gamma*ivar * (g - mean(g) - xhat*mean(g*xhat)),
         # in the buffer that held g*xhat
         np.multiply(xhat, ggamma / m, out=gx)
         np.subtract(g, gx, out=gx)
         gx -= gbeta / m
         gx *= gamma.value * ivar
-        tape._acc(x, gx)
+        yield gx
 
-    out.requires_grad = tape.record(bwd, x, gamma, beta)
-    return out
+    return _op(tape, y, (gamma, beta, x), grads)
 
 
 def channel_affine(tape: Tape, x: Var, scale: np.ndarray) -> Var:
     """Fixed per-channel scale (a folded power-of-two shift)."""
-    out = Var(x.value * scale)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(x, out.grad * scale)
-
-    out.requires_grad = tape.record(bwd, x)
-    return out
+    return _op(tape, x.value * scale, (x,), lambda g: (g * scale,))
 
 
 # ---------------------------------------------------------------------------
@@ -426,66 +343,36 @@ def heaviside_ste(tape: Tape, x: Var, exact: np.ndarray | None = None) -> Var:
     """Strict step of ``x``.  ``exact``, when given, is a positive multiple of
     ``x`` formed without rounding (an integer pre-activation); the step then
     reads its sign, while the surrogate window still reads ``x``."""
-    out = Var(q_heaviside(x.value if exact is None else exact))
     window = heaviside_ste_grad(x.value)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(x, out.grad * window)
-
-    out.requires_grad = tape.record(bwd, x)
-    return out
+    value = q_heaviside(x.value if exact is None else exact)
+    return _op(tape, value, (x,), lambda g: (g * window,))
 
 
 def clip_ste(tape: Tape, x: Var) -> Var:
-    out = Var(q_clip(x.value))
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(x, out.grad)
-
-    out.requires_grad = tape.record(bwd, x)
-    return out
+    return _op(tape, q_clip(x.value), (x,), lambda g: (g,))
 
 
 def sign_ste(tape: Tape, x: Var, scale: float = 1.0, exact: np.ndarray | None = None) -> Var:
     """Scaled strict sign of ``x``; ``exact`` as in ``heaviside_ste``."""
-    out = Var(scale * sign_strict(x.value if exact is None else exact))
     window = heaviside_ste_grad(x.value)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(x, out.grad * (scale * window))
-
-    out.requires_grad = tape.record(bwd, x)
-    return out
+    value = scale * sign_strict(x.value if exact is None else exact)
+    return _op(tape, value, (x,), lambda g: (g * (scale * window),))
 
 
 def tern_ste(tape: Tape, x: Var, scale: float) -> Var:
     """Scaled ternarization; the data-dependent threshold is not differentiated."""
-    out = Var(scale * tern(x.value))
     window = heaviside_ste_grad(x.value)
-
-    def bwd():
-        if out.grad is not None:
-            tape._acc(x, out.grad * (scale * window))
-
-    out.requires_grad = tape.record(bwd, x)
-    return out
+    return _op(tape, scale * tern(x.value), (x,), lambda g: (g * (scale * window),))
 
 
 def mux_select(tape: Tape, i0: Var, i1: Var, sel: np.ndarray) -> Var:
     """Two-way channel select with a constant (non-differentiated) control."""
-    out = Var(i1.value * sel + i0.value * (1.0 - sel))
 
-    def bwd():
-        if out.grad is None:
-            return
-        tape._acc(i1, out.grad * sel)
-        tape._acc(i0, out.grad * (1.0 - sel))
+    def grads(g):
+        yield g * sel
+        yield g * (1.0 - sel)
 
-    out.requires_grad = tape.record(bwd, i0, i1)
-    return out
+    return _op(tape, i1.value * sel + i0.value * (1.0 - sel), (i1, i0), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +387,10 @@ def softmax_cce(tape: Tape, logits: Var, labels: np.ndarray) -> Var:
     probs = ez / ez.sum(axis=1, keepdims=True)
     n = logits.value.shape[0]
     nll = -np.log(np.maximum(probs[np.arange(n), labels], 1e-300))
-    out = Var(nll.mean())
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = probs.copy()
-        g[np.arange(n), labels] -= 1.0
-        tape._acc(logits, out.grad * g / n)
+    def grads(g):
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0
+        return (g * d / n,)
 
-    out.requires_grad = tape.record(bwd, logits)
-    return out
+    return _op(tape, nll.mean(), (logits,), grads)

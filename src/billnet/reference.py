@@ -332,13 +332,6 @@ def lstm_mode(stage: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def dense_head(h_seq: np.ndarray, w: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Per-step logits: (N, T', n) @ (n, classes), scaled."""
-    if h_seq.shape[-1] != w.shape[0]:
-        raise ShapeMismatch(f"h_seq {h_seq.shape} vs dense kernel {w.shape}")
-    return scale * (h_seq @ w)
-
-
 def aggregate_logits(logits: np.ndarray) -> np.ndarray:
     """Class scores: mean of per-step logits over the time axis."""
     return logits.mean(axis=1)
@@ -490,16 +483,12 @@ def forward(
                 # the information the classifier consumes.
             put(f"{layer.name}.out", x)
         elif kind == "dense":
-            if stage <= 1:
-                logits = dense_head(x, layer.w)
-                scores = aggregate_logits(logits)
-            else:
-                t_vals, scale = stern(layer.w, layer.m)
-                raw = x @ t_vals  # exact integers from stage 5 on
-                logits = scale * raw
-                scores = scale * aggregate_logits(raw)
-                if stage >= 5:
-                    put(f"{layer.name}.intlogits", np.rint(raw).astype(np.int64))
+            w, scale = stern(layer.w, layer.m) if stage >= 2 else (layer.w, 1.0)
+            raw = x @ w  # exact integers from stage 5 on
+            logits = scale * raw
+            scores = scale * aggregate_logits(raw)
+            if stage >= 5:
+                put(f"{layer.name}.intlogits", np.rint(raw).astype(np.int64))
             put(f"{layer.name}.logits", logits)
         else:
             raise TypeError(f"unknown layer kind {kind!r}")

@@ -1,5 +1,7 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,22 @@ def test_requires_grad_propagates():
     np.testing.assert_array_equal(w.grad, only_data.value)
 
 
+def test_only_op_records_on_the_tape():
+    # Every op hands its value and gradient formula to autodiff._op, the one
+    # caller of Tape.record, so no op keeps a private copy of the protocol.
+    callers = []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            callers += [
+                f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "record"
+            ]
+    assert callers == ["autodiff._op"]
+
+
 @pytest.mark.parametrize("window,size", [((1, 2, 2), (3, 5, 4)), ((2, 2, 2), (5, 4, 7))])
 def test_maxpool3d_op_gradients_match_central_differences(window, size):
     rng = np.random.default_rng(17)
@@ -149,6 +167,55 @@ def test_softmax_cce_gradients_match_central_differences():
     z = ad.Var(z0, trainable=True)
     ad.backward(tape, ad.softmax_cce(tape, z, labels))
     np.testing.assert_allclose(z.grad, numeric(z0, loss_value), rtol=1e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda tape, x: ad.relu(tape, x),
+        lambda tape, x: ad.scale_const(tape, x, -0.37),
+        lambda tape, x: ad.channel_affine(tape, x, np.array([0.5, 2.0, -1.0, 0.25])),
+        lambda tape, x: ad.mean_axes(tape, x, (2, 3)),
+        lambda tape, x: ad.mean_axes(tape, x, (1,)),
+    ],
+    ids=["relu", "scale_const", "channel_affine", "mean_axes-23", "mean_axes-1"],
+)
+def test_pointwise_and_mean_gradients_match_central_differences(op):
+    rng = np.random.default_rng(23)
+    x0 = rng.normal(size=(2, 3, 4, 5, 4))
+    x0[np.abs(x0) < 1e-2] = 0.5  # no step of h crosses relu's kink
+    probe = rng.normal(size=op(ad.Tape(), ad.Var(x0)).shape)
+
+    def loss_value():
+        return float((op(ad.Tape(), ad.Var(x0)).value * probe).sum())
+
+    tape = ad.Tape()
+    x = ad.Var(x0, trainable=True)
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, op(tape, x), ad.Var(probe))))
+    np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-7, atol=1e-8)
+
+
+def test_dangling_output_runs_no_gradient_formula(monkeypatch):
+    # Ops whose outputs never reach the loss: no gradient reaches their
+    # trainable inputs, and the conv forms no weight-gradient columns.
+    rng = np.random.default_rng(24)
+    spec = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 3)
+    accumulated, columns = [], []
+    real_acc, real_columns = ad.Tape._acc, ad._columns
+    monkeypatch.setattr(ad.Tape, "_acc", lambda tape, var, g: accumulated.append(var) or real_acc(tape, var, g))
+    monkeypatch.setattr(ad, "_columns", lambda *args: columns.append(args) or real_columns(*args))
+    tape = ad.Tape()
+    v = ad.Var(rng.normal(size=(2, 3)), trainable=True)
+    w = ad.Var(rng.normal(size=spec.weight_shape), trainable=True)
+    used = tape.watch(ad.Var(rng.normal(size=(2, 3)), trainable=True))
+    dangling = [ad.tanh(tape, v), ad.conv3d_op(tape, ad.Var(rng.normal(size=(1, 2, 3, 3, 2))), w, spec)]
+    assert all(d.requires_grad for d in dangling)
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, used, used)))
+    assert v.grad is None and w.grad is None
+    assert all(d.grad is None for d in dangling)
+    assert columns == [] and not any(var is v or var is w for var in accumulated)
+    assert any(var is used for var in accumulated)
+    np.testing.assert_array_equal(used.grad, 2.0 * used.value)
 
 
 def _fresh_norm(c):

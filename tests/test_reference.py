@@ -350,7 +350,7 @@ class TestLSTMCell:
 
 class TestHead:
     def test_zero_sequence_ties_break_low(self):
-        logits = ref.dense_head(np.zeros((2, 3, 5)), np.zeros((5, 4)))
+        logits = np.zeros((2, 3, 5)) @ np.zeros((5, 4))
         np.testing.assert_array_equal(logits, np.zeros((2, 3, 4)))
         scores = ref.aggregate_logits(logits)
         np.testing.assert_array_equal(ref.predict(scores), [0, 0])
@@ -359,8 +359,8 @@ class TestHead:
         rng = np.random.default_rng(11)
         h = rng.normal(size=(4, 3, 6))
         w = rng.normal(size=(6, 5))
-        a = ref.predict(ref.aggregate_logits(ref.dense_head(h, w, 1.0)))
-        b = ref.predict(ref.aggregate_logits(ref.dense_head(h, w, 0.037)))
+        a = ref.predict(ref.aggregate_logits(h @ w))
+        b = ref.predict(0.037 * ref.aggregate_logits(h @ w))
         np.testing.assert_array_equal(a, b)
 
 

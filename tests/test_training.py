@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from billnet import autodiff, reference
 from billnet.autodiff import Tape, backward
@@ -71,6 +73,41 @@ def test_only_the_stem_input_goes_without_gradient(stage, monkeypatch):
     backward(tape, loss)
     assert [x.grad is None for x in inputs] == [True] + [False] * (len(inputs) - 1)
     assert all(v.grad is not None for v in bound.vars.values())
+
+
+@st.composite
+def model_overrides(draw):
+    """toy_config overrides: 1-3 input channels, n and g off any word
+    boundary, small odd or even H/W (as many pools as the stem's output
+    allows), T from 1, m from 1, 2-4 classes, cf/mor blocks of 1-3n."""
+    g = draw(st.integers(1, 3))
+    entries = st.sampled_from(("mp", "cf:n", "cf:2n", "mor:n", "mor:2n", "mor:3n"))
+    blocks = draw(st.lists(entries, min_size=1, max_size=4))
+    lo = 2 ** (blocks.count("mp") + 1) - 1  # the stem's ceil(h/2) halved per pool stays >= 1
+    return dict(
+        in_channels=draw(st.integers(1, 3)), g=g, n=2 * g * draw(st.integers(1, 3)),
+        h=draw(st.integers(lo, lo + 8)), w=draw(st.integers(lo, lo + 8)), t=draw(st.integers(1, 4)),
+        m=draw(st.integers(1, 3)), num_classes=draw(st.integers(2, 4)), blocks=tuple(blocks),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    overrides=dict(in_channels=3, g=3, n=6, h=7, w=9, t=1, m=1, num_classes=2, blocks=("cf:n", "mp", "mor:3n")),
+    seed=0,
+)
+@given(overrides=model_overrides(), seed=st.integers(0, 2**16))
+def test_fuzzed_stage5_models_agree_on_both_paths_and_the_tape(overrides, seed):
+    model = model_at(5, seed, **overrides)
+    cfg = model.config
+    frames = np.random.default_rng(seed).integers(
+        0, 256, size=(2, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8
+    )
+    assert compare_paths(model, frames) is None
+    x = frames / 255.0
+    _, scores = training_graph(Tape(), model, bind_params(model), x, np.arange(2) % cfg.num_classes)
+    gap = np.abs(scores - reference.forward(model, x).scores).max()
+    assert gap <= 1e-12, gap
 
 
 # toy_config overrides that give the paper-scale BillnetConfig.
