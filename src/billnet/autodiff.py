@@ -43,7 +43,7 @@ from .quantize import (
     sign_strict,
     tern,
 )
-from .reference import ConvSpec, _columns, _conv, conv3d
+from .reference import ConvSpec, _blocks, _columns, _conv, conv3d
 from .tensors import conv_same_pads
 
 
@@ -160,10 +160,6 @@ def mul(tape: Tape, a: Var, b: Var) -> Var:
     return _op(tape, a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
-def scale_const(tape: Tape, a: Var, s) -> Var:
-    return _op(tape, a.value * s, (a,), lambda g: (g * s,))
-
-
 def matmul(tape: Tape, a: Var, w: Var) -> Var:
     """(..., k) @ (k, m); weight is 2-D."""
 
@@ -270,19 +266,16 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
 
 
 def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
-    """Non-overlapping max pooling (strides == window), floor mode."""
-    wt, wh, ww = window
-    n, t, h, w_, c = x.value.shape
-    to, ho, wo = t // wt, h // wh, w_ // ww
-    crop = x.value[:, : to * wt, : ho * wh, : wo * ww, :]
-    blocks = crop.reshape(n, to, wt, ho, wh, wo, ww, c)
+    """Max pooling over ``reference._blocks``, the non-overlapping windows in
+    floor mode.  Every maximum of a window, tied or not, receives the
+    window's full gradient."""
+    blocks = _blocks(x.value, window)
     out_val = blocks.max(axis=(2, 4, 6))
     mask = blocks == out_val[:, :, None, :, None, :, None, :]
 
     def grads(g):
-        gx = np.zeros_like(x.value)
-        gb = mask * g[:, :, None, :, None, :, None, :]
-        gx[:, : to * wt, : ho * wh, : wo * ww, :] = gb.reshape(n, to * wt, ho * wh, wo * ww, c)
+        gx = np.zeros(x.value.shape)  # C order: its blocks are a view
+        _blocks(gx, window)[...] = mask * g[:, :, None, :, None, :, None, :]
         return (gx,)
 
     return _op(tape, out_val, (x,), grads)

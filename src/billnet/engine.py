@@ -51,7 +51,7 @@ import numpy as np
 from . import reference as ref
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
 from .quantize import sign_strict, stern
-from .reference import ConvSpec, _windows
+from .reference import ConvSpec, _blocks
 from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, unpack, unpack_bits
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
         elif lay.kind == "mp":
             cur = plan.emit(
                 "maxpool-or", f"{lay.name}.out", (cur,), "bits",
-                window=lay.window, strides=lay.strides,
+                window=lay.window, strides=lay.window,  # non-overlapping; plan readers take both
             )
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "gap":
@@ -323,8 +323,8 @@ def _threshold(x: np.ndarray) -> BitTensor:
     return pack(x > 0)
 
 
-def _maxpool_or(bt: BitTensor, window, strides) -> BitTensor:
-    words = np.bitwise_or.reduce(_windows(bt.words, window, strides), axis=(4, 5, 6))
+def _maxpool_or(bt: BitTensor, window) -> BitTensor:
+    words = np.bitwise_or.reduce(_blocks(bt.words, window), axis=(2, 4, 6))
     return BitTensor((*words.shape[:4], bt.channels), words)
 
 
@@ -380,7 +380,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         elif op.kind == "or":
             out = BitTensor(args[0].shape, args[0].words | args[1].words)
         elif op.kind == "maxpool-or":
-            out = _maxpool_or(args[0], p["window"], p["strides"])
+            out = _maxpool_or(args[0], p["window"])
         elif op.kind == "gap-count":
             out = _gap_count(args[0])
         elif op.kind == "qlstm":

@@ -53,10 +53,13 @@ class BillnetConfig:
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
+        small = [f for f in ("n", "g", "m", "t", "h", "w", "in_channels") if getattr(self, f) < 1]
+        if small:
+            raise BadConfig(f"sizes must be positive: {', '.join(small)}")
         if self.n % (2 * self.g):
             raise BadConfig(f"n={self.n} must be divisible by 2*g={2 * self.g}")
-        if self.m < 1 or self.num_classes < 2:
-            raise BadConfig("need m >= 1 and at least two classes")
+        if self.num_classes < 2:
+            raise BadConfig("need at least two classes")
         for entry in self.blocks:
             if entry != "mp" and not re.fullmatch(r"(mor|cf):\d*n", entry):
                 raise BadConfig(f"bad block entry {entry!r} (want 'mor:<k>n', 'cf:<k>n' or 'mp')")
@@ -132,7 +135,6 @@ class MaxPoolLayer:
     kind: ClassVar[str] = "mp"
     name: str
     window: tuple = (1, 2, 2)
-    strides: tuple = (1, 2, 2)
     in_shape: tuple = ()
     out_shape: tuple = ()
 
@@ -170,11 +172,24 @@ class ModelGraph:
     layers: list
     stage: int = 1
 
-    def layer(self, name: str):
-        for lay in self.layers:
-            if lay.name == name:
-                return lay
-        raise KeyError(name)
+
+def latents(lay) -> dict[str, np.ndarray]:
+    """A layer's latent weight arrays by tag: the one inventory of them."""
+    if lay.kind in ("stem", "dense"):
+        return {"w": lay.w}
+    if lay.kind in ("cf", "mor"):
+        out = {"pw1": lay.pw1_w, "gconv": lay.gconv_w, "pw2": lay.pw2_w}
+        if getattr(lay, "skip_w", None) is not None:
+            out["skip"] = lay.skip_w
+        return out
+    if lay.kind == "lstm":
+        return dict(zip(("wi", "wf", "wo", "wc"), lay.weights.kernels()))
+    return {}
+
+
+def norms(lay) -> dict[str, BNParams | ShiftNorm]:
+    """A layer's norms by attribute name: ``norm``, or ``norm1`` and ``norm2``."""
+    return {a: getattr(lay, a) for a in ("norm", "norm1", "norm2") if hasattr(lay, a)}
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +232,7 @@ def build(cfg: BillnetConfig) -> ModelGraph:
             out = pool_output_shape(shape, win, win)
             if any(d < 1 for d in out):
                 raise BadConfig(f"pooling below 1x1 at block {mp_i}: {shape} -> {out}")
-            layers.append(MaxPoolLayer(f"mp{mp_i}", win, win, shape + (c,), out + (c,)))
+            layers.append(MaxPoolLayer(f"mp{mp_i}", win, shape + (c,), out + (c,)))
             shape = out
             continue
         kind, mult = entry.split(":")[0], _channel_mult(entry)
@@ -292,11 +307,8 @@ def apply_stage_transition(model: ModelGraph, stage: int) -> ModelGraph:
                 lay.weights.bi = lay.weights.bf = lay.weights.bo = lay.weights.bc = None
     if stage == 4:
         for lay in model.layers:
-            if lay.kind in ("stem", "cf"):
-                lay.norm = bsn_fold(lay.norm)
-            elif lay.kind == "mor":
-                lay.norm1 = bsn_fold(lay.norm1)
-                lay.norm2 = bsn_fold(lay.norm2)
+            for attr, norm in norms(lay).items():
+                setattr(lay, attr, bsn_fold(norm))
     model.stage = stage
     return model
 
@@ -356,24 +368,11 @@ def count_params(model: ModelGraph, stage: int | None = None) -> ParamReport:
     stage = model.stage if stage is None else stage
     rep = ParamReport(stage=stage)
     for lay in model.layers:
-        bits = _weight_bits(lay.kind, stage)
-        if lay.kind == "stem":
-            n = lay.w.size
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, _norm_bits(lay.norm)))
-        elif lay.kind == "cf":
-            n = lay.pw1_w.size + lay.gconv_w.size + lay.pw2_w.size
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, _norm_bits(lay.norm)))
-        elif lay.kind == "mor":
-            n = lay.pw1_w.size + lay.gconv_w.size + lay.pw2_w.size
-            if lay.skip_w is not None:
-                n += lay.skip_w.size
-            book = _norm_bits(lay.norm1) + _norm_bits(lay.norm2)
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, book))
-        elif lay.kind == "lstm":
-            n = sum(w.size for w in lay.weights.kernels())
-            book = sum(b.size * 32 for b in lay.weights.biases() if b is not None)
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, book))
-        elif lay.kind == "dense":
-            n = lay.w.size
-            rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, 0))
+        n = sum(w.size for w in latents(lay).values())
+        if not n:
+            continue
+        book = sum(_norm_bits(norm) for norm in norms(lay).values())
+        if lay.kind == "lstm":
+            book += sum(b.size * 32 for b in lay.weights.biases() if b is not None)
+        rep.layers.append(LayerParams(lay.name, lay.kind, n, n * _weight_bits(lay.kind, stage), book))
     return rep

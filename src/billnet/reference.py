@@ -87,8 +87,6 @@ class ConvSpec:
 def _windows(a: np.ndarray, window, strides) -> np.ndarray:
     """Floor-mode (N,To,Ho,Wo,kt,kh,kw,C) window view over the (T,H,W) axes."""
     dims = [(s - k) // st + 1 for s, k, st in zip(a.shape[1:4], window, strides)]
-    if any(d < 1 for d in dims):
-        raise ShapeMismatch(f"window {window} larger than input {a.shape}")
     sn, st_, sh, sw, sc = a.strides
     return as_strided(
         a,
@@ -178,11 +176,25 @@ def _conv(x, w, spec: ConvSpec, bound: int | None = None):
     return conv3d(x.astype(dtype, copy=False), w.astype(dtype, copy=False), spec), bound
 
 
-def maxpool3d(x: np.ndarray, window=(1, 2, 2), strides=None) -> np.ndarray:
-    """Max pooling over (T,H,W) windows, floor mode (remainder cropped)."""
-    if x.ndim != 5:
-        raise ShapeMismatch(f"expected 5 axes, got {x.shape}")
-    return _windows(x, window, strides or window).max(axis=(4, 5, 6))
+def _blocks(a: np.ndarray, window) -> np.ndarray:
+    """The whole non-overlapping windows of ``a`` over its (T,H,W) axes,
+    floor mode, as (N, To, kt, Ho, kh, Wo, kw, C): a reshape of a cropped
+    slice, which only splits axes, so it is a view, writeable wherever ``a``
+    is.  Reduce it over axes (2, 4, 6) to pool."""
+    if a.ndim != 5:
+        raise ShapeMismatch(f"expected 5 axes, got {a.shape}")
+    dims = [s // k for s, k in zip(a.shape[1:4], window)]
+    if 0 in dims:
+        raise ShapeMismatch(f"window {window} larger than input {a.shape}")
+    (to, ho, wo), (kt, kh, kw) = dims, window
+    crop = a[:, : to * kt, : ho * kh, : wo * kw]
+    return crop.reshape(a.shape[0], to, kt, ho, kh, wo, kw, a.shape[4])
+
+
+def maxpool3d(x: np.ndarray, window=(1, 2, 2)) -> np.ndarray:
+    """Max pooling over non-overlapping (T,H,W) windows, floor mode
+    (remainder cropped)."""
+    return _blocks(x, window).max(axis=(2, 4, 6))
 
 
 def gap_spatial(x: np.ndarray) -> np.ndarray:
@@ -273,9 +285,9 @@ def lstm_cell(
     mode 'fq':     step gates, strict-sign candidate, cell state saturated
                    to {-1,0,+1}, output squash removed (h = o * c).
 
-    In 'fq' mode with ``input_denominator`` d, inputs are taken to lie on
-    the grid k/d; pre-activations are then accumulated as exact integers so
-    the strict zero thresholds match the logic path bit for bit.
+    In 'fq' mode inputs lie on the grid k/d for ``input_denominator`` d,
+    which that mode requires: pre-activations are accumulated as exact
+    integers, so the strict zero thresholds match the logic path bit for bit.
 
     ``kernels``, when given, is ``lstm_kernels(weights, mode)``: a caller
     stepping through a sequence quantizes the kernels once, not per step.
@@ -286,31 +298,25 @@ def lstm_cell(
         )
     if kernels is None:
         kernels = lstm_kernels(weights, mode)
-    if mode == "float":
-        zx = np.concatenate([x_t, h_prev], axis=1)
-        pre = [zx @ w + (b if b is not None else 0.0) for w, b in zip(kernels, weights.biases())]
-        i, f, o = _sigmoid(pre[0]), _sigmoid(pre[1]), _sigmoid(pre[2])
-        c_new = f * c_prev + i * np.tanh(pre[3])
-        return o * np.tanh(c_new), c_new
-    if mode == "wq":
-        zx = np.concatenate([x_t, h_prev], axis=1)
-        pre = [zx @ w for w in kernels]
-        i, f, o = _sigmoid(pre[0]), _sigmoid(pre[1]), _sigmoid(pre[2])
-        c_new = f * c_prev + i * np.tanh(pre[3])
-        return o * np.tanh(c_new), c_new
-    if mode != "fq":
-        raise ValueError(f"unknown lstm mode {mode!r}")
-    if input_denominator:
+    if mode == "fq":
+        if not input_denominator:
+            raise ValueError("'fq' mode needs the input_denominator of its grid")
         pre = exact_preactivations(x_t, h_prev, kernels, input_denominator)
-    else:
-        zx = np.concatenate([x_t, h_prev], axis=1)
-        pre = [zx @ w for w in kernels]
-    # The positive factor scale/d cannot move a strict zero threshold, so the
-    # gates are taken on the integer form directly.
-    i, f, o = heaviside(pre[0]), heaviside(pre[1]), heaviside(pre[2])
-    ctilde = sign_strict(pre[3])
-    c_new = clip(f * c_prev + i * ctilde)
-    return o * c_new, c_new
+        # The positive factor scale/d cannot move a strict zero threshold, so
+        # the gates are taken on the integer form directly.
+        i, f, o = heaviside(pre[0]), heaviside(pre[1]), heaviside(pre[2])
+        ctilde = sign_strict(pre[3])
+        c_new = clip(f * c_prev + i * ctilde)
+        return o * c_new, c_new
+    if mode not in ("float", "wq"):
+        raise ValueError(f"unknown lstm mode {mode!r}")
+    zx = np.concatenate([x_t, h_prev], axis=1)
+    pre = [zx @ w for w in kernels]
+    if mode == "float":
+        pre = [p if b is None else p + b for p, b in zip(pre, weights.biases())]
+    i, f, o = _sigmoid(pre[0]), _sigmoid(pre[1]), _sigmoid(pre[2])
+    c_new = f * c_prev + i * np.tanh(pre[3])
+    return o * np.tanh(c_new), c_new
 
 
 def exact_preactivations(x_t, h_prev, signs, d: int) -> list[np.ndarray]:
@@ -389,9 +395,13 @@ def _cf_apply(x, layer, stage, bound=None):
     return x
 
 
-def snap_to_grid(x: np.ndarray) -> np.ndarray:
-    """Snap input values onto the 8-bit fixed-point grid k/255."""
-    return np.rint(np.asarray(x, dtype=np.float64) * 255) / 255
+def snap_to_grid(x: np.ndarray, cfg) -> np.ndarray:
+    """Snap a (N,T,H,W,C) clip of config ``cfg``'s shape onto the 8-bit
+    fixed-point grid k/255; any other shape raises ShapeMismatch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 5 or x.shape[1:] != (cfg.t, cfg.h, cfg.w, cfg.in_channels):
+        raise ShapeMismatch(f"clip {x.shape} is not (N, {cfg.t}, {cfg.h}, {cfg.w}, {cfg.in_channels})")
+    return np.rint(x * 255) / 255
 
 
 def forward(
@@ -406,7 +416,7 @@ def forward(
     """
     stage = model.stage
     inter: dict[str, np.ndarray] = {}
-    x = snap_to_grid(x)
+    x = snap_to_grid(x, model.config)
     gap_den = 0
     # From stage 3 every conv after the stem reads {0,1} and sums integers.
     bits = 1 if stage >= 3 else None
@@ -455,7 +465,7 @@ def forward(
             put(f"{layer.name}.i1", i1)
             put(f"{layer.name}.out", x)
         elif kind == "mp":
-            x = maxpool3d(x, layer.window, layer.strides)
+            x = maxpool3d(x, layer.window)
             put(f"{layer.name}.out", x)
         elif kind == "gap":
             gap_den = x.shape[2] * x.shape[3]

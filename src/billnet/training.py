@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .errors import StageOrderViolation
-from .model import ModelGraph, apply_stage_transition
+from .model import ModelGraph, apply_stage_transition, latents, norms
 from .quantize import ssign_scale, stern_scale, tgap_select
 from .reference import forward as eval_forward
 from .reference import exact_preactivations, lstm_kernels, lstm_mode, snap_to_grid
@@ -131,32 +131,17 @@ def bind_params(model: ModelGraph) -> BoundParams:
             bound.clip_latents.append(name)
 
     for lay in model.layers:
-        if lay.kind == "stem":
-            reg(f"{lay.name}.w", lay.w, clip=True)
-        elif lay.kind in ("cf", "mor"):
-            reg(f"{lay.name}.pw1", lay.pw1_w, clip=True)
-            reg(f"{lay.name}.gconv", lay.gconv_w, clip=True)
-            reg(f"{lay.name}.pw2", lay.pw2_w, clip=True)
-            if lay.kind == "mor" and lay.skip_w is not None:
-                reg(f"{lay.name}.skip", lay.skip_w, clip=True)
-        elif lay.kind == "lstm":
-            for tag, w in zip("ifoc", lay.weights.kernels()):
-                reg(f"{lay.name}.w{tag}", w, clip=True)
-            if stage <= 1:
-                for tag, b in zip("ifoc", lay.weights.biases()):
-                    reg(f"{lay.name}.b{tag}", b)
-        elif lay.kind == "dense":
-            reg(f"{lay.name}.w", lay.w, clip=True)
+        for tag, w in latents(lay).items():
+            reg(f"{lay.name}.{tag}", w, clip=True)
+        if lay.kind == "lstm" and stage <= 1:
+            for tag, b in zip("ifoc", lay.weights.biases()):
+                reg(f"{lay.name}.b{tag}", b)
     if stage <= 3:
         for lay in model.layers:
-            if lay.kind in ("stem", "cf"):
-                reg(f"{lay.name}.gamma", lay.norm.gamma)
-                reg(f"{lay.name}.beta", lay.norm.beta)
-            elif lay.kind == "mor":
-                reg(f"{lay.name}.gamma1", lay.norm1.gamma)
-                reg(f"{lay.name}.beta1", lay.norm1.beta)
-                reg(f"{lay.name}.gamma2", lay.norm2.gamma)
-                reg(f"{lay.name}.beta2", lay.norm2.beta)
+            for attr, norm in norms(lay).items():
+                suffix = attr.removeprefix("norm")  # norm1 -> gamma1, beta1
+                reg(f"{lay.name}.gamma{suffix}", norm.gamma)
+                reg(f"{lay.name}.beta{suffix}", norm.beta)
     return bound
 
 
@@ -200,7 +185,7 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     stage = model.stage
     for v in bound.vars.values():
         tape.watch(v)
-    x = snap_to_grid(x)
+    x = snap_to_grid(x, model.config)
     cur = Var(x)
     gap_den = 0
     # From stage 3 every conv after the stem reads {0,1} and sums integers.
@@ -210,7 +195,7 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
             w = _quant_w(tape, bound, f"{lay.name}.w", stage)
             if stage >= 4:
                 cur = Var(np.rint(x * 255.0))
-                z = ad.scale_const(tape, ad.conv3d_op(tape, cur, w, lay.spec, 255), 1.0 / 255.0)
+                z = ad.channel_affine(tape, ad.conv3d_op(tape, cur, w, lay.spec, 255), 1.0 / 255.0)
             else:
                 z = ad.conv3d_op(tape, cur, w, lay.spec)
             cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
@@ -296,9 +281,18 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
 # ---------------------------------------------------------------------------
 
 
+def _check_labels(labels, classes: int):
+    """Refuse class labels outside [0, classes); None (no labels) passes."""
+    if labels is not None and len(labels) and not 0 <= np.min(labels) <= np.max(labels) < classes:
+        raise ValueError(f"labels outside [0, {classes})")
+
+
 def evaluate(model: ModelGraph, frames: np.ndarray, labels: np.ndarray, batch_size: int = 40, path: str = "ref"):
     """Accuracy and confusion matrix on uint8 clips via either path."""
+    if path not in ("ref", "logic"):
+        raise ValueError(f"unknown path {path!r}")
     classes = model.config.num_classes
+    _check_labels(labels, classes)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     plan = None
     if path == "logic":
@@ -309,10 +303,8 @@ def evaluate(model: ModelGraph, frames: np.ndarray, labels: np.ndarray, batch_si
         batch = frames[lo : lo + batch_size]
         if path == "logic":
             pred = engine.execute(plan, engine.frames_to_bitplanes(batch)).pred
-        elif path == "ref":
-            pred = eval_forward(model, batch.astype(np.float64) / 255.0).pred
         else:
-            raise ValueError(f"unknown path {path!r}")
+            pred = eval_forward(model, batch.astype(np.float64) / 255.0).pred
         for want, got in zip(labels[lo : lo + batch_size], pred):
             confusion[int(want), int(got)] += 1
     accuracy = np.trace(confusion) / max(1, confusion.sum())
@@ -336,8 +328,11 @@ def run_stage(
     """Enter ``cfg.stage`` (applying its swaps) and train; returns log rows.
 
     Weights carry over verbatim from the previous stage; optimizer moments
-    start from zero.
+    start from zero.  Labels outside [0, num_classes) raise ValueError
+    before the stage is entered.
     """
+    for y in (train_labels, test_labels):
+        _check_labels(y, model.config.num_classes)
     if cfg.stage == 1:
         if model.stage != 1:
             raise StageOrderViolation(f"stage 1 requested on a stage-{model.stage} model")

@@ -126,6 +126,19 @@ def test_maxpool3d_op_gradients_match_central_differences(window, size):
     np.testing.assert_allclose(x.grad, numeric(x0, loss_value), rtol=1e-7, atol=1e-8)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_maxpool3d_op_gives_each_tied_maximum_the_full_gradient(k):
+    # The tie rule as it stands (ROADMAP item 2): each of k tied maxima in a
+    # window receives the window's whole gradient, k times it in total.
+    x0 = np.zeros((1, 1, 2, 2, 1))
+    x0.reshape(-1)[:k] = 1.0
+    tape = ad.Tape()
+    x = ad.Var(x0, trainable=True)
+    pooled = ad.maxpool3d_op(tape, x, (1, 2, 2))
+    ad.backward(tape, ad.sum_all(tape, ad.mul(tape, pooled, ad.Var(np.full(pooled.shape, 3.0)))))
+    np.testing.assert_array_equal(x.grad, 3.0 * x0)
+
+
 def test_mux_select_gradients_match_central_differences():
     rng = np.random.default_rng(18)
     i00, i10 = rng.normal(size=(2, 2, 3, 4, 5)), rng.normal(size=(2, 2, 3, 4, 5))
@@ -173,12 +186,12 @@ def test_softmax_cce_gradients_match_central_differences():
     "op",
     [
         lambda tape, x: ad.relu(tape, x),
-        lambda tape, x: ad.scale_const(tape, x, -0.37),
+        lambda tape, x: ad.channel_affine(tape, x, -0.37),
         lambda tape, x: ad.channel_affine(tape, x, np.array([0.5, 2.0, -1.0, 0.25])),
         lambda tape, x: ad.mean_axes(tape, x, (2, 3)),
         lambda tape, x: ad.mean_axes(tape, x, (1,)),
     ],
-    ids=["relu", "scale_const", "channel_affine", "mean_axes-23", "mean_axes-1"],
+    ids=["relu", "channel_affine-scalar", "channel_affine", "mean_axes-23", "mean_axes-1"],
 )
 def test_pointwise_and_mean_gradients_match_central_differences(op):
     rng = np.random.default_rng(23)
@@ -263,7 +276,7 @@ def test_shared_upstream_gradient_is_not_written():
     tape = ad.Tape()
     a = ad.Var(rng.normal(size=(3, 4)), trainable=True)
     b = ad.Var(rng.normal(size=(3, 4)), trainable=True)
-    scaled = ad.scale_const(tape, a, 3.0)
+    scaled = ad.channel_affine(tape, a, 3.0)
     summed = ad.add(tape, a, b)
     total = ad.add(tape, summed, scaled)
     ad.backward(tape, ad.sum_all(tape, ad.mul(tape, total, ad.Var(probe))))

@@ -12,7 +12,7 @@ from billnet.engine import (
     qlstm_step,
 )
 from billnet.errors import BadConfig, NotFullyQuantized, ShapeMismatch
-from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
+from billnet.model import BillnetConfig, apply_stage_transition, build, norms, toy_config
 from billnet.reference import LSTMWeights, lstm_cell, maxpool3d
 from billnet.tensors import BitTensor, pack, unpack
 
@@ -24,12 +24,7 @@ def quantized_toy_model(seed=0, randomize_norms=True):
     model = build(toy_config(seed=seed))
     if randomize_norms:
         for lay in model.layers:
-            norms = []
-            if lay.kind in ("stem", "cf"):
-                norms = [lay.norm]
-            elif lay.kind == "mor":
-                norms = [lay.norm1, lay.norm2]
-            for nm in norms:
+            for nm in norms(lay).values():
                 nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
                 nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
                 nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
@@ -170,15 +165,15 @@ class TestExecute:
     def test_maxpool_or_matches_reference_pool(self, window):
         rng = np.random.default_rng(11)
         bits = (rng.random((2, 5, 7, 9, 70)) < 0.3).astype(np.float64)
-        got = unpack(engine._maxpool_or(pack(bits), window, window))
+        got = unpack(engine._maxpool_or(pack(bits), window))
         np.testing.assert_array_equal(got, maxpool3d(bits, window))
 
     def test_broken_logic_op_is_reported(self, monkeypatch):
         # A pool that drops every bit must surface as a divergence at its tap.
         real = engine._maxpool_or
 
-        def dropped(bt, window, strides):
-            out = real(bt, window, strides)
+        def dropped(bt, window):
+            out = real(bt, window)
             return BitTensor(out.shape, np.zeros_like(out.words))
 
         monkeypatch.setattr(engine, "_maxpool_or", dropped)

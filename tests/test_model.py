@@ -8,9 +8,14 @@ from billnet.model import (
     apply_stage_transition,
     build,
     count_params,
+    norms,
     toy_config,
 )
 from billnet.quantize import BNParams, ShiftNorm
+
+
+def layer(model, name):
+    return next(lay for lay in model.layers if lay.name == name)
 
 
 class TestConfig:
@@ -22,6 +27,11 @@ class TestConfig:
         with pytest.raises(BadConfig):
             BillnetConfig(blocks=("mor:n", "avgpool"))
 
+    @pytest.mark.parametrize("size", ["g", "n", "in_channels"])
+    def test_non_positive_size_rejected(self, size):
+        with pytest.raises(BadConfig):
+            BillnetConfig(**{size: 0})
+
     def test_lstm_hidden_is_4m(self):
         assert BillnetConfig(m=32).lstm_hidden == 128
 
@@ -29,7 +39,7 @@ class TestConfig:
 class TestBuild:
     def test_paper_config_dense_input_is_4m(self):
         model = build(BillnetConfig())
-        dense = model.layer("dense")
+        dense = layer(model, "dense")
         assert dense.w.shape[0] == 128 == 4 * 32
 
     def test_paper_config_final_mor_on_6x8_maps(self):
@@ -53,7 +63,7 @@ class TestBuild:
                 np.testing.assert_array_equal(la.pw1_w, lb.pw1_w)
                 np.testing.assert_array_equal(la.gconv_w, lb.gconv_w)
         c = build(toy_config(seed=12))
-        assert not np.array_equal(a.layer("stem").w, c.layer("stem").w)
+        assert not np.array_equal(layer(a, "stem").w, layer(c, "stem").w)
 
     def test_pooling_below_one_rejected(self):
         with pytest.raises(BadConfig):
@@ -71,17 +81,25 @@ class TestStageTransitions:
 
     def test_stage2_drops_recurrent_biases(self):
         model = build(toy_config())
-        assert model.layer("lstm").weights.bi is not None
+        assert layer(model, "lstm").weights.bi is not None
         apply_stage_transition(model, 2)
-        assert model.layer("lstm").weights.bi is None
+        assert layer(model, "lstm").weights.bi is None
 
     def test_stage4_folds_all_norms(self):
         model = build(toy_config())
         for k in (2, 3, 4):
             apply_stage_transition(model, k)
-        assert isinstance(model.layer("stem").norm, ShiftNorm)
-        mor = model.layer("mor1")
+        assert isinstance(layer(model, "stem").norm, ShiftNorm)
+        mor = layer(model, "mor1")
         assert isinstance(mor.norm1, ShiftNorm) and isinstance(mor.norm2, ShiftNorm)
+
+    @pytest.mark.parametrize("cfg", [toy_config(blocks=("cf:n", "mor:n", "mp", "mor:2n")), BillnetConfig()])
+    def test_every_norm_is_a_shift_from_stage_4(self, cfg):
+        model = build(cfg)
+        for k in (2, 3, 4, 5):
+            apply_stage_transition(model, k)
+            shifts = [isinstance(nm, ShiftNorm) for lay in model.layers for nm in norms(lay).values()]
+            assert len(shifts) > 3 and set(shifts) == {k >= 4}
 
     def test_weight_count_constant_across_stages(self):
         model = build(toy_config())

@@ -167,6 +167,14 @@ class TestPooling:
         ).astype(float)
         np.testing.assert_array_equal(pooled, orred)
 
+    def test_blocks_are_a_writeable_view(self):
+        # The whole windows only: a C-order array and a strided slice of one.
+        for x in (np.zeros((2, 3, 5, 7, 4)), np.zeros((2, 3, 5, 7, 8))[..., ::2]):
+            blocks = ref._blocks(x, (2, 2, 3))
+            assert np.shares_memory(blocks, x)
+            blocks[...] = 1.0
+            assert x.sum() == x[:, :2, :4, :6].size == blocks.size
+
     def test_floor_mode_crops(self):
         x = np.zeros((1, 1, 5, 7, 1))
         assert maxpool3d(x).shape == (1, 1, 2, 3, 1)
@@ -247,7 +255,7 @@ class TestLSTMCell:
         x = np.zeros((1, n_i))
         h = np.zeros((1, n_o))
         c = np.full((1, n_o), 1.0)
-        got_h, got_c = lstm_cell(x, h, c, wts, "fq")
+        got_h, got_c = lstm_cell(x, h, c, wts, "fq", input_denominator=1)
         # gates are 0, candidate is -1, so the state empties and h is 0
         np.testing.assert_array_equal(got_c, np.zeros((1, n_o)))
         np.testing.assert_array_equal(got_h, np.zeros((1, n_o)))
@@ -259,7 +267,7 @@ class TestLSTMCell:
         x = np.ones((1, n_i))
         h = np.zeros((1, n_o))
         c = np.ones((1, n_o))
-        got_h, got_c = lstm_cell(x, h, c, wts, "fq")
+        got_h, got_c = lstm_cell(x, h, c, wts, "fq", input_denominator=1)
         np.testing.assert_array_equal(got_c, np.ones((1, n_o)))
         np.testing.assert_array_equal(got_h, np.ones((1, n_o)))
 
@@ -281,7 +289,7 @@ class TestLSTMCell:
             ct = sign_strict(zx @ (s * sign_strict(wts.wc)))
             exp_c = clip(f * c + i * ct)
             exp_h = o * exp_c
-            got_h, got_c = lstm_cell(x, h, c, wts, "fq")
+            got_h, got_c = lstm_cell(x, h, c, wts, "fq", input_denominator=1)
             np.testing.assert_array_equal(got_c, exp_c)
             np.testing.assert_array_equal(got_h, exp_h)
 

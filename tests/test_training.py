@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from billnet import autodiff, reference
+from billnet import autodiff, engine, reference
 from billnet.autodiff import Tape, backward
 from billnet.engine import compare_paths
-from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
-from billnet.training import PAPER_LRS, StageConfig, bind_params, run_stage, training_graph
+from billnet.errors import ShapeMismatch
+from billnet.model import BillnetConfig, apply_stage_transition, build, count_params, latents, norms, toy_config
+from billnet.training import PAPER_LRS, StageConfig, bind_params, evaluate, run_stage, training_graph
 
 CONFIGS = {
     "toy": {},
@@ -20,10 +21,7 @@ def model_at(stage, seed, **overrides):
     model = build(toy_config(seed=seed, **overrides))
     rng = np.random.default_rng(seed + 1000)
     for lay in model.layers:
-        norms = [lay.norm] if lay.kind in ("stem", "cf") else []
-        if lay.kind == "mor":
-            norms = [lay.norm1, lay.norm2]
-        for nm in norms:
+        for nm in norms(lay).values():
             nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
             nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
             nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
@@ -122,10 +120,10 @@ def train_step(model, frames, labels):
     out = {"loss": loss.value, "scores": scores}
     out.update({f"grad/{k}": v.grad for k, v in bound.vars.items()})
     for lay in model.layers:
-        for attr in ("norm", "norm1", "norm2"):
+        for attr, norm in norms(lay).items():
             for field in ("mean", "var", "shift"):
-                if hasattr(getattr(lay, attr, None), field):
-                    out[f"{lay.name}.{attr}.{field}"] = getattr(getattr(lay, attr), field)
+                if hasattr(norm, field):
+                    out[f"{lay.name}.{attr}.{field}"] = getattr(norm, field)
     return out
 
 
@@ -193,17 +191,7 @@ def test_reference_convs_run_at_the_tape_precision_from_stage_3(config, monkeypa
 
 def latent_weights(model):
     """Every latent weight array that a stage from 2 on quantizes."""
-    out = []
-    for lay in model.layers:
-        if lay.kind in ("stem", "dense"):
-            out.append(lay.w)
-        elif lay.kind in ("cf", "mor"):
-            out += [lay.pw1_w, lay.gconv_w, lay.pw2_w]
-            if lay.kind == "mor" and lay.skip_w is not None:
-                out.append(lay.skip_w)
-        elif lay.kind == "lstm":
-            out += list(lay.weights.kernels())
-    return out
+    return [w for lay in model.layers for w in latents(lay).values()]
 
 
 def run_pipeline(seed):
@@ -246,3 +234,45 @@ def test_stage_driver_keeps_latents_clipped(pipeline):
 def test_trained_stage5_model_passes_compare_paths(pipeline):
     model, frames = pipeline[:2]
     assert compare_paths(model, frames) is None
+
+
+@pytest.mark.parametrize("config", ["toy", "paper"])
+def test_count_params_counts_the_latents_bind_params_registers(config):
+    model = build(BillnetConfig() if config == "paper" else toy_config())
+    for stage in range(1, 6):
+        if stage > 1:
+            apply_stage_transition(model, stage)
+        bound = bind_params(model)
+        names = {f"{lay.name}.{tag}": w for lay in model.layers for tag, w in latents(lay).items()}
+        assert all(bound.vars[k].value is w for k, w in names.items())
+        assert sorted(bound.clip_latents) == (sorted(names) if stage >= 2 else [])
+        want = {lay.name: sum(w.size for w in latents(lay).values()) for lay in model.layers if latents(lay)}
+        assert {row.name: row.weight_params for row in count_params(model).layers} == want
+
+
+def test_every_walk_refuses_a_clip_of_another_shape():
+    model = model_at(5, 0)  # toy clips are 8x24x32
+    frames = np.zeros((1, 8, 24, 30, 1), dtype=np.uint8)
+    with pytest.raises(ShapeMismatch):
+        reference.forward(model, frames / 255.0)
+    with pytest.raises(ShapeMismatch):
+        training_graph(Tape(), model, bind_params(model), frames / 255.0, np.arange(1))
+    with pytest.raises(ShapeMismatch):
+        engine.execute(engine.compile(model), engine.frames_to_bitplanes(frames))
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_labels_outside_the_classes_are_refused_before_any_step(label):
+    model = build(toy_config())
+    before = model.layers[0].w.copy()
+    frames = np.zeros((2, 8, 24, 32, 1), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        run_stage(model, StageConfig(1, 1e-3, 1, 1, batch_size=2), frames, np.array([0, label]))
+    with pytest.raises(ValueError):
+        evaluate(model, frames, np.array([0, label]))
+    assert np.array_equal(model.layers[0].w, before)
+
+
+def test_evaluate_refuses_an_unknown_path_on_no_clips():
+    with pytest.raises(ValueError):
+        evaluate(build(toy_config()), np.zeros((0, 8, 24, 32, 1), np.uint8), np.zeros(0, int), path="bogus")

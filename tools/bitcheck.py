@@ -50,15 +50,12 @@ def _config(name: str):
 
 def _model_at(name: str, stage: int):
     """Fresh model of config ``name`` with seeded norm statistics, at ``stage``."""
-    from billnet.model import apply_stage_transition, build
+    from billnet.model import apply_stage_transition, build, norms
 
     model = build(_config(name))
     rng = np.random.default_rng(1000)
     for lay in model.layers:
-        norms = [lay.norm] if lay.kind in ("stem", "cf") else []
-        if lay.kind == "mor":
-            norms = [lay.norm1, lay.norm2]
-        for nm in norms:
+        for nm in norms(lay).values():
             nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
             nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
             nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
@@ -77,10 +74,11 @@ def _clips(name: str):
 
 
 def _norm_arrays(model) -> dict[str, np.ndarray]:
+    from billnet.model import norms
+
     out = {}
     for lay in model.layers:
-        for attr in ("norm", "norm1", "norm2"):
-            norm = getattr(lay, attr, None)
+        for attr, norm in norms(lay).items():
             for field in ("gamma", "beta", "mean", "var", "shift"):
                 if hasattr(norm, field):
                     out[f"{lay.name}.{attr}.{field}"] = getattr(norm, field)
