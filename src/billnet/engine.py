@@ -3,6 +3,8 @@
 ``compile`` lowers a stage-5 graph into a flat plan of gate operations whose
 only primitives are bitwise AND/OR/NOT, popcounts, integer comparisons and
 small-integer adds; there is not a single real-valued constant in the plan.
+The plan is its op list, in execution order: slot 0 holds the input and op
+``i`` writes slot ``i + 1``.
 Power-of-two norms vanish entirely (a positive scale cannot move a strict
 zero threshold), and so do the fixed quantizer scales.  So does each MOR
 block's select: its second norm is such a shift, so both mux branches are
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference as ref
-from .errors import BadConfig, NotFullyQuantized, ShapeMismatch, SlotTypeMismatch
+from .errors import BadConfig, NotFullyQuantized, ShapeMismatch
 from .quantize import sign_strict, stern
 from .reference import ConvSpec, _blocks
 from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, unpack, unpack_bits
@@ -57,12 +59,6 @@ from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, unpac
 # ---------------------------------------------------------------------------
 # Plan structure
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlotSpec:
-    name: str
-    dtype: str  # 'bits' | 'tern' | 'int'
 
 
 @dataclass(frozen=True)
@@ -76,35 +72,16 @@ class GateOp:
 
 @dataclass
 class GatePlan:
-    """Topologically ordered gate program over typed tensor slots."""
+    """Topologically ordered gate program.  Slot 0 is the 8-bit input and
+    op ``i`` writes slot ``i + 1``, reading only slots written before it."""
 
-    slots: list[SlotSpec] = field(default_factory=list)
     ops: list[GateOp] = field(default_factory=list)
     outputs: dict[str, int] = field(default_factory=dict)  # intermediate name -> slot
     meta: dict = field(default_factory=dict)
 
-    def add_slot(self, name: str, dtype: str) -> int:
-        self.slots.append(SlotSpec(name, dtype))
-        return len(self.slots) - 1
-
-    def emit(self, kind: str, name: str, inputs: tuple[int, ...], out_dtype: str, **params) -> int:
-        out = self.add_slot(name, out_dtype)
-        self.ops.append(GateOp(kind, name, inputs, out, params))
-        return out
-
-
-_OP_INPUT_DTYPES = {
-    "stem-conv": ("int",),
-    "threshold": ("int",),
-    "pw-conv-bin": ("bits",),
-    "conv-int": ("int",),
-    "or": ("bits", "bits"),
-    "maxpool-or": ("bits",),
-    "gap-count": ("bits",),
-    "qlstm": ("int",),
-    "tern-dense": ("tern",),
-    "argmax": ("int",),
-}
+    def emit(self, kind: str, name: str, inputs: tuple[int, ...], **params) -> int:
+        self.ops.append(GateOp(kind, name, inputs, len(self.ops) + 1, params))
+        return len(self.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +163,14 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
         raise NotFullyQuantized(f"model is at stage {model.stage}, need 5")
     plan = GatePlan()
     cfg = model.config
-    plan.meta = {
-        "t": cfg.t, "h": cfg.h, "w": cfg.w, "in_channels": cfg.in_channels,
-        "num_classes": cfg.num_classes,
-    }
-    cur = plan.add_slot("input", "int")  # 8-bit features reassembled from planes
+    plan.meta = {"t": cfg.t, "h": cfg.h, "w": cfg.w, "in_channels": cfg.in_channels}
+    cur = 0  # the input slot: 8-bit features reassembled from planes
     bound = {cur: 255}  # worst-case |value| of each int slot a conv writes or reads
 
     def conv_int(src, name, spec, w, kind="conv-int"):
         acc = bound[src] * spec.fan_in
         out = plan.emit(
-            kind, name, (src,), "int",
+            kind, name, (src,),
             w=sign_strict(w).astype(np.int8), kernel=spec.kernel, strides=spec.strides,
             groups=spec.groups, out_channels=spec.out_channels,
             bound=acc, dtype=ref.exact_dtype(acc),
@@ -205,10 +179,7 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
         return out
 
     def pw_bin(src, name, spec, w):
-        out = plan.emit(
-            "pw-conv-bin", name, (src,), "int",
-            w_words=_pw_weight_words(w), out_channels=spec.out_channels,
-        )
+        out = plan.emit("pw-conv-bin", name, (src,), w_words=_pw_weight_words(w), out_channels=spec.out_channels)
         bound[out] = spec.fan_in
         return out
 
@@ -220,23 +191,23 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
     for lay in model.layers:
         if lay.kind == "stem":
             z = conv_int(cur, f"{lay.name}.pre", lay.spec, lay.w, kind="stem-conv")
-            cur = plan.emit("threshold", f"{lay.name}.out", (z,), "bits")
+            cur = plan.emit("threshold", f"{lay.name}.out", (z,))
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "cf":
             z = cf_chain(cur, lay.name, lay)
-            cur = plan.emit("threshold", f"{lay.name}.out", (z,), "bits")
+            cur = plan.emit("threshold", f"{lay.name}.out", (z,))
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "mor":
             if lay.skip_w is not None:
                 zs = pw_bin(cur, f"{lay.name}.skippre", lay.skip_spec, lay.skip_w)
-                skip = plan.emit("threshold", f"{lay.name}.skip", (zs,), "bits")
+                skip = plan.emit("threshold", f"{lay.name}.skip", (zs,))
             else:
                 skip = cur
             plan.outputs[f"{lay.name}.skip"] = skip
             u = cf_chain(cur, lay.name, lay)
-            v = plan.emit("threshold", f"{lay.name}.v", (u,), "bits")
+            v = plan.emit("threshold", f"{lay.name}.v", (u,))
             plan.outputs[f"{lay.name}.v"] = v
-            cur = plan.emit("or", f"{lay.name}.i0", (v, skip), "bits")
+            cur = plan.emit("or", f"{lay.name}.i0", (v, skip))
             # The second norm folds to a positive shift and the step function
             # fixes binary values, so i1 coincides with i0; the select between
             # them cannot change a bit and is not emitted.
@@ -244,62 +215,37 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
                 plan.outputs[f"{lay.name}.{tap}"] = cur
         elif lay.kind == "mp":
             cur = plan.emit(
-                "maxpool-or", f"{lay.name}.out", (cur,), "bits",
+                "maxpool-or", f"{lay.name}.out", (cur,),
                 window=lay.window, strides=lay.window,  # non-overlapping; plan readers take both
             )
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "gap":
             t_h, t_w = lay.in_shape[1], lay.in_shape[2]
             plan.meta["gap_den"] = t_h * t_w
-            cur = plan.emit("gap-count", f"{lay.name}.counts", (cur,), "int")
+            cur = plan.emit("gap-count", f"{lay.name}.counts", (cur,))
             plan.outputs[f"{lay.name}.counts"] = cur
         elif lay.kind == "lstm":
             cur = plan.emit(
-                "qlstm", f"{lay.name}.h", (cur,), "tern",
-                gates=QLSTMGates.from_latent(lay.weights),
-                input_scale=plan.meta["gap_den"],
+                "qlstm", f"{lay.name}.h", (cur,),
+                gates=QLSTMGates.from_latent(lay.weights), input_scale=plan.meta["gap_den"],
             )
             plan.outputs[f"{lay.name}.h"] = cur
         elif lay.kind == "dense":
             t_vals, _ = stern(lay.w, lay.m)  # fixed positive scale dropped
             plus, minus = _pack_tern_rows(t_vals.T.astype(np.int8))
             cur = plan.emit(
-                "tern-dense", f"{lay.name}.intlogits", (cur,), "int",
+                "tern-dense", f"{lay.name}.intlogits", (cur,),
                 w_plus=plus, w_minus=minus, num_classes=lay.w.shape[1],
             )
             plan.outputs[f"{lay.name}.intlogits"] = cur
         else:
             raise TypeError(f"unknown layer kind {lay.kind!r}")
-    pred = plan.emit("argmax", "pred", (cur,), "int")
+    pred = plan.emit("argmax", "pred", (cur,))
     plan.outputs["pred"] = pred
     max_acc = plan.meta["max_abs_acc"] = max(bound.values())
     if max_acc >= ref.EXACT_LIMIT:
         raise BadConfig(f"accumulator bound {max_acc} reaches {ref.EXACT_LIMIT}: float64 is not exact there")
-    _check_plan(plan)
     return plan
-
-
-def _check_plan(plan: GatePlan):
-    written = set()
-    for op in plan.ops:
-        expected = _OP_INPUT_DTYPES[op.kind]
-        for s in op.inputs:
-            if s != 0 and s not in written:
-                raise SlotTypeMismatch(f"{op.name} reads slot {s} before any write")
-        if len(op.inputs) != len(expected):
-            raise SlotTypeMismatch(f"{op.name} arity {len(op.inputs)} != {len(expected)}")
-        for s, dt in zip(op.inputs, expected):
-            if plan.slots[s].dtype != dt:
-                raise SlotTypeMismatch(
-                    f"{op.name} input slot {plan.slots[s].name} is "
-                    f"{plan.slots[s].dtype}, expected {dt}"
-                )
-        if op.output in written:
-            raise SlotTypeMismatch(f"slot {plan.slots[op.output].name} written twice")
-        written.add(op.output)
-        for key, val in op.params.items():
-            if isinstance(val, np.ndarray) and val.dtype.kind == "f":
-                raise SlotTypeMismatch(f"real-valued constant {key} in {op.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +265,6 @@ def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray) -> np.ndarray:
     return bipolar_dot(bt.words, w_words)
 
 
-def _threshold(x: np.ndarray) -> BitTensor:
-    return pack(x > 0)
-
-
 def _maxpool_or(bt: BitTensor, window) -> BitTensor:
     words = np.bitwise_or.reduce(_blocks(bt.words, window), axis=(2, 4, 6))
     return BitTensor((*words.shape[:4], bt.channels), words)
@@ -340,7 +282,6 @@ def _tern_dense(h_seq: np.ndarray, w_plus, w_minus) -> np.ndarray:
 @dataclass
 class ExecutionResult:
     pred: np.ndarray
-    intlogits: np.ndarray  # (N, T', classes) integer per-step responses
     # slot value per tap: BitTensor for bit slots (still packed), else ndarray
     intermediates: dict[str, BitTensor | np.ndarray]
 
@@ -352,7 +293,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
     shape = planes[0].shape
     for p in planes:
         if not isinstance(p, BitTensor):
-            raise SlotTypeMismatch("input planes must be BitTensor")
+            raise TypeError("input planes must be BitTensor")
         if p.shape != shape:
             raise ShapeMismatch("input planes disagree on shape")
     meta = plan.meta
@@ -366,7 +307,6 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
     del feats
     taps = set(plan.outputs.values())
     last_read = {s: i for i, op in enumerate(plan.ops) for s in op.inputs}
-    intlogits = None
     for i, op in enumerate(plan.ops):
         args = [values[s] for s in op.inputs]
         p = op.params
@@ -376,7 +316,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         elif op.kind == "pw-conv-bin":
             out = _pw_conv_bin(args[0], p["w_words"])
         elif op.kind == "threshold":
-            out = _threshold(args[0])
+            out = pack(args[0] > 0)
         elif op.kind == "or":
             out = BitTensor(args[0].shape, args[0].words | args[1].words)
         elif op.kind == "maxpool-or":
@@ -394,18 +334,17 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
             out = np.stack(hs, axis=1)  # int8 (N, T', n_o)
         elif op.kind == "tern-dense":
             out = _tern_dense(args[0], p["w_plus"], p["w_minus"])
-            intlogits = out
         elif op.kind == "argmax":
             out = np.argmax(args[0].sum(axis=1), axis=-1)
         else:
-            raise SlotTypeMismatch(f"unknown op kind {op.kind!r}")
+            raise ValueError(f"unknown op kind {op.kind!r}")
         values[op.output] = out
         for s in set(op.inputs):
             if last_read[s] == i and s not in taps:
                 del values[s]
 
     inter = {name: values[slot] for name, slot in plan.outputs.items()}
-    return ExecutionResult(pred=values[plan.ops[-1].output], intlogits=intlogits, intermediates=inter)
+    return ExecutionResult(pred=values[plan.ops[-1].output], intermediates=inter)
 
 
 # ---------------------------------------------------------------------------

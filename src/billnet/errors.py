@@ -25,10 +25,6 @@ class NotFullyQuantized(BillnetError):
     pass
 
 
-class SlotTypeMismatch(BillnetError):
-    pass
-
-
 class StageOrderViolation(BillnetError):
     pass
 

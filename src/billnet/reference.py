@@ -2,9 +2,9 @@
 
 Everything here operates on (N, T, H, W, C) float64 arrays.  The model-level
 ``forward`` evaluates a built graph at its current stage using frozen
-statistics (moving batch-norm stats, folded shifts), records the binary and
-ternary intermediates the logic path must reproduce, and returns per-step
-logits plus aggregated class scores.
+statistics (moving batch-norm stats, folded shifts), hands each binary and
+ternary intermediate the logic path must reproduce to its ``on_tap``
+callback, and returns per-step logits plus aggregated class scores.
 
 Inputs are 8-bit fixed point (gray levels scaled by 1/255).  In the
 offset-free stages (4 and 5) every threshold sits exactly at zero, so
@@ -25,7 +25,7 @@ the batch norm that follows reads the sums as float64.  From stage 4 it
 steps on the raw integer sums, as the logic path does: the folded
 norm is a positive power-of-two scale (the stem's also divides by 255), and
 no positive scale can move a strict zero step, so ``apply_norm`` is skipped.
-The step's output is float64, so every recorded intermediate is float64 and
+The step's output is float64, so every tapped intermediate is float64 and
 carries the same bits as an all-float64 run through the norms.
 """
 
@@ -382,7 +382,6 @@ class ForwardResult:
     logits: np.ndarray  # (N, T', classes) per-step responses
     scores: np.ndarray  # (N, classes) temporal mean
     pred: np.ndarray  # (N,) argmax class
-    intermediates: dict[str, np.ndarray]
 
 
 def _cf_apply(x, layer, stage, bound=None):
@@ -404,28 +403,19 @@ def snap_to_grid(x: np.ndarray, cfg) -> np.ndarray:
     return np.rint(x * 255) / 255
 
 
-def forward(
-    model, x: np.ndarray, record: bool = False, on_tap: Callable[[str, np.ndarray], None] | None = None
-) -> ForwardResult:
+def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | None = None) -> ForwardResult:
     """Evaluate the graph at ``model.stage`` on a (N,T,H,W,C) input.
 
-    ``record`` keeps every named intermediate in the result; ``on_tap``,
-    when given, is called with each one's name and value as it is formed,
-    in graph order, so a caller can inspect intermediates without the
-    forward holding them all.
+    ``on_tap``, when given, is called with each named intermediate's name
+    and value as it is formed, in graph order; it is the only way out for
+    intermediates, so the forward holds none of them past its own use.
     """
     stage = model.stage
-    inter: dict[str, np.ndarray] = {}
+    put = on_tap or (lambda key, value: None)
     x = snap_to_grid(x, model.config)
     gap_den = 0
     # From stage 3 every conv after the stem reads {0,1} and sums integers.
     bits = 1 if stage >= 3 else None
-
-    def put(key, value):
-        if record:
-            inter[key] = value
-        if on_tap is not None:
-            on_tap(key, value)
 
     for layer in model.layers:
         kind = layer.kind
@@ -504,4 +494,4 @@ def forward(
             raise TypeError(f"unknown layer kind {kind!r}")
     pred = predict(scores)
     put("pred", pred)
-    return ForwardResult(logits=logits, scores=scores, pred=pred, intermediates=inter)
+    return ForwardResult(logits=logits, scores=scores, pred=pred)

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import engine
 from .autodiff import Tape, Var
-from .errors import StageOrderViolation
+from .errors import ShapeMismatch, StageOrderViolation
 from .model import ModelGraph, apply_stage_transition, latents, norms
 from .quantize import ssign_scale, stern_scale, tgap_select
 from .reference import forward as eval_forward
@@ -281,9 +282,14 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
 # ---------------------------------------------------------------------------
 
 
-def _check_labels(labels, classes: int):
-    """Refuse class labels outside [0, classes); None (no labels) passes."""
-    if labels is not None and len(labels) and not 0 <= np.min(labels) <= np.max(labels) < classes:
+def _check_labels(frames, labels, classes: int):
+    """Refuse a label count other than the clip count (ShapeMismatch) and
+    class labels outside [0, classes) (ValueError); no clips and no labels
+    (both None) pass."""
+    clips, count = (None if a is None else len(a) for a in (frames, labels))
+    if clips != count:
+        raise ShapeMismatch(f"{clips} clips but {count} labels")
+    if count and not 0 <= np.min(labels) <= np.max(labels) < classes:
         raise ValueError(f"labels outside [0, {classes})")
 
 
@@ -292,13 +298,9 @@ def evaluate(model: ModelGraph, frames: np.ndarray, labels: np.ndarray, batch_si
     if path not in ("ref", "logic"):
         raise ValueError(f"unknown path {path!r}")
     classes = model.config.num_classes
-    _check_labels(labels, classes)
+    _check_labels(frames, labels, classes)
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    plan = None
-    if path == "logic":
-        from . import engine
-
-        plan = engine.compile(model)
+    plan = engine.compile(model) if path == "logic" else None
     for lo in range(0, len(frames), batch_size):
         batch = frames[lo : lo + batch_size]
         if path == "logic":
@@ -328,11 +330,12 @@ def run_stage(
     """Enter ``cfg.stage`` (applying its swaps) and train; returns log rows.
 
     Weights carry over verbatim from the previous stage; optimizer moments
-    start from zero.  Labels outside [0, num_classes) raise ValueError
-    before the stage is entered.
+    start from zero.  Labels outside [0, num_classes) raise ValueError, and
+    a label count other than its clip count raises ShapeMismatch, before the
+    stage is entered.
     """
-    for y in (train_labels, test_labels):
-        _check_labels(y, model.config.num_classes)
+    for x, y in ((train_frames, train_labels), (test_frames, test_labels)):
+        _check_labels(x, y, model.config.num_classes)
     if cfg.stage == 1:
         if model.stage != 1:
             raise StageOrderViolation(f"stage 1 requested on a stage-{model.stage} model")

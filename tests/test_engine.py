@@ -1,7 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import CONFIGS, PAPER_CONFIG, assert_no_norms_or_reals, assert_ops_write_in_order, model_at, recorded
 
 from billnet import engine, reference
 from billnet.engine import (
@@ -12,26 +14,18 @@ from billnet.engine import (
     qlstm_step,
 )
 from billnet.errors import BadConfig, NotFullyQuantized, ShapeMismatch
-from billnet.model import BillnetConfig, apply_stage_transition, build, norms, toy_config
+from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
 from billnet.reference import LSTMWeights, lstm_cell, maxpool3d
 from billnet.tensors import BitTensor, pack, unpack
 
 WORD_BOUNDARY_CHANNELS = (1, 63, 64, 65, 129, 200)
 
 
-def quantized_toy_model(seed=0, randomize_norms=True):
-    rng = np.random.default_rng(seed + 1000)
-    model = build(toy_config(seed=seed))
-    if randomize_norms:
-        for lay in model.layers:
-            for nm in norms(lay).values():
-                nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
-                nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
-                nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
-                nm.var = rng.lognormal(0.0, 1.0, nm.var.shape)
-    for k in (2, 3, 4, 5):
-        apply_stage_transition(model, k)
-    return model
+@pytest.fixture(scope="module", params=["toy", "cf-blocks", "paper"])
+def stage5_plan(request):
+    """The compiled plan of a toy, ``cf:``-block or paper-scale stage-5 model."""
+    overrides = PAPER_CONFIG if request.param == "paper" else CONFIGS[request.param]
+    return engine.compile(model_at(5, 0, **overrides))
 
 
 class TestCompile:
@@ -42,17 +36,14 @@ class TestCompile:
         with pytest.raises(NotFullyQuantized):
             engine.compile(model)
 
-    def test_no_norm_nodes_no_real_constants(self):
-        plan = engine.compile(quantized_toy_model())
-        kinds = {op.kind for op in plan.ops}
-        assert "norm" not in " ".join(kinds)
-        for op in plan.ops:
-            for val in op.params.values():
-                if isinstance(val, np.ndarray):
-                    assert val.dtype.kind != "f", (op.name, val.dtype)
+    def test_no_norm_nodes_no_real_constants(self, stage5_plan):
+        assert_no_norms_or_reals(stage5_plan)
+
+    def test_op_i_writes_slot_i_plus_1_from_earlier_slots(self, stage5_plan):
+        assert_ops_write_in_order(stage5_plan)
 
     def test_stage5_plan_has_no_mor_select(self):
-        model = quantized_toy_model()
+        model = model_at(5, 0)
         plan = engine.compile(model)
         assert not {op.kind for op in plan.ops} & {"tgap", "mux"}
         mors = [lay.name for lay in model.layers if lay.kind == "mor"]
@@ -60,7 +51,7 @@ class TestCompile:
         for name in mors:
             slots = {plan.outputs[f"{name}.{tap}"] for tap in ("i0", "i1", "out")}
             assert len(slots) == 1
-            assert plan.slots[slots.pop()].name == f"{name}.i0"
+            assert plan.ops[slots.pop() - 1].name == f"{name}.i0"
 
     def test_paper_plan_accumulator_bound(self, monkeypatch):
         # cf3 of a 4n block: 256 (pw-conv-bin) * 27 * 128/4 * 128 = 28,311,552,
@@ -106,37 +97,32 @@ class TestCompile:
             if isinstance(val, BitTensor):
                 val, other = val.words, other.words
             assert np.array_equal(val, other), name
-        np.testing.assert_array_equal(got.intlogits, want.intlogits)
+        np.testing.assert_array_equal(got.intermediates["dense.intlogits"], want.intermediates["dense.intlogits"])
         np.testing.assert_array_equal(got.pred, want.pred)
-
-    def test_slots_written_once(self):
-        plan = engine.compile(quantized_toy_model())
-        outs = [op.output for op in plan.ops]
-        assert len(outs) == len(set(outs))
 
 
 class TestExecute:
     def test_zero_input_matches_reference(self):
-        model = quantized_toy_model(seed=2)
+        model = model_at(5, 2)
         frames = np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)
         assert compare_paths(model, frames) is None
 
     def test_constant_input_exact_zero_preactivations(self):
         # Balanced +-1 kernels over constant frames give exactly zero sums;
         # both paths must make the same strict-threshold decision.
-        model = quantized_toy_model(seed=3)
+        model = model_at(5, 3)
         frames = np.full((1, 8, 24, 32, 1), 127, dtype=np.uint8)
         assert compare_paths(model, frames) is None
 
     def test_random_models_and_inputs_exact(self):
         rng = np.random.default_rng(4)
         for seed in range(8):
-            model = quantized_toy_model(seed=seed)
+            model = model_at(5, seed)
             frames = rng.integers(0, 256, size=(2, 8, 24, 32, 1), dtype=np.uint8)
             assert compare_paths(model, frames) is None
 
     def test_input_validation(self):
-        model = quantized_toy_model(seed=5)
+        model = model_at(5, 5)
         plan = engine.compile(model)
         frames = np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)
         planes = frames_to_bitplanes(frames)
@@ -145,6 +131,18 @@ class TestExecute:
         bad = frames_to_bitplanes(np.zeros((1, 4, 24, 32, 1), dtype=np.uint8))
         with pytest.raises(ShapeMismatch):
             execute(plan, bad)
+
+    def test_input_planes_must_be_bit_tensors(self):
+        plan = engine.compile(model_at(5, 5))
+        planes = frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8))
+        with pytest.raises(TypeError):
+            execute(plan, [unpack(p) for p in planes])
+
+    def test_unknown_op_kind_is_refused(self):
+        plan = engine.compile(model_at(5, 5))
+        plan.ops[-1] = dataclasses.replace(plan.ops[-1], kind="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            execute(plan, frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)))
 
     def test_bitplanes_require_uint8(self):
         with pytest.raises(ShapeMismatch):
@@ -178,14 +176,14 @@ class TestExecute:
 
         monkeypatch.setattr(engine, "_maxpool_or", dropped)
         frames = np.random.default_rng(12).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
-        model = quantized_toy_model(seed=1)
+        model = model_at(5, 1)
         div = compare_paths(model, frames)
         assert div is not None
         assert div.name == "mp1.out"
         assert (div.got, div.want) == (0.0, 1.0)
         # Every dropped one differs, and the scan goes on past the first tap:
         # the report lists the later diverging taps, in plan order.
-        want = reference.forward(model, frames / 255.0, record=True).intermediates
+        _, want = recorded(model, frames / 255.0)
         assert div.count == np.count_nonzero(want["mp1.out"])
         names = list(engine.compile(model).outputs)
         later = [d.name for d in div.later]
@@ -220,7 +218,7 @@ class TestExecute:
 
         monkeypatch.setattr(engine, "compile", bogus_compile)
         frames = np.random.default_rng(14).integers(0, 256, size=(1, 8, 24, 32, 1), dtype=np.uint8)
-        div = compare_paths(quantized_toy_model(seed=1), frames)
+        div = compare_paths(model_at(5, 1), frames)
         assert div is not None and not div.later
         assert div.name == ("mp1.bogus" if bogus == "missing" else "mp1.out")
         assert (div.index, div.got, div.want) == ((), None, None)
@@ -242,13 +240,13 @@ class TestExecute:
             finally:
                 tracemalloc.stop()
 
-        _, recorded = traced(lambda: reference.forward(model, x, record=True))
+        _, held = traced(lambda: recorded(model, x))
         div, streamed = traced(lambda: compare_paths(model, frames))
         assert div is None
-        assert streamed < recorded, (streamed, recorded)
+        assert streamed < held, (streamed, held)
 
     def test_intermediates_stay_packed(self):
-        plan = engine.compile(quantized_toy_model(seed=6))
+        plan = engine.compile(model_at(5, 6))
         res = execute(plan, frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)))
         assert isinstance(res.intermediates["mp1.out"], BitTensor)
         assert isinstance(res.intermediates["gap.counts"], np.ndarray)
@@ -277,7 +275,7 @@ class TestExecute:
             for k in (2, 3, 4, 5):
                 apply_stage_transition(model, k)
             plan = engine.compile(model)
-            want = reference.forward(model, frames / 255.0, record=True).intermediates
+            _, want = recorded(model, frames / 255.0)
             outputs.clear()
             tracemalloc.start()
             try:
@@ -290,7 +288,7 @@ class TestExecute:
             for name, val in res.intermediates.items():
                 got = unpack(val) if isinstance(val, BitTensor) else val
                 np.testing.assert_array_equal(got, np.reshape(want[name], got.shape), err_msg=name)
-            np.testing.assert_array_equal(res.intlogits, want["dense.intlogits"])
+            np.testing.assert_array_equal(res.intermediates["dense.intlogits"], want["dense.intlogits"])
             np.testing.assert_array_equal(res.pred, want["pred"])
         assert peaks[1] - peaks[0] < (formed[1] - formed[0]) / 4, (peaks, formed)
 
@@ -314,12 +312,13 @@ class TestExecute:
         np.testing.assert_array_equal(got, h_seq.astype(np.int64) @ w)
 
     def test_intlogits_shape(self):
-        model = quantized_toy_model(seed=6)
+        model = model_at(5, 6)
         plan = engine.compile(model)
         frames = np.zeros((3, 8, 24, 32, 1), dtype=np.uint8)
         res = execute(plan, frames_to_bitplanes(frames))
-        assert res.intlogits.shape == (3, 4, 4)
-        assert res.intlogits.dtype == np.int64
+        intlogits = res.intermediates["dense.intlogits"]
+        assert intlogits.shape == (3, 4, 4)
+        assert intlogits.dtype == np.int64
 
 
 def random_gates(rng, n_i, n_o):

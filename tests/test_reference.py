@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import recorded
 
 from billnet import reference as ref
 from billnet.errors import BadGrouping, NonBinarySelect, ShapeMismatch
@@ -377,11 +378,11 @@ class TestModelForward:
         model = build(toy_config())
         rng = np.random.default_rng(12)
         x = rng.integers(0, 256, size=(2, 8, 24, 32, 1)) / 255.0
-        res = ref.forward(model, x, record=True)
+        res, taps = recorded(model, x)
         assert res.logits.shape == (2, 4, 4)
         assert res.scores.shape == (2, 4)
         assert res.pred.shape == (2,)
-        assert "mor2.sel" in res.intermediates
+        assert "mor2.sel" in taps
 
     def test_paper_scale_heatmap_shape(self):
         # 16 frames at 96x128 produce an 8 x 27 class-temporal map.
@@ -400,13 +401,13 @@ class TestModelForward:
             apply_stage_transition(model, k)
         rng = np.random.default_rng(13)
         x = rng.integers(0, 256, size=(1, 8, 24, 32, 1)) / 255.0
-        res = ref.forward(model, x, record=True)
-        for name, val in res.intermediates.items():
+        _, taps = recorded(model, x)
+        for name, val in taps.items():
             layer = name.split(".")[0]
             if layer.startswith(("stem", "mor", "cf", "mp")):
                 assert np.isin(val, (0.0, 1.0)).all(), name
-        assert np.isin(res.intermediates["lstm.h"], (-1, 0, 1)).all()
-        assert res.intermediates["gap.counts"].dtype == np.int64
+        assert np.isin(taps["lstm.h"], (-1, 0, 1)).all()
+        assert taps["gap.counts"].dtype == np.int64
 
     @pytest.mark.parametrize("stage", [1, 3, 5])
     def test_lstm_kernels_quantized_once_per_forward(self, stage, monkeypatch):
@@ -425,11 +426,9 @@ class TestModelForward:
     def test_zero_input_mor_takes_or_branch(self):
         model = build(toy_config(seed=4))
         x = np.zeros((1, 8, 24, 32, 1))
-        res = ref.forward(model, x, record=True)
-        np.testing.assert_array_equal(res.intermediates["mor1.sel"], 0.0)
-        np.testing.assert_array_equal(
-            res.intermediates["mor1.out"], res.intermediates["mor1.i0"]
-        )
+        _, taps = recorded(model, x)
+        np.testing.assert_array_equal(taps["mor1.sel"], 0.0)
+        np.testing.assert_array_equal(taps["mor1.out"], taps["mor1.i0"])
 
 
 def quantized_model(config: str, stage: int):
@@ -470,8 +469,8 @@ class TestExactPrecision:
         frames = np.random.default_rng(18).integers(
             0, 256, size=(1, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8
         )
-        res = ref.forward(model, frames / 255.0, record=True)
-        assert all(v.dtype == np.float64 for k, v in res.intermediates.items() if k.endswith((".out", ".v")))
+        _, taps = recorded(model, frames / 255.0)
+        assert all(v.dtype == np.float64 for k, v in taps.items() if k.endswith((".out", ".v")))
         if stage == 5:
             assert compare_paths(model, frames) is None
 
@@ -499,16 +498,16 @@ class TestExactPrecision:
             return real(x, w, spec)
 
         monkeypatch.setattr(ref, "conv3d", conv3d)
-        got = ref.forward(model, x, record=True)
+        got, got_taps = recorded(model, x)
         assert len(ran) == 33
         assert sum(dt == np.float32 for dt, _, _ in ran) == 30
         assert [(c, k) for dt, c, k in ran if dt == np.float64] == [(128, (1, 1, 1))] * 3
         monkeypatch.setattr(ref, "FLOAT32_EXACT_LIMIT", 0)
         ran.clear()
-        want = ref.forward(model, x, record=True)
+        want, want_taps = recorded(model, x)
         assert len(ran) == 33 and all(dt == np.float64 for dt, _, _ in ran)
-        assert got.intermediates.keys() == want.intermediates.keys()
-        pairs = [(name, got.intermediates[name], v) for name, v in want.intermediates.items()]
+        assert got_taps.keys() == want_taps.keys()
+        pairs = [(name, got_taps[name], v) for name, v in want_taps.items()]
         pairs += [("logits", got.logits, want.logits), ("scores", got.scores, want.scores)]
         for name, a, b in pairs:
             assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import CONFIGS, PAPER_CONFIG, assert_no_norms_or_reals, assert_ops_write_in_order, model_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,26 +10,6 @@ from billnet.engine import compare_paths
 from billnet.errors import ShapeMismatch
 from billnet.model import BillnetConfig, apply_stage_transition, build, count_params, latents, norms, toy_config
 from billnet.training import PAPER_LRS, StageConfig, bind_params, evaluate, run_stage, training_graph
-
-CONFIGS = {
-    "toy": {},
-    "cf-blocks": {"blocks": ("cf:n", "mor:n", "mp", "mor:2n")},
-}
-
-
-def model_at(stage, seed, **overrides):
-    """Toy model with seeded norm statistics, advanced to ``stage``."""
-    model = build(toy_config(seed=seed, **overrides))
-    rng = np.random.default_rng(seed + 1000)
-    for lay in model.layers:
-        for nm in norms(lay).values():
-            nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
-            nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
-            nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
-            nm.var = rng.lognormal(0.0, 1.0, nm.var.shape)
-    for k in range(2, stage + 1):
-        apply_stage_transition(model, k)
-    return model
 
 
 @pytest.mark.parametrize("stage,seeds", [(4, 3), (5, 12)], ids=["4", "5"])
@@ -102,14 +83,13 @@ def test_fuzzed_stage5_models_agree_on_both_paths_and_the_tape(overrides, seed):
         0, 256, size=(2, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8
     )
     assert compare_paths(model, frames) is None
+    plan = engine.compile(model)
+    assert_no_norms_or_reals(plan)
+    assert_ops_write_in_order(plan)
     x = frames / 255.0
     _, scores = training_graph(Tape(), model, bind_params(model), x, np.arange(2) % cfg.num_classes)
     gap = np.abs(scores - reference.forward(model, x).scores).max()
     assert gap <= 1e-12, gap
-
-
-# toy_config overrides that give the paper-scale BillnetConfig.
-PAPER_CONFIG = {f: getattr(BillnetConfig(), f) for f in ("n", "g", "m", "t", "h", "w", "num_classes", "blocks")}
 
 
 def train_step(model, frames, labels):
@@ -276,3 +256,28 @@ def test_labels_outside_the_classes_are_refused_before_any_step(label):
 def test_evaluate_refuses_an_unknown_path_on_no_clips():
     with pytest.raises(ValueError):
         evaluate(build(toy_config()), np.zeros((0, 8, 24, 32, 1), np.uint8), np.zeros(0, int), path="bogus")
+
+
+@pytest.mark.parametrize("clips,labels", [(4, 2), (2, 4)])
+def test_evaluate_refuses_clip_and_label_counts_that_differ(clips, labels):
+    # Pairing clips with labels batch by batch would score only the shorter.
+    frames = np.zeros((clips, 8, 24, 32, 1), dtype=np.uint8)
+    with pytest.raises(ShapeMismatch):
+        evaluate(build(toy_config()), frames, np.arange(labels) % 4)
+
+
+@pytest.mark.parametrize("pair", ["train", "test"])
+@pytest.mark.parametrize("clips,labels", [(4, 2), (2, 4)])
+def test_run_stage_refuses_clip_and_label_counts_that_differ_before_any_step(clips, labels, pair):
+    # A clip permutation indexes the labels: with fewer labels it runs past
+    # them mid-epoch, with more it trains on a prefix.  The test pair is
+    # refused the same way, before the stage is entered.
+    model = model_at(1, 0)
+    before = model.layers[0].w.copy()
+    frames = np.zeros((clips, 8, 24, 32, 1), dtype=np.uint8)
+    y = np.arange(labels) % 4
+    data = (frames, y, frames[:2], y[:2]) if pair == "train" else (frames[:2], y[:2], frames, y)
+    with pytest.raises(ShapeMismatch):
+        run_stage(model, StageConfig(2, 1e-3, 1, 1, batch_size=2), *data)
+    assert model.stage == 1
+    assert np.array_equal(model.layers[0].w, before)

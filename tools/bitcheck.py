@@ -99,9 +99,10 @@ def dump(path: str) -> int:
         for stage in range(1, 6):
             start = time.perf_counter()
             model = _model_at(name, stage)
-            res = reference.forward(model, x, record=True)
+            taps: dict[str, np.ndarray] = {}
+            res = reference.forward(model, x, on_tap=taps.__setitem__)
             key = f"{name}/s{stage}"
-            for tap, val in res.intermediates.items():
+            for tap, val in taps.items():
                 arrays[f"{key}/ref/{tap}"] = val
             arrays[f"{key}/ref/logits"] = res.logits
             arrays[f"{key}/ref/scores"] = res.scores
@@ -109,7 +110,7 @@ def dump(path: str) -> int:
                 logic = engine.execute(engine.compile(model), engine.frames_to_bitplanes(frames))
                 for tap, val in logic.intermediates.items():
                     arrays[f"{key}/logic/{tap}"] = val.words if isinstance(val, BitTensor) else val
-                arrays[f"{key}/logic/intlogits"] = logic.intlogits
+                arrays[f"{key}/logic/intlogits"] = logic.intermediates["dense.intlogits"]
                 arrays[f"{key}/logic/pred"] = logic.pred
                 div = engine.compare_paths(model, frames)
                 if div is not None:
