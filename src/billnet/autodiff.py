@@ -2,8 +2,9 @@
 
 A ``Tape`` records one closure per primal op in execution order; ``backward``
 replays them in exact reverse order, accumulating gradients additively into
-each ``Var``.  Smooth ops carry their analytic adjoints; the quantizers carry
-surrogate (straight-through) gradients, windowed by ``quantize.heaviside_ste_grad``:
+each ``Var``'s gradient ``Slot``.  Smooth ops carry their analytic adjoints;
+the quantizers carry surrogate (straight-through) gradients, windowed by
+``quantize.heaviside_ste_grad``:
 
     step(x)            backward  g * 1_{|x| <= 1}
     clip(x)            backward  g            (identity)
@@ -21,9 +22,19 @@ input does.  ``_op`` wraps the value in a ``Var`` and, through
 ``Tape.record``, keeps a backward closure only when some input needs a
 gradient.  The closure runs the formula only once the output has received
 a gradient, and passes the formula's gradients, one per input, to
-``Tape._acc``, which drops a gradient bound for a ``Var`` that needs none,
+``Tape._acc``, which drops a gradient bound for a slot that needs none,
 so such a ``Var``'s ``grad`` stays None.  A formula whose input gradient is
 costly (``conv3d_op``) is a generator that stops before forming it.
+
+Closures own only what the backward reads.  A closure holds the ``Slot``s
+of its op's output and inputs (``grad``, ``requires_grad``, ``shape``),
+never a ``Var``, and its formula holds only the arrays it reads, captured
+when the op runs (``conv3d_op`` its input and weights, ``matmul`` and
+``mul`` their operands, ``batchnorm_train`` its normalized input and
+``gamma``); an op that needs only a shape captures the shape.  A forward
+value therefore lives only while the caller holds its ``Var`` or a formula
+has captured it.  ``backward`` drops each closure once it has run, so the
+captured arrays and the gradients die as the sweep passes them.
 
 Gradients are shared, never written in place: ``Tape._acc`` stores the array
 an op hands it (or a fresh sum), so one array may be the upstream gradient of
@@ -47,50 +58,74 @@ from .reference import ConvSpec, _blocks, _columns, _conv, conv3d
 from .tensors import conv_same_pads
 
 
+class Slot:
+    """What the backward keeps of a node: its gradient, whether it needs
+    one, and its shape."""
+
+    __slots__ = ("grad", "requires_grad", "shape")
+
+    def __init__(self, shape, requires_grad):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.shape = shape
+
+
 class Var:
     """Array node; ``trainable`` marks optimizer targets, the leaves whose
     gradient ``backward`` forms; ``requires_grad`` marks every node that
-    needs a gradient (see the module docstring)."""
+    needs a gradient (see the module docstring).  ``grad`` and
+    ``requires_grad`` live in the node's ``slot``."""
 
-    __slots__ = ("value", "grad", "trainable", "requires_grad", "name")
+    __slots__ = ("value", "slot", "trainable", "name")
 
     def __init__(self, value, trainable=False, name=""):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.trainable = self.requires_grad = trainable
+        self.slot = Slot(self.value.shape, trainable)
+        self.trainable = trainable
         self.name = name
 
     @property
     def shape(self):
         return self.value.shape
 
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.slot.grad = g
+
+    @property
+    def requires_grad(self):
+        return self.slot.requires_grad
+
 
 class Tape:
     def __init__(self):
         self._backward = []  # closures, execution order
         self.params: list[Var] = []
-        self._touched: set[int] = set()
+        self._touched: set[Slot] = set()  # held, so no slot's identity is reused
 
     def watch(self, var: Var) -> Var:
         if var.trainable and all(var is not p for p in self.params):
             self.params.append(var)
         return var
 
-    def record(self, backward, *inputs: Var) -> bool:
-        """Note an op on ``inputs``; returns whether its output needs a
-        gradient, and keeps ``backward`` only if so."""
-        for v in inputs:
-            self._touched.add(id(v))
-        needs = any(v.requires_grad for v in inputs)
+    def record(self, backward, *inputs: Slot) -> bool:
+        """Note an op on the slots ``inputs``; returns whether its output
+        needs a gradient, and keeps ``backward`` only if so."""
+        self._touched.update(inputs)
+        needs = any(s.requires_grad for s in inputs)
         if needs:
             self._backward.append(backward)
         return needs
 
-    def _acc(self, var: Var, g: np.ndarray):
-        if not var.requires_grad:
+    def _acc(self, slot: Slot, g: np.ndarray):
+        if not slot.requires_grad:
             return
-        g = _unbroadcast(g, var.value.shape)
-        var.grad = g if var.grad is None else var.grad + g
+        g = _unbroadcast(g, slot.shape)
+        slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -109,9 +144,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(tape: Tape, loss: Var):
     """Seed the scalar loss and sweep the tape in reverse.
 
-    The sweep consumes the tape: its closures are dropped once it ends.  Each
-    closure refers back to the tape; kept, that cycle would hold every
-    forward activation until the cyclic garbage collector runs.
+    The sweep consumes the tape: each closure is popped before it runs, so
+    the arrays its formula captured and the output gradient it read die as
+    the sweep passes them (see the module docstring).  Each closure also
+    refers back to the tape; kept, that cycle would hold them until the
+    cyclic garbage collector runs.
 
     Raises DisconnectedGraph when a registered trainable never took part in
     the recorded forward pass.
@@ -119,12 +156,12 @@ def backward(tape: Tape, loss: Var):
     if loss.value.size != 1:
         raise ValueError("loss must be scalar")
     for p in tape.params:
-        if id(p) not in tape._touched:
+        if p.slot not in tape._touched:
             raise DisconnectedGraph(f"trainable {p.name or '<unnamed>'} unreachable from loss")
+    tape._touched.clear()
     loss.grad = np.ones_like(loss.value)
-    for bwd in reversed(tape._backward):
-        bwd()
-    tape._backward.clear()
+    while tape._backward:
+        tape._backward.pop()()
 
 
 def _op(tape: Tape, value, inputs, grads) -> Var:
@@ -134,16 +171,19 @@ def _op(tape: Tape, value, inputs, grads) -> Var:
     received one: ``grads(out.grad)`` then gives one gradient per input, in
     the order of ``inputs``, and each is accumulated as it comes.  A
     generator ``grads`` forms each gradient after the previous one is
-    accumulated, and may stop early to skip the rest.
+    accumulated, and may stop early to skip the rest.  The closure holds
+    the slots, not the ``Var``s, so ``grads`` must capture any forward
+    array it reads.
     """
     out = Var(value)
+    slot, slots = out.slot, [v.slot for v in inputs]
 
     def bwd():
-        if out.grad is not None:
-            for v, g in zip(inputs, grads(out.grad)):
-                tape._acc(v, g)
+        if slot.grad is not None:
+            for s, g in zip(slots, grads(slot.grad)):
+                tape._acc(s, g)
 
-    out.requires_grad = tape.record(bwd, *inputs)
+    slot.requires_grad = tape.record(bwd, *slots)
     return out
 
 
@@ -157,17 +197,19 @@ def add(tape: Tape, a: Var, b: Var) -> Var:
 
 
 def mul(tape: Tape, a: Var, b: Var) -> Var:
-    return _op(tape, a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
+    av, bv = a.value, b.value
+    return _op(tape, av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def matmul(tape: Tape, a: Var, w: Var) -> Var:
     """(..., k) @ (k, m); weight is 2-D."""
+    av, wv = a.value, w.value
 
     def grads(g):
-        yield g @ w.value.T
-        yield a.value.reshape(-1, a.value.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        yield g @ wv.T
+        yield av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
-    return _op(tape, a.value @ w.value, (a, w), grads)
+    return _op(tape, av @ wv, (a, w), grads)
 
 
 def concat(tape: Tape, a: Var, b: Var, axis: int = -1) -> Var:
@@ -177,15 +219,17 @@ def concat(tape: Tape, a: Var, b: Var, axis: int = -1) -> Var:
 
 
 def mean_axes(tape: Tape, a: Var, axes: tuple) -> Var:
-    count = np.prod([a.value.shape[ax] for ax in axes])
+    shape = a.shape
+    count = np.prod([shape[ax] for ax in axes])
     return _op(
         tape, a.value.mean(axis=axes), (a,),
-        lambda g: (np.broadcast_to(np.expand_dims(g, axes) / count, a.value.shape),),
+        lambda g: (np.broadcast_to(np.expand_dims(g, axes) / count, shape),),
     )
 
 
 def sum_all(tape: Tape, a: Var) -> Var:
-    return _op(tape, a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape),))
+    shape = a.shape
+    return _op(tape, a.value.sum(), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def relu(tape: Tape, a: Var) -> Var:
@@ -204,8 +248,10 @@ def tanh(tape: Tape, a: Var) -> Var:
 
 
 def select_time(tape: Tape, a: Var, t: int) -> Var:
+    shape = a.shape
+
     def grads(g):
-        ga = np.zeros_like(a.value)
+        ga = np.zeros(shape)
         ga[:, t] = g
         return (ga,)
 
@@ -232,17 +278,18 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
     g = spec.groups
     cig = spec.in_channels // g
     cog = spec.out_channels // g
+    xv, wv, x_needs = x.value, w.value, x.requires_grad
 
     def grads(gout):
         # weight gradient: the forward's im2col columns against the output grad
-        gw = np.empty_like(w.value)
-        cols = _columns(x.value, spec.kernel, spec.strides, g)
+        gw = np.empty_like(wv)
+        cols = _columns(xv, spec.kernel, spec.strides, g)
         for gi in range(g):
             go = gout[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
             gw[..., gi * cog : (gi + 1) * cog] = (cols(gi).T @ go).reshape(kt, kh, kw, cig, cog)
         del cols  # frees the padded input before the input gradient allocates
         yield gw
-        if not x.requires_grad:
+        if not x_needs:
             return
         # The input gradient is the transposed conv: the output gradient,
         # dilated by the stride, correlated at stride 1 with the weights
@@ -251,30 +298,31 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
         # k//2 - pad_before in an input-sized array, which folds the "same"
         # pads of both convs into that one offset (0 at stride 1).
         if tuple(spec.strides) != (1, 1, 1):
-            dilated = np.zeros((*x.value.shape[:4], spec.out_channels))
+            dilated = np.zeros((*xv.shape[:4], spec.out_channels))
             dilated[(slice(None), *(
                 slice(k // 2 - conv_same_pads(s, k, st)[1], None, st)
-                for s, k, st in zip(x.value.shape[1:4], spec.kernel, spec.strides)
+                for s, k, st in zip(xv.shape[1:4], spec.kernel, spec.strides)
             ))] = gout
             gout = dilated
-        wt = w.value[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
+        wt = wv[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
         wt = wt.transpose(0, 1, 2, 5, 4, 3).reshape(kt, kh, kw, cog, g * cig)
         tspec = ConvSpec(spec.kernel, (1, 1, 1), g, spec.out_channels, spec.in_channels)
         yield conv3d(gout, wt, tspec)
 
-    return _op(tape, _conv(x.value, w.value, spec, bound)[0], (w, x), grads)
+    return _op(tape, _conv(xv, wv, spec, bound)[0], (w, x), grads)
 
 
 def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
     """Max pooling over ``reference._blocks``, the non-overlapping windows in
     floor mode.  Every maximum of a window, tied or not, receives the
     window's full gradient."""
+    shape = x.shape
     blocks = _blocks(x.value, window)
     out_val = blocks.max(axis=(2, 4, 6))
     mask = blocks == out_val[:, :, None, :, None, :, None, :]
 
     def grads(g):
-        gx = np.zeros(x.value.shape)  # C order: its blocks are a view
+        gx = np.zeros(shape)  # C order: its blocks are a view
         _blocks(gx, window)[...] = mask * g[:, :, None, :, None, :, None, :]
         return (gx,)
 
@@ -293,13 +341,14 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
     toward the batch statistics (used later for eval and shift folding).
     """
     axes = tuple(range(x.value.ndim - 1))
+    gv = gamma.value
     mu = x.value.mean(axis=axes)
     xhat = x.value - mu
     y = np.square(xhat)
     var = y.mean(axis=axes)  # the same sum x.var forms
     ivar = 1.0 / np.sqrt(var + p.eps)
     xhat *= ivar
-    np.multiply(gamma.value, xhat, out=y)  # the squares' buffer becomes the output
+    np.multiply(gv, xhat, out=y)  # the squares' buffer becomes the output
     y += beta.value
     p.mean = (1.0 - momentum) * p.mean + momentum * mu
     p.var = (1.0 - momentum) * p.var + momentum * var
@@ -316,7 +365,7 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
         np.multiply(xhat, ggamma / m, out=gx)
         np.subtract(g, gx, out=gx)
         gx -= gbeta / m
-        gx *= gamma.value * ivar
+        gx *= gv * ivar
         yield gx
 
     return _op(tape, y, (gamma, beta, x), grads)

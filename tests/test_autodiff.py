@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from billnet import autodiff as ad
+from billnet.errors import DisconnectedGraph
 from billnet.model import LSTMLayer
 from billnet.quantize import BNParams, heaviside_ste_grad, sign_strict, tern
 from billnet.reference import ConvSpec, LSTMWeights, conv3d
@@ -215,7 +216,7 @@ def test_dangling_output_runs_no_gradient_formula(monkeypatch):
     spec = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 3)
     accumulated, columns = [], []
     real_acc, real_columns = ad.Tape._acc, ad._columns
-    monkeypatch.setattr(ad.Tape, "_acc", lambda tape, var, g: accumulated.append(var) or real_acc(tape, var, g))
+    monkeypatch.setattr(ad.Tape, "_acc", lambda tape, slot, g: accumulated.append(slot) or real_acc(tape, slot, g))
     monkeypatch.setattr(ad, "_columns", lambda *args: columns.append(args) or real_columns(*args))
     tape = ad.Tape()
     v = ad.Var(rng.normal(size=(2, 3)), trainable=True)
@@ -226,8 +227,8 @@ def test_dangling_output_runs_no_gradient_formula(monkeypatch):
     ad.backward(tape, ad.sum_all(tape, ad.mul(tape, used, used)))
     assert v.grad is None and w.grad is None
     assert all(d.grad is None for d in dangling)
-    assert columns == [] and not any(var is v or var is w for var in accumulated)
-    assert any(var is used for var in accumulated)
+    assert columns == [] and not any(slot is v.slot or slot is w.slot for slot in accumulated)
+    assert any(slot is used.slot for slot in accumulated)
     np.testing.assert_array_equal(used.grad, 2.0 * used.value)
 
 
@@ -302,6 +303,51 @@ def test_backward_releases_forward_activations():
         assert w.grad is not None
     finally:
         gc.enable()
+
+
+def test_tape_holds_only_what_backward_reads():
+    # The tape keeps an op's output only if a gradient formula reads it: the
+    # second conv's weight gradient reads the step, so that lives until the
+    # sweep; the first conv's output and the norm's output die with the
+    # caller's references, while the tape still holds every closure.
+    rng = np.random.default_rng(25)
+    spec1 = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 4)
+    spec2 = ConvSpec((1, 3, 3), (1, 1, 1), 2, 4, 2)
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        w1, w2, gamma, beta = (
+            tape.watch(ad.Var(rng.normal(size=shape), trainable=True))
+            for shape in (spec1.weight_shape, spec2.weight_shape, (4,), (4,))
+        )
+        conv = ad.conv3d_op(tape, ad.Var(rng.normal(size=(2, 3, 4, 4, 2))), w1, spec1)
+        normed = ad.batchnorm_train(tape, conv, gamma, beta, _fresh_norm(4))
+        step = ad.heaviside_ste(tape, normed)
+        out = ad.conv3d_op(tape, step, w2, spec2)
+        loss = ad.sum_all(tape, out)
+        alive = {name: weakref.ref(v.value) for name, v in
+                 (("conv", conv), ("normed", normed), ("step", step), ("out", out))}
+        del conv, normed, step, out
+        assert [name for name, ref in alive.items() if ref() is not None] == ["step"]
+        ad.backward(tape, loss)
+        assert tape._backward == []
+        assert alive["step"]() is None
+        assert all(v.grad is not None for v in (w1, w2, gamma, beta))
+    finally:
+        gc.enable()
+
+
+def test_unused_trainable_is_disconnected_whatever_ids_are_reused():
+    # The data Var dies after its op, and the watched trainable made next
+    # tends to take its id; that must not count as taking part in the forward.
+    for _ in range(1000):
+        tape = ad.Tape()
+        data = ad.Var(np.ones(2))
+        ad.tanh(tape, data)
+        del data
+        tape.watch(ad.Var(np.ones(2), trainable=True, name="unused"))
+        with pytest.raises(DisconnectedGraph, match="unused"):
+            ad.backward(tape, ad.Var(0.0))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""The pair runner's reduction, on synthetic perfbench records (no runs)."""
+"""The pair runner and its reduction, on synthetic perfbench records (no runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -68,3 +69,30 @@ def test_reduce_pairs_drops_a_figure_one_side_lacks():
     entry = benchpairs.reduce_pairs([1], [(parent, change)])
     assert "ref_clip_s" not in entry["parent"] and "ref_clip_s" not in entry["change_better_pairs"]
     assert entry["parent"]["unit_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+@pytest.mark.parametrize("change", [None, "elsewhere"])
+def test_main_runs_each_side_in_its_checkout(change, tmp_path, monkeypatch):
+    # --change names the change side's checkout; without it the change runs
+    # in the checkout that holds the tool.  Sides alternate from pair to pair.
+    parent = tmp_path / "parent"
+    runs = []
+
+    def run_side(checkout, workload, seed, seconds, trace):
+        runs.append((checkout, seed, trace))
+        return record(1.0 if checkout == parent else 0.5, 100.0, [0.1])
+
+    monkeypatch.setattr(benchpairs, "run_side", run_side)
+    monkeypatch.setattr(benchpairs, "commit_of", lambda checkout: checkout.name)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--workload", "w", "--seeds", "1-2", "--seconds", "3",
+            "--out", str(out), "--traced-seed", "7"]
+    if change:
+        argv += ["--change", str(tmp_path / change)]
+    assert benchpairs.main(argv) == 0
+    want = tmp_path / change if change else benchpairs.ROOT
+    assert runs == [(parent, 1, 0), (want, 1, 0), (want, 2, 0), (parent, 2, 0), (parent, 7, 1), (want, 7, 1)]
+    bench = json.loads(out.read_text())
+    assert (bench["parent_commit"], bench["change_commit"]) == ("parent", want.name)
+    assert bench["workloads"]["w"]["change_better_pairs"]["unit_s"] == 2
+    assert bench["traced"]["w"]["seed"] == 7

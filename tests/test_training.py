@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import CONFIGS, PAPER_CONFIG, assert_no_norms_or_reals, assert_ops_write_in_order, model_at
@@ -52,6 +54,28 @@ def test_only_the_stem_input_goes_without_gradient(stage, monkeypatch):
     backward(tape, loss)
     assert [x.grad is None for x in inputs] == [True] + [False] * (len(inputs) - 1)
     assert all(v.grad is not None for v in bound.vars.values())
+
+
+def test_training_step_peaks_below_the_outputs_it_forms(monkeypatch):
+    # The tape keeps only what its backward reads, so one step's peak memory
+    # stays below the total of the op outputs it forms.
+    formed, real = [], autodiff._op
+    monkeypatch.setattr(autodiff, "_op", lambda tape, value, *a: formed.append(value.nbytes) or real(tape, value, *a))
+    model = model_at(3, 0)
+    cfg = model.config
+    frames = np.random.default_rng(4).integers(0, 256, size=(16, cfg.t, cfg.h, cfg.w, 1), dtype=np.uint8)
+    labels = np.arange(16) % cfg.num_classes
+    bound = bind_params(model)
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        loss, _ = training_graph(tape, model, bound, frames / 255.0, labels)
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v.grad is not None for v in bound.vars.values())
+    assert peak < sum(formed), (peak, sum(formed))
 
 
 @st.composite

@@ -7,12 +7,15 @@ Usage, from the repository root::
 
 For each seed in the inclusive range the tool runs ``perfbench/run.py
 --workload W --seed N --seconds S --trace 0`` once in the parent checkout
-and once in the checkout that holds this tool, one after the other, and
-reads the record that run leaves in that checkout's
+and once in the change checkout (``--change``, by default the checkout that
+holds this tool), one after the other, and reads the record that run leaves
+in that checkout's
 ``.perfbench_out/<workload>-seed<N>-trace0.json``.  The side that goes first
 alternates from pair to pair, so a slow drift of the host's speed lands on
 both sides alike.  ``--traced-seed N`` adds one ``--trace 1`` run per side
-and keeps every per-layer metric of the two.
+and keeps every per-layer metric of the two.  Passing ``--change`` with a
+copy made outside the repository (``git clone``) lets both sides run from
+like places.
 
 The reduction writes, under ``workloads[W]`` of ``--out`` (other workloads
 already in the file are kept):
@@ -131,6 +134,8 @@ def commit_of(checkout: Path) -> str | None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", default=ROOT, type=Path,
+                    help="checkout of the change (default: the one that holds this tool)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="inclusive range A-B")
     ap.add_argument("--seconds", required=True, type=float)
@@ -139,13 +144,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     pairs = [
-        run_pair(args.parent, ROOT, args.workload, seed, args.seconds, 0, change_first=i % 2 == 1)
+        run_pair(args.parent, args.change, args.workload, seed, args.seconds, 0, change_first=i % 2 == 1)
         for i, seed in enumerate(args.seeds)
     ]
     bench = json.loads(args.out.read_text()) if args.out.is_file() else {"what": None}
     header = pairs[0][1]["header"]
     bench.update({
         "parent_commit": commit_of(args.parent),
+        "change_commit": commit_of(args.change),
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "host": {k: header[k] for k in HOST_FIELDS if k in header},
@@ -153,7 +159,7 @@ def main(argv=None) -> int:
     })
     bench.setdefault("workloads", {})[args.workload] = reduce_pairs(args.seeds, pairs)
     if args.traced_seed is not None:
-        parent, change = run_pair(args.parent, ROOT, args.workload, args.traced_seed,
+        parent, change = run_pair(args.parent, args.change, args.workload, args.traced_seed,
                                   args.seconds, 1, change_first=False)
         bench.setdefault("traced", {})[args.workload] = traced_entry(args.traced_seed, parent, change)
     bench["what"] = "perfbench end-to-end medians and quartiles over alternating parent/change pairs" + (
