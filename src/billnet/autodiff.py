@@ -36,6 +36,15 @@ value therefore lives only while the caller holds its ``Var`` or a formula
 has captured it.  ``backward`` drops each closure once it has run, so the
 captured arrays and the gradients die as the sweep passes them.
 
+Integer-valued captures are held narrow.  Given ``bound`` (an input of
+integers of magnitude at most ``bound``), ``conv3d_op`` keeps its input and
+its +-1 weights, and ``batchnorm_train`` keeps its input in place of the
+normalized one, as ``_narrow`` integers: int8 for {0,1} steps, int16 or
+int32 for the sums of the convs after them.  The formula rebuilds the
+float64 operands from them, the conv's columns and weights by exact casts
+and the norm's normalized input by the forward's own two ops, so the
+gradients keep every bit.
+
 Gradients are shared, never written in place: ``Tape._acc`` stores the array
 an op hands it (or a fresh sum), so one array may be the upstream gradient of
 several operands and the ``grad`` of several ``Var``s.  No op may write into
@@ -268,22 +277,35 @@ def stack_time(tape: Tape, items: list[Var]) -> Var:
 # ---------------------------------------------------------------------------
 
 
+def _narrow(a: np.ndarray, bound: int) -> np.ndarray:
+    """The integer-valued ``a``, of magnitude at most ``bound``, in the
+    smallest signed integer dtype that holds both -bound and +bound (a
+    dtype that holds -bound - 1 does; at bound 128, one that holds only
+    -bound is int8, which wraps +128)."""
+    return a.astype(np.min_scalar_type(-bound - 1))
+
+
 def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = None) -> Var:
     """Grouped 3-D conv.  With ``bound`` (integer-valued ``x`` of at most that
     magnitude, +-1 weights ``w``) the forward runs through
     ``reference._conv`` at the precision ``reference.exact_dtype`` proves
     exact for its sums, so the float64 output carries the same bits as a
-    float64 conv.  The backward is float64 either way."""
+    float64 conv, and the formula keeps ``x`` and ``w`` ``_narrow``.  The
+    backward is float64 either way: it rebuilds float64 columns and weights
+    from the narrow copies, so its products read the same operands."""
     kt, kh, kw = spec.kernel
     g = spec.groups
     cig = spec.in_channels // g
     cog = spec.out_channels // g
     xv, wv, x_needs = x.value, w.value, x.requires_grad
+    out = _conv(xv, wv, spec, bound)[0]
+    if bound is not None:
+        xv, wv = _narrow(xv, bound), _narrow(wv, 1)
 
     def grads(gout):
         # weight gradient: the forward's im2col columns against the output grad
-        gw = np.empty_like(wv)
-        cols = _columns(xv, spec.kernel, spec.strides, g)
+        gw = np.empty(wv.shape)
+        cols = _columns(xv, spec.kernel, spec.strides, g, np.float64)
         for gi in range(g):
             go = gout[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
             gw[..., gi * cog : (gi + 1) * cog] = (cols(gi).T @ go).reshape(kt, kh, kw, cig, cog)
@@ -304,12 +326,12 @@ def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = No
                 for s, k, st in zip(xv.shape[1:4], spec.kernel, spec.strides)
             ))] = gout
             gout = dilated
-        wt = wv[::-1, ::-1, ::-1].reshape(kt, kh, kw, cig, g, cog)
+        wt = wv[::-1, ::-1, ::-1].astype(np.float64).reshape(kt, kh, kw, cig, g, cog)
         wt = wt.transpose(0, 1, 2, 5, 4, 3).reshape(kt, kh, kw, cog, g * cig)
         tspec = ConvSpec(spec.kernel, (1, 1, 1), g, spec.out_channels, spec.in_channels)
         yield conv3d(gout, wt, tspec)
 
-    return _op(tape, _conv(xv, wv, spec, bound)[0], (w, x), grads)
+    return _op(tape, out, (w, x), grads)
 
 
 def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
@@ -334,8 +356,16 @@ def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
 # ---------------------------------------------------------------------------
 
 
-def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: float = 0.1) -> Var:
+def batchnorm_train(
+    tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: float = 0.1, bound: int | None = None
+) -> Var:
     """Batch-statistics normalization over all but the channel axis.
+
+    The formula reads the normalized input ``xhat``.  Without ``bound`` it
+    keeps the forward's float64 ``xhat``.  With ``bound`` (integer-valued
+    ``x`` of at most that magnitude) it keeps ``x`` ``_narrow`` and forms
+    ``xhat`` again by the forward's own two ops, which give the same bits
+    on the same integers.
 
     Side effect: moving statistics in ``p`` are advanced by ``momentum``
     toward the batch statistics (used later for eval and shift folding).
@@ -353,8 +383,14 @@ def batchnorm_train(tape: Tape, x: Var, gamma: Var, beta: Var, p, momentum: floa
     p.mean = (1.0 - momentum) * p.mean + momentum * mu
     p.var = (1.0 - momentum) * p.var + momentum * var
     m = x.value.size // x.value.shape[-1]
+    kept = xhat if bound is None else _narrow(x.value, bound)
 
     def grads(g):
+        if bound is None:
+            xhat = kept
+        else:
+            xhat = kept - mu
+            xhat *= ivar
         gbeta = g.sum(axis=axes)
         gx = g * xhat
         ggamma = gx.sum(axis=axes)

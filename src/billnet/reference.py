@@ -96,29 +96,30 @@ def _windows(a: np.ndarray, window, strides) -> np.ndarray:
     )
 
 
-def _columns(x: np.ndarray, kernel, strides, groups: int):
+def _columns(x: np.ndarray, kernel, strides, groups: int, dtype=None):
     """Im2col for a same-padded grouped conv, one group per call.
 
     Returns ``cols(gi)``, which builds group ``gi``'s
     (N*To*Ho*Wo, kt*kh*kw*C/groups) column matrix, columns ordered
-    (kt, kh, kw, channel).  Every call writes the same buffer, so a caller
-    consumes each matrix before asking for the next group's.  A 1x1x1
-    stride-1 kernel needs no padding or window copy: its columns are the
-    input's own rows.
+    (kt, kh, kw, channel), in ``dtype`` (by default the input's).  Every
+    call writes the same buffer, so a caller consumes each matrix before
+    asking for the next group's.  A 1x1x1 stride-1 kernel needs no padding
+    or window copy: its columns are the input's own rows.
 
     Otherwise the input is copied once, zero-padded and group-major, into a
-    (groups, N, T', H', W', C/groups) slab of the input's dtype.  Within one
+    (groups, N, T', H', W', C/groups) slab of that dtype.  Within one
     group's slab the channels of neighbouring pixels are adjacent, so each
     window row of kw pixels is one contiguous run of kw*C/groups values that
     the column copy moves in one piece.
     """
     n, t, h, w, c = x.shape
     cig = c // groups
+    dtype = x.dtype if dtype is None else dtype
     if tuple(kernel) == (1, 1, 1) and tuple(strides) == (1, 1, 1):
-        rows = x.reshape(-1, c)
+        rows = x.reshape(-1, c).astype(dtype, copy=False)
         return lambda gi: rows[:, gi * cig : (gi + 1) * cig]
     pads = [conv_same_pads(s, k, st)[1:] for s, k, st in zip((t, h, w), kernel, strides)]
-    slab = np.zeros((groups, n, *(s + b + a for s, (b, a) in zip((t, h, w), pads)), cig), x.dtype)
+    slab = np.zeros((groups, n, *(s + b + a for s, (b, a) in zip((t, h, w), pads)), cig), dtype)
     (bt, _), (bh, _), (bw, _) = pads
     slab[:, :, bt : bt + t, bh : bh + h, bw : bw + w] = np.moveaxis(x.reshape(n, t, h, w, groups, cig), 4, 0)
     buf = None
@@ -127,7 +128,7 @@ def _columns(x: np.ndarray, kernel, strides, groups: int):
         nonlocal buf
         view = _windows(slab[gi], kernel, strides)
         if buf is None:
-            buf = np.empty(view.shape, x.dtype)
+            buf = np.empty(view.shape, dtype)
         np.copyto(buf, view)
         return buf.reshape(-1, prod(kernel) * cig)
 

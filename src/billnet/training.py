@@ -12,7 +12,11 @@ weights, and from stage 4 the stem reads the 8-bit grid as integers up to
 255, so those forward convs sum integers.  The graph carries each one's
 input bound, as ``reference.forward`` does, and ``autodiff.conv3d_op`` runs
 it at the precision ``reference.exact_dtype`` proves exact: the same bits
-as float64, at float32 cost where the bound allows.
+as float64, at float32 cost where the bound allows.  The bounds also reach
+the stage-3 batch norms that read such sums or the {0,1} residual ``i0``,
+so every bounded conv and norm holds its input as narrow integers for the
+backward (see ``autodiff``).  Each block is built in its own helper, so its
+float64 intermediates die once their last reader has run.
 """
 
 from __future__ import annotations
@@ -151,12 +155,19 @@ def bind_params(model: ModelGraph) -> BoundParams:
 # ---------------------------------------------------------------------------
 
 
-def _norm_node(tape, x, lay_name, norm, bound, suffix=""):
-    gamma = bound.vars.get(f"{lay_name}.gamma{suffix}")
+def _norm_act(tape, z, lay, bound, stage, int_bound=None, suffix=""):
+    """The layer's ``norm{suffix}`` on ``z``, then the stage's activation.
+    A norm with bound ``gamma`` and ``beta`` trains on batch statistics, and
+    keeps an integer-valued ``z`` of magnitude at most ``int_bound`` narrow
+    for its backward; any other applies its fixed scale."""
+    norm = getattr(lay, f"norm{suffix}")
+    gamma = bound.vars.get(f"{lay.name}.gamma{suffix}")
     if gamma is not None:
-        beta = bound.vars[f"{lay_name}.beta{suffix}"]
-        return ad.batchnorm_train(tape, x, gamma, beta, norm)
-    return ad.channel_affine(tape, x, norm.scale)
+        beta = bound.vars[f"{lay.name}.beta{suffix}"]
+        z = ad.batchnorm_train(tape, z, gamma, beta, norm, bound=int_bound)
+    else:
+        z = ad.channel_affine(tape, z, norm.scale)
+    return _act_node(tape, z, stage)
 
 
 def _act_node(tape, x, stage):
@@ -168,53 +179,62 @@ def _quant_w(tape, bound, name, stage):
     return ad.sign_ste(tape, w) if stage >= 2 else w
 
 
-def _cf_nodes(tape, x, lay, bound, stage, int_bound=None):
+def _stem_conv(tape, x, lay, bound, stage):
+    """The stem's conv of the snapped clip ``x``.  From stage 4 it sums the
+    8-bit grid as integers, and 1/255 is one more positive scale after it."""
+    w = _quant_w(tape, bound, f"{lay.name}.w", stage)
+    if stage >= 4:
+        return ad.channel_affine(tape, ad.conv3d_op(tape, Var(np.rint(x * 255.0)), w, lay.spec, 255), 1.0 / 255.0)
+    return ad.conv3d_op(tape, Var(x), w, lay.spec)
+
+
+def _cf_nodes(tape, x, lay, bound, stage, int_bound=None, suffix=""):
     """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``: with the
-    input's ``int_bound``, each conv at its exact precision."""
+    input's ``int_bound``, each conv at its exact precision.  Then the
+    layer's ``norm{suffix}`` and activation."""
     for part, spec in (("pw1", lay.pw1_spec), ("gconv", lay.gconv_spec), ("pw2", lay.pw2_spec)):
         x = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec, int_bound)
         if int_bound is not None:
             int_bound *= spec.fan_in
-    return x
+    return _norm_act(tape, x, lay, bound, stage, int_bound, suffix)
+
+
+def _mor_nodes(tape, x, lay, bound, stage, bits):
+    """The MUX-OR residual block on ``x``; ``bits`` (1 from stage 3, else
+    None) bounds ``x``, and so the {0,1} ``i0`` its second norm reads."""
+    if lay.skip_w is not None:
+        w = _quant_w(tape, bound, f"{lay.name}.skip", stage)
+        skip = _act_node(tape, ad.conv3d_op(tape, x, w, lay.skip_spec, bits), stage)
+    else:
+        skip = x
+    sel = tgap_select(skip.value, quantized=stage >= 3)
+    i0 = ad.clip_ste(tape, ad.add(tape, _cf_nodes(tape, x, lay, bound, stage, bits, "1"), skip))
+    del skip  # its last reader has run
+    i1 = _norm_act(tape, i0, lay, bound, stage, bits, "2")
+    return ad.mux_select(tape, i0, i1, sel)
 
 
 def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndarray, labels: np.ndarray):
     """Build the stage-semantics forward on the tape; returns (loss, scores).
 
-    Every bound var is watched here, first, so the ops below need not.
+    Every bound var is watched here, first, so the ops below need not.  Each
+    block is built in a helper where no name holds an intermediate past its
+    last reader, so it dies then unless a gradient formula keeps it.
     """
     stage = model.stage
     for v in bound.vars.values():
         tape.watch(v)
     x = snap_to_grid(x, model.config)
-    cur = Var(x)
     gap_den = 0
     # From stage 3 every conv after the stem reads {0,1} and sums integers.
     bits = 1 if stage >= 3 else None
     for lay in model.layers:
         if lay.kind == "stem":
-            w = _quant_w(tape, bound, f"{lay.name}.w", stage)
-            if stage >= 4:
-                cur = Var(np.rint(x * 255.0))
-                z = ad.channel_affine(tape, ad.conv3d_op(tape, cur, w, lay.spec, 255), 1.0 / 255.0)
-            else:
-                z = ad.conv3d_op(tape, cur, w, lay.spec)
-            cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
+            cur = _norm_act(tape, _stem_conv(tape, x, lay, bound, stage), lay, bound, stage)
         elif lay.kind == "cf":
-            z = _cf_nodes(tape, cur, lay, bound, stage, bits)
-            cur = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm, bound), stage)
+            cur = _cf_nodes(tape, cur, lay, bound, stage, bits)
         elif lay.kind == "mor":
-            if lay.skip_w is not None:
-                zs = ad.conv3d_op(tape, cur, _quant_w(tape, bound, f"{lay.name}.skip", stage), lay.skip_spec, bits)
-                skip = _act_node(tape, zs, stage)
-            else:
-                skip = cur
-            sel = tgap_select(skip.value, quantized=stage >= 3)
-            z = _cf_nodes(tape, cur, lay, bound, stage, bits)
-            v = _act_node(tape, _norm_node(tape, z, lay.name, lay.norm1, bound, "1"), stage)
-            i0 = ad.clip_ste(tape, ad.add(tape, v, skip))
-            i1 = _act_node(tape, _norm_node(tape, i0, lay.name, lay.norm2, bound, "2"), stage)
-            cur = ad.mux_select(tape, i0, i1, sel)
+            cur = _mor_nodes(tape, cur, lay, bound, stage, bits)
         elif lay.kind == "mp":
             cur = ad.maxpool3d_op(tape, cur, lay.window)
         elif lay.kind == "gap":

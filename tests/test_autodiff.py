@@ -306,35 +306,109 @@ def test_backward_releases_forward_activations():
 
 
 def test_tape_holds_only_what_backward_reads():
-    # The tape keeps an op's output only if a gradient formula reads it: the
-    # second conv's weight gradient reads the step, so that lives until the
-    # sweep; the first conv's output and the norm's output die with the
-    # caller's references, while the tape still holds every closure.
+    # The tape keeps an op's output only if a gradient formula reads it as
+    # float64: the last conv's weight gradient reads the second step, so that
+    # lives until the sweep.  The first conv's output and the float norm's
+    # output die with the caller's references, and so do the inputs of the
+    # bounded conv and the norm given ``bound``, which keep narrow integer
+    # copies; the tape still holds every op's closure.
     rng = np.random.default_rng(25)
     spec1 = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 4)
     spec2 = ConvSpec((1, 3, 3), (1, 1, 1), 2, 4, 2)
+    spec3 = ConvSpec((1, 1, 1), (1, 1, 1), 1, 2, 3)
     gc.disable()
     try:
         tape = ad.Tape()
-        w1, w2, gamma, beta = (
+        w1, w2, w3, gamma, beta, gamma2, beta2 = (
             tape.watch(ad.Var(rng.normal(size=shape), trainable=True))
-            for shape in (spec1.weight_shape, spec2.weight_shape, (4,), (4,))
+            for shape in (spec1.weight_shape, spec2.weight_shape, spec3.weight_shape, (4,), (4,), (2,), (2,))
         )
         conv = ad.conv3d_op(tape, ad.Var(rng.normal(size=(2, 3, 4, 4, 2))), w1, spec1)
         normed = ad.batchnorm_train(tape, conv, gamma, beta, _fresh_norm(4))
         step = ad.heaviside_ste(tape, normed)
-        out = ad.conv3d_op(tape, step, w2, spec2)
-        loss = ad.sum_all(tape, out)
-        alive = {name: weakref.ref(v.value) for name, v in
-                 (("conv", conv), ("normed", normed), ("step", step), ("out", out))}
-        del conv, normed, step, out
-        assert [name for name, ref in alive.items() if ref() is not None] == ["step"]
+        out = ad.conv3d_op(tape, step, ad.sign_ste(tape, w2), spec2, bound=1)
+        normed2 = ad.batchnorm_train(tape, out, gamma2, beta2, _fresh_norm(2), bound=spec2.fan_in)
+        step2 = ad.heaviside_ste(tape, normed2)
+        loss = ad.sum_all(tape, ad.conv3d_op(tape, step2, w3, spec3))
+        named = (("conv", conv), ("normed", normed), ("step", step), ("out", out),
+                 ("normed2", normed2), ("step2", step2))
+        alive = {name: weakref.ref(v.value) for name, v in named}
+        del conv, normed, step, out, normed2, step2, named
+        assert [name for name, ref in alive.items() if ref() is not None] == ["step2"]
+        assert len(tape._backward) == 9  # 3 convs, 2 norms, 2 steps, the sign, the sum
         ad.backward(tape, loss)
         assert tape._backward == []
-        assert alive["step"]() is None
-        assert all(v.grad is not None for v in (w1, w2, gamma, beta))
+        assert alive["step2"]() is None
+        assert all(v.grad is not None for v in (w1, w2, w3, gamma, beta, gamma2, beta2))
     finally:
         gc.enable()
+
+
+def assert_same_bits(got, want):
+    """Equal dtype and equal bytes: unlike ``assert_array_equal``, which
+    takes -0.0 for 0.0, this tells the two zeros apart."""
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "kernel,strides,groups,cin,cout,bound,size",
+    [
+        ((3, 3, 3), (2, 2, 2), 1, 1, 4, 255, (4, 7, 6)),
+        ((1, 1, 1), (1, 1, 1), 2, 4, 6, 1, (3, 5, 4)),
+        ((3, 3, 3), (1, 1, 1), 2, 4, 4, 128, (3, 4, 5)),
+        ((1, 1, 1), (1, 1, 1), 1, 4, 2, 2**15, (2, 3, 4)),
+    ],
+    ids=["stem", "pointwise-bits", "grouped-128", "pointwise-32768"],
+)
+def test_bounded_conv3d_op_gradients_have_the_float64_bits(kernel, strides, groups, cin, cout, bound, size):
+    # A bounded conv keeps its input and weights as narrow integers and
+    # rebuilds their float64 forms in the backward: every gradient has the
+    # bits of the conv that keeps them as float64.  At 128 and 2**15 a dtype
+    # that holds -bound but not +bound (int8, int16) would wrap.
+    rng = np.random.default_rng(26)
+    spec = ConvSpec(kernel, strides, groups, cin, cout)
+    lo = 0 if bound in (1, 255) else -bound
+    x0 = rng.integers(lo, bound + 1, size=(2, *size, cin)).astype(np.float64)
+    x0.reshape(-1)[:2] = (lo, bound)
+    w0 = rng.choice([-1.0, 1.0], size=spec.weight_shape)
+    probe = rng.normal(size=conv3d(x0, w0, spec).shape)
+    probe.reshape(-1)[::5] = 0.0  # zero upstream gradients, where -0.0 could arise
+
+    def grads(b):
+        tape = ad.Tape()
+        x, w = ad.Var(x0, trainable=True), ad.Var(w0, trainable=True)
+        out = ad.conv3d_op(tape, x, w, spec, bound=b)
+        ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Var(probe))))
+        return out.value, w.grad, x.grad
+
+    for got, want in zip(grads(bound), grads(None)):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize(
+    "values,bound", [((0, 1), 1), ((-1, 0, 1), 1), (tuple(range(-300, 301, 7)), 300)], ids=["bits", "signs", "ints"],
+)
+def test_bounded_batchnorm_train_gradients_have_the_float64_bits(values, bound):
+    # A norm given ``bound`` keeps its integer input narrow and forms the
+    # normalized input again in the backward: its output and every gradient
+    # have the bits of the norm that keeps the float64 normalized input.
+    rng = np.random.default_rng(27)
+    x0 = rng.choice(np.array(values, dtype=np.float64), size=(2, 3, 4, 5, 6))
+    x0[..., 0] = values[0]  # a constant channel: zero variance, xhat all 0.0
+    gamma0, beta0 = rng.normal(size=6), rng.normal(size=6)
+    probe = rng.normal(size=x0.shape)
+
+    def grads(b):
+        tape = ad.Tape()
+        x = ad.Var(x0, trainable=True)
+        gamma, beta = ad.Var(gamma0, trainable=True), ad.Var(beta0, trainable=True)
+        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(6), bound=b)
+        ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))
+        return y.value, x.grad, gamma.grad, beta.grad
+
+    for got, want in zip(grads(bound), grads(None)):
+        assert_same_bits(got, want)
 
 
 def test_unused_trainable_is_disconnected_whatever_ids_are_reused():
