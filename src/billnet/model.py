@@ -192,6 +192,20 @@ def norms(lay) -> dict[str, BNParams | ShiftNorm]:
     return {a: getattr(lay, a) for a in ("norm", "norm1", "norm2") if hasattr(lay, a)}
 
 
+def seed_norms(model: ModelGraph, rng: np.random.Generator) -> ModelGraph:
+    """Draw every batch norm's statistics from ``rng``, in layer and
+    ``norms`` order: gamma ~ lognormal(0, 1), beta ~ N(0, 0.3),
+    mean ~ N(0, 1), var ~ lognormal(0, 1).  Fresh norms fold to all-zero
+    stage-4 shifts; seeded ones give the fold something to do."""
+    for lay in model.layers:
+        for nm in norms(lay).values():
+            nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
+            nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
+            nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
+            nm.var = rng.lognormal(0.0, 1.0, nm.var.shape)
+    return model
+
+
 # ---------------------------------------------------------------------------
 # Builder
 # ---------------------------------------------------------------------------

@@ -58,11 +58,19 @@ class StageConfig:
             raise StageOrderViolation(f"stage {self.stage} outside 1..5")
         if self.decay_epochs > self.epochs:
             raise ValueError("decay window longer than the stage")
+        _check_batch_size(self.batch_size)
+
+
+def _check_batch_size(batch_size: int):
+    if batch_size < 1:
+        raise ValueError(f"batch_size {batch_size} is below 1")
 
 
 def stage_config(stage: int, scale: float = 1.0, batch_size: int = 40) -> StageConfig:
     """Published per-stage (lr, epochs); epochs and the decay window shrink
     proportionally for desk-scale runs."""
+    if stage not in PAPER_LRS:
+        raise StageOrderViolation(f"stage {stage} outside 1..5")
     epochs = max(1, round(PAPER_EPOCHS[stage] * scale))
     decay = min(max(1, round(PAPER_DECAY_EPOCHS * scale)), epochs)
     return StageConfig(stage, PAPER_LRS[stage], epochs, decay, batch_size=batch_size)
@@ -317,6 +325,7 @@ def evaluate(model: ModelGraph, frames: np.ndarray, labels: np.ndarray, batch_si
     """Accuracy and confusion matrix on uint8 clips via either path."""
     if path not in ("ref", "logic"):
         raise ValueError(f"unknown path {path!r}")
+    _check_batch_size(batch_size)
     classes = model.config.num_classes
     _check_labels(frames, labels, classes)
     confusion = np.zeros((classes, classes), dtype=np.int64)

@@ -1,9 +1,10 @@
 """Models and checks shared by the test modules."""
 
 import numpy as np
+import pytest
 
 from billnet import reference
-from billnet.model import BillnetConfig, apply_stage_transition, build, norms, toy_config
+from billnet.model import BillnetConfig, apply_stage_transition, build, seed_norms, toy_config
 
 # toy_config overrides: the toy model, and one with cf: blocks in it.
 CONFIGS = {
@@ -15,15 +16,8 @@ PAPER_CONFIG = {f: getattr(BillnetConfig(), f) for f in ("n", "g", "m", "t", "h"
 
 
 def model_at(stage, seed, **overrides):
-    """Toy model with seeded norm statistics, advanced to ``stage``."""
-    model = build(toy_config(seed=seed, **overrides))
-    rng = np.random.default_rng(seed + 1000)
-    for lay in model.layers:
-        for nm in norms(lay).values():
-            nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
-            nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
-            nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
-            nm.var = rng.lognormal(0.0, 1.0, nm.var.shape)
+    """Toy model with norm statistics seeded by ``seed + 1000``, advanced to ``stage``."""
+    model = seed_norms(build(toy_config(seed=seed, **overrides)), np.random.default_rng(seed + 1000))
     for k in range(2, stage + 1):
         apply_stage_transition(model, k)
     return model
@@ -33,6 +27,19 @@ def recorded(model, x):
     """``reference.forward`` on ``x``, and every intermediate it taps by name."""
     taps = {}
     return reference.forward(model, x, on_tap=taps.__setitem__), taps
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """``(x.dtype, w.dtype, spec)`` of every ``reference.conv3d`` call, in order."""
+    calls, real = [], reference.conv3d
+
+    def conv3d(x, w, spec):
+        calls.append((x.dtype, w.dtype, spec))
+        return real(x, w, spec)
+
+    monkeypatch.setattr(reference, "conv3d", conv3d)
+    return calls
 
 
 def assert_no_norms_or_reals(plan):

@@ -14,7 +14,6 @@ from billnet.engine import (
     qlstm_step,
 )
 from billnet.errors import BadConfig, NotFullyQuantized, ShapeMismatch
-from billnet.model import BillnetConfig, apply_stage_transition, build, toy_config
 from billnet.reference import LSTMWeights, lstm_cell, maxpool3d
 from billnet.tensors import BitTensor, pack, unpack
 
@@ -30,9 +29,7 @@ def stage5_plan(request):
 
 class TestCompile:
     def test_requires_stage5(self):
-        model = build(toy_config())
-        for k in (2, 3):
-            apply_stage_transition(model, k)
+        model = model_at(3, 0)
         with pytest.raises(NotFullyQuantized):
             engine.compile(model)
 
@@ -56,20 +53,16 @@ class TestCompile:
     def test_paper_plan_accumulator_bound(self, monkeypatch):
         # cf3 of a 4n block: 256 (pw-conv-bin) * 27 * 128/4 * 128 = 28,311,552,
         # above 2**24, so float32 would not be exact.
-        model = build(BillnetConfig())
-        for k in (2, 3, 4, 5):
-            apply_stage_transition(model, k)
+        model = model_at(5, 0, **PAPER_CONFIG)
         assert engine.compile(model).meta["max_abs_acc"] == 28_311_552
         monkeypatch.setattr(reference, "EXACT_LIMIT", 28_311_552)
         with pytest.raises(BadConfig):
             engine.compile(model)
 
-    def test_paper_plan_conv_dtypes(self, monkeypatch):
+    def test_paper_plan_conv_dtypes(self, conv_calls, monkeypatch):
         # float32 holds every integer below 2**24 exactly; only the cf3 convs
         # fed by 128-channel grouped convs can exceed that and stay float64.
-        model = build(BillnetConfig())
-        for k in (2, 3, 4, 5):
-            apply_stage_transition(model, k)
+        model = model_at(5, 0, **PAPER_CONFIG)
         plan = engine.compile(model)
         convs = [op for op in plan.ops if op.kind in ("stem-conv", "conv-int")]
         wide = sorted(op.name for op in convs if op.params["dtype"] == np.float64)
@@ -79,15 +72,8 @@ class TestCompile:
             assert (op.params["bound"] >= reference.FLOAT32_EXACT_LIMIT) == (op.name in wide)
         frames = np.random.default_rng(13).integers(0, 256, size=(1, 16, 96, 128, 1), dtype=np.uint8)
         planes = frames_to_bitplanes(frames)
-        ran, real_conv3d = [], reference.conv3d
-
-        def conv3d(x, w, spec):
-            ran.append(x.dtype)
-            return real_conv3d(x, w, spec)
-
-        monkeypatch.setattr(reference, "conv3d", conv3d)
         want = execute(plan, planes)
-        assert ran == [op.params["dtype"] for op in convs]
+        assert [xt for xt, _, _ in conv_calls] == [op.params["dtype"] for op in convs]
         monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
         plan64 = engine.compile(model)
         assert all(op.params["dtype"] == np.float64 for op in plan64.ops if "dtype" in op.params)
@@ -154,9 +140,7 @@ class TestExecute:
         planes = frames_to_bitplanes(frames)
         total = sum(unpack(p) * 2**b for b, p in enumerate(planes))
         np.testing.assert_array_equal(total, frames)
-        model = build(toy_config(in_channels=3))
-        for k in (2, 3, 4, 5):
-            apply_stage_transition(model, k)
+        model = model_at(5, 0, in_channels=3)
         assert compare_paths(model, frames) is None
 
     @pytest.mark.parametrize("window", [(1, 2, 2), (2, 3, 2)])
@@ -227,9 +211,7 @@ class TestExecute:
     def test_compare_paths_peak_below_recorded_reference(self):
         # Streaming: compare_paths holds the packed logic taps and one
         # unrecorded reference forward, less than a recorded forward alone.
-        model = build(toy_config(seed=3, blocks=("cf:n",) * 8))
-        for k in (2, 3, 4, 5):
-            apply_stage_transition(model, k)
+        model = model_at(5, 3, blocks=("cf:n",) * 8)
         frames = np.random.default_rng(15).integers(0, 256, size=(2, 8, 24, 32, 1), dtype=np.uint8)
         x = frames / 255.0
 
@@ -271,9 +253,7 @@ class TestExecute:
         planes = frames_to_bitplanes(frames)
         peaks, formed = [], []
         for depth in (2, 8):
-            model = build(toy_config(seed=depth, blocks=("cf:n",) * depth))
-            for k in (2, 3, 4, 5):
-                apply_stage_transition(model, k)
+            model = model_at(5, depth, blocks=("cf:n",) * depth)
             plan = engine.compile(model)
             _, want = recorded(model, frames / 255.0)
             outputs.clear()

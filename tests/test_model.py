@@ -9,6 +9,7 @@ from billnet.model import (
     build,
     count_params,
     norms,
+    seed_norms,
     toy_config,
 )
 from billnet.quantize import BNParams, ShiftNorm
@@ -107,6 +108,29 @@ class TestStageTransitions:
         for k in (2, 3, 4, 5):
             apply_stage_transition(model, k)
             assert count_params(model).total_weight_params == before
+
+
+def norm_fields(model, fields):
+    return [getattr(nm, f) for lay in model.layers for nm in norms(lay).values() for f in fields]
+
+
+class TestSeedNorms:
+    def test_seeded_norms_fold_to_nonzero_shifts(self):
+        # Fresh norms fold to all-zero shifts, so a stage-4 test on them
+        # would not see a shift at all.
+        fresh, seeded = build(toy_config()), seed_norms(build(toy_config()), np.random.default_rng(0))
+        for model in (fresh, seeded):
+            for k in (2, 3, 4):
+                apply_stage_transition(model, k)
+        assert not np.concatenate(norm_fields(fresh, ["shift"])).any()
+        assert np.concatenate(norm_fields(seeded, ["shift"])).any()
+
+    def test_equal_seeds_give_equal_statistics(self):
+        fields = ["gamma", "beta", "mean", "var"]
+        a, b, c = (norm_fields(seed_norms(build(toy_config()), np.random.default_rng(s)), fields) for s in (7, 7, 8))
+        assert len(a) == 4 * 5  # the stem's norm and two per MOR block
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not any(np.array_equal(x, z) for x, z in zip(a, c))
 
 
 class TestParamAccounting:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import recorded
+from conftest import CONFIGS, PAPER_CONFIG, model_at, recorded
 
 from billnet import reference as ref
 from billnet.errors import BadGrouping, NonBinarySelect, ShapeMismatch
@@ -394,11 +394,7 @@ class TestModelForward:
         assert res.logits.shape[1:] == (8, 27)
 
     def test_quantized_stage_intermediates_are_binary_or_ternary(self):
-        from billnet.model import apply_stage_transition
-
-        model = build(toy_config(seed=3))
-        for k in (2, 3, 4, 5):
-            apply_stage_transition(model, k)
+        model = model_at(5, 3)
         rng = np.random.default_rng(13)
         x = rng.integers(0, 256, size=(1, 8, 24, 32, 1)) / 255.0
         _, taps = recorded(model, x)
@@ -411,11 +407,7 @@ class TestModelForward:
 
     @pytest.mark.parametrize("stage", [1, 3, 5])
     def test_lstm_kernels_quantized_once_per_forward(self, stage, monkeypatch):
-        from billnet.model import apply_stage_transition
-
-        model = build(toy_config(seed=5))
-        for k in range(2, stage + 1):
-            apply_stage_transition(model, k)
+        model = model_at(stage, 5)
         made, steps, real_kernels, real_cell = [], [], ref.lstm_kernels, ref.lstm_cell
         monkeypatch.setattr(ref, "lstm_kernels", lambda *a: made.append(a) or real_kernels(*a))
         monkeypatch.setattr(ref, "lstm_cell", lambda *a, **k: steps.append(a) or real_cell(*a, **k))
@@ -431,23 +423,6 @@ class TestModelForward:
         np.testing.assert_array_equal(taps["mor1.out"], taps["mor1.i0"])
 
 
-def quantized_model(config: str, stage: int):
-    """Toy, ``cf:``-block or paper model with seeded norm statistics at ``stage``."""
-    from billnet.model import BillnetConfig, apply_stage_transition
-
-    blocks = {"toy": {}, "cf-blocks": {"blocks": ("cf:n", "mor:n", "mp", "mor:2n")}}
-    model = build(BillnetConfig() if config == "paper" else toy_config(seed=6, **blocks[config]))
-    rng = np.random.default_rng(1000)
-    for lay in model.layers:
-        for nm in [getattr(lay, a) for a in ("norm", "norm1", "norm2") if hasattr(lay, a)]:
-            nm.gamma = rng.lognormal(0.0, 2.0, nm.gamma.shape)
-            nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
-            nm.var = rng.lognormal(0.0, 2.0, nm.var.shape)
-    for k in range(2, stage + 1):
-        apply_stage_transition(model, k)
-    return model
-
-
 class TestExactPrecision:
     @pytest.mark.parametrize("stage", [4, 5])
     @pytest.mark.parametrize("config", ["toy", "cf-blocks", "paper"])
@@ -458,7 +433,7 @@ class TestExactPrecision:
         # norm, and at stage 5 still matches the logic path bit for bit.
         from billnet.engine import compare_paths
 
-        model = quantized_model(config, stage)
+        model = model_at(stage, 6, **(PAPER_CONFIG if config == "paper" else CONFIGS[config]))
         cfg = model.config
 
         def unreachable(*args):
@@ -479,33 +454,23 @@ class TestExactPrecision:
         assert ref.exact_dtype(2**24) == np.float64
         assert ref.exact_dtype(2**53) == np.float64
 
-    def test_paper_stage5_convs_run_at_their_exact_precision(self, monkeypatch):
+    def test_paper_stage5_convs_run_at_their_exact_precision(self, conv_calls, monkeypatch):
         # Stem 255 x 27, every pointwise conv its fan-in, grouped convs and
         # their pw2 the chain's product: only pw2 of the three 256-channel
         # blocks passes 2**24 (256 * 864 * 128).  Float32 sums there are
         # still exact, so every recorded array matches an all-float64 run.
-        from billnet.model import BillnetConfig, apply_stage_transition
-
-        model = build(BillnetConfig())
-        for k in (2, 3, 4, 5):
-            apply_stage_transition(model, k)
+        model = model_at(5, 0, **PAPER_CONFIG)
         x = np.random.default_rng(17).integers(0, 256, size=(1, 16, 96, 128, 1)) / 255.0
-        ran, real = [], ref.conv3d
-
-        def conv3d(x, w, spec):
-            assert x.dtype == w.dtype
-            ran.append((x.dtype, spec.in_channels, spec.kernel))
-            return real(x, w, spec)
-
-        monkeypatch.setattr(ref, "conv3d", conv3d)
         got, got_taps = recorded(model, x)
-        assert len(ran) == 33
-        assert sum(dt == np.float32 for dt, _, _ in ran) == 30
-        assert [(c, k) for dt, c, k in ran if dt == np.float64] == [(128, (1, 1, 1))] * 3
+        assert all(xt == wt for xt, wt, _ in conv_calls)
+        assert len(conv_calls) == 33
+        assert sum(xt == np.float32 for xt, _, _ in conv_calls) == 30
+        wide = [(sp.in_channels, sp.kernel) for xt, _, sp in conv_calls if xt == np.float64]
+        assert wide == [(128, (1, 1, 1))] * 3
         monkeypatch.setattr(ref, "FLOAT32_EXACT_LIMIT", 0)
-        ran.clear()
+        conv_calls.clear()
         want, want_taps = recorded(model, x)
-        assert len(ran) == 33 and all(dt == np.float64 for dt, _, _ in ran)
+        assert len(conv_calls) == 33 and all(xt == wt == np.float64 for xt, wt, _ in conv_calls)
         assert got_taps.keys() == want_taps.keys()
         pairs = [(name, got_taps[name], v) for name, v in want_taps.items()]
         pairs += [("logits", got.logits, want.logits), ("scores", got.scores, want.scores)]

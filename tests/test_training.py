@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from billnet import autodiff, engine, reference
 from billnet.autodiff import Tape, backward
 from billnet.engine import compare_paths
-from billnet.errors import ShapeMismatch
+from billnet.errors import ShapeMismatch, StageOrderViolation
 from billnet.model import BillnetConfig, apply_stage_transition, build, count_params, latents, norms, toy_config
-from billnet.training import PAPER_LRS, StageConfig, bind_params, evaluate, run_stage, training_graph
+from billnet.training import PAPER_LRS, StageConfig, bind_params, evaluate, run_stage, stage_config, training_graph
 
 
 @pytest.mark.parametrize("stage,seeds", [(4, 3), (5, 12)], ids=["4", "5"])
@@ -156,7 +156,7 @@ def train_step(model, frames, labels):
 
 @pytest.mark.parametrize("stage", [3, 4, 5])
 @pytest.mark.parametrize("config", ["toy", "paper"])
-def test_tape_integer_convs_run_at_exact_precision(config, stage, monkeypatch):
+def test_tape_integer_convs_run_at_exact_precision(config, stage, conv_calls, monkeypatch):
     # From stage 3 every conv after the stem reads {0,1} with +-1 weights,
     # and from stage 4 the stem reads the 8-bit grid as integers: each runs
     # at reference.exact_dtype of its bound, float32 but for the paper's
@@ -167,24 +167,17 @@ def test_tape_integer_convs_run_at_exact_precision(config, stage, monkeypatch):
     cfg = model.config
     frames = np.random.default_rng(5).integers(0, 256, size=(1, cfg.t, cfg.h, cfg.w, 1), dtype=np.uint8)
     labels = np.arange(1)
-    ran, real = [], reference.conv3d
-
-    def conv3d(x, w, spec):
-        assert x.dtype == w.dtype
-        ran.append((x.dtype, spec.in_channels, spec.kernel))
-        return real(x, w, spec)
-
-    monkeypatch.setattr(reference, "conv3d", conv3d)
     got = train_step(model, frames, labels)
-    stem, rest = ran[0], ran[1:]
+    assert all(xt == wt for xt, wt, _ in conv_calls)
+    stem, rest = conv_calls[0], conv_calls[1:]
     assert stem[0] == (np.float64 if stage == 3 else np.float32)
-    wide = [(c, k) for dt, c, k in rest if dt == np.float64]
+    wide = [(sp.in_channels, sp.kernel) for xt, _, sp in rest if xt == np.float64]
     assert wide == ([(128, (1, 1, 1))] * 3 if config == "paper" else [])
-    assert len(rest) > len(wide) and all(dt in (np.float32, np.float64) for dt, _, _ in rest)
+    assert len(rest) > len(wide) and all(xt in (np.float32, np.float64) for xt, _, _ in rest)
     monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
-    ran.clear()
+    conv_calls.clear()
     want = train_step(model_at(stage, 4, **overrides), frames, labels)
-    assert len(ran) == len(rest) + 1 and all(dt == np.float64 for dt, _, _ in ran)
+    assert len(conv_calls) == len(rest) + 1 and all(xt == wt == np.float64 for xt, wt, _ in conv_calls)
     assert got.keys() == want.keys()
     for key, val in want.items():
         if val is None:
@@ -194,26 +187,19 @@ def test_tape_integer_convs_run_at_exact_precision(config, stage, monkeypatch):
 
 
 @pytest.mark.parametrize("config", ["toy", "paper"])
-def test_reference_convs_run_at_the_tape_precision_from_stage_3(config, monkeypatch):
+def test_reference_convs_run_at_the_tape_precision_from_stage_3(config, conv_calls):
     # Both walks bound the convs after the stem from stage 3, so the
     # reference forward runs each conv in the dtype the tape's forward does.
     overrides = PAPER_CONFIG if config == "paper" else {}
     model = model_at(3, 4, **overrides)
     cfg = model.config
     x = np.random.default_rng(5).integers(0, 256, size=(1, cfg.t, cfg.h, cfg.w, 1)) / 255.0
-    ran, real = [], reference.conv3d
-
-    def conv3d(x, w, spec):
-        ran.append((x.dtype, w.dtype, spec.in_channels, spec.kernel))
-        return real(x, w, spec)
-
-    monkeypatch.setattr(reference, "conv3d", conv3d)
     reference.forward(model, x)
-    ref_convs = ran[:]
-    ran.clear()
+    ref_convs = conv_calls[:]
+    conv_calls.clear()
     training_graph(Tape(), model, bind_params(model), x, np.arange(1))
-    assert ref_convs == ran
-    assert ran[0][0] == np.float64 and any(dt == np.float32 for dt, *_ in ran)
+    assert ref_convs == conv_calls
+    assert conv_calls[0][0] == np.float64 and any(xt == np.float32 for xt, _, _ in conv_calls)
 
 
 def latent_weights(model):
@@ -328,3 +314,25 @@ def test_run_stage_refuses_clip_and_label_counts_that_differ_before_any_step(cli
         run_stage(model, StageConfig(2, 1e-3, 1, 1, batch_size=2), *data)
     assert model.stage == 1
     assert np.array_equal(model.layers[0].w, before)
+
+
+@pytest.mark.parametrize("stage", [0, 6])
+def test_stage_config_refuses_a_stage_outside_the_schedule(stage):
+    with pytest.raises(StageOrderViolation):
+        stage_config(stage)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_stage_config_refuses_a_batch_size_below_1(batch_size):
+    # run_stage would die inside range() at 0, and skip every clip below it.
+    with pytest.raises(ValueError, match="batch_size"):
+        StageConfig(1, 1e-3, 1, 1, batch_size=batch_size)
+    with pytest.raises(ValueError, match="batch_size"):
+        stage_config(1, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_refuses_a_batch_size_below_1(batch_size):
+    frames = np.zeros((2, 8, 24, 32, 1), dtype=np.uint8)
+    with pytest.raises(ValueError, match="batch_size"):
+        evaluate(build(toy_config()), frames, np.arange(2), batch_size=batch_size)

@@ -15,11 +15,14 @@ toy, 3-channel, wide (``n=72, m=17``), ``cf:``-block and paper configs:
 * one training step's loss, scores, norm statistics and parameter gradients
   at stages 1-5 of the four small configs and at paper stages 1 and 3.
 
-Clips and norm statistics come from fixed seeds, so two checkouts that
-compute the same bits write the same arrays.  ``dump`` exits non-zero when
-``compare_paths`` finds a divergence on a stage-5 model.  ``compare`` checks
-every key for ``np.array_equal`` and an equal dtype, lists keys present on
-one side only, and exits non-zero on any difference.
+Clips come from fixed seeds and norm statistics from ``model.seed_norms``
+with a fixed seed, so two checkouts that compute the same bits write the
+same arrays.  ``dump`` therefore needs ``billnet.model.seed_norms``: a
+checkout without it must be dumped with the copy of this tool it holds.
+``dump`` exits non-zero when ``compare_paths`` finds a divergence on a
+stage-5 model.  ``compare`` checks every key for an equal dtype, shape and
+bytes (so ``-0.0`` differs from ``0.0`` and a NaN equals the same NaN),
+lists keys present on one side only, and exits non-zero on any difference.
 """
 
 from __future__ import annotations
@@ -50,16 +53,9 @@ def _config(name: str):
 
 def _model_at(name: str, stage: int):
     """Fresh model of config ``name`` with seeded norm statistics, at ``stage``."""
-    from billnet.model import apply_stage_transition, build, norms
+    from billnet.model import apply_stage_transition, build, seed_norms
 
-    model = build(_config(name))
-    rng = np.random.default_rng(1000)
-    for lay in model.layers:
-        for nm in norms(lay).values():
-            nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
-            nm.beta = rng.normal(0.0, 0.3, nm.beta.shape)
-            nm.mean = rng.normal(0.0, 1.0, nm.mean.shape)
-            nm.var = rng.lognormal(0.0, 1.0, nm.var.shape)
+    model = seed_norms(build(_config(name)), np.random.default_rng(1000))
     for k in range(2, stage + 1):
         apply_stage_transition(model, k)
     return model
@@ -147,8 +143,10 @@ def compare(a_path: str, b_path: str) -> int:
             va, vb = a[k], b[k]
             if va.dtype != vb.dtype:
                 differ.append(f"dtype differs: {k}: {va.dtype} vs {vb.dtype}")
-            elif not np.array_equal(va, vb):
-                differ.append(f"values differ: {k}")
+            elif va.shape != vb.shape:
+                differ.append(f"shape differs: {k}: {va.shape} vs {vb.shape}")
+            elif va.tobytes() != vb.tobytes():
+                differ.append(f"bits differ: {k}")
     for line in missing + differ:
         print(line)
     print(f"{len(a_keys & b_keys) - len(differ)} of {len(a_keys | b_keys)} arrays identical")
