@@ -290,12 +290,11 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
     """Run a gate plan on an input presented as 8 LSB-first bit planes."""
     if len(planes) != 8:
         raise ShapeMismatch(f"need 8 input bit planes, got {len(planes)}")
+    if not all(isinstance(p, BitTensor) for p in planes):
+        raise TypeError("input planes must be BitTensor")
     shape = planes[0].shape
-    for p in planes:
-        if not isinstance(p, BitTensor):
-            raise TypeError("input planes must be BitTensor")
-        if p.shape != shape:
-            raise ShapeMismatch("input planes disagree on shape")
+    if any(p.shape != shape for p in planes):
+        raise ShapeMismatch("input planes disagree on shape")
     meta = plan.meta
     if shape[1:] != (meta["t"], meta["h"], meta["w"], meta["in_channels"]):
         raise ShapeMismatch(f"input {shape} does not match plan {meta}")

@@ -15,8 +15,10 @@ it at the precision ``reference.exact_dtype`` proves exact: the same bits
 as float64, at float32 cost where the bound allows.  The bounds also reach
 the stage-3 batch norms that read such sums or the {0,1} residual ``i0``,
 so every bounded conv and norm holds its input as narrow integers for the
-backward (see ``autodiff``).  Each block is built in its own helper, so its
-float64 intermediates die once their last reader has run.
+backward (see ``autodiff``).  Up to stage 3 the stem norm, whose input is
+not integer-valued, forms that input again in its backward from the clip.
+Each block is built in its own helper, so its float64 intermediates die
+once their last reader has run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import ShapeMismatch, StageOrderViolation
 from .model import ModelGraph, apply_stage_transition, latents, norms
 from .quantize import ssign_scale, stern_scale, tgap_select
 from .reference import forward as eval_forward
-from .reference import exact_preactivations, lstm_kernels, lstm_mode, snap_to_grid
+from .reference import conv3d, exact_preactivations, lstm_kernels, lstm_mode, snap_to_grid
 
 # ---------------------------------------------------------------------------
 # Schedule
@@ -71,6 +73,8 @@ def stage_config(stage: int, scale: float = 1.0, batch_size: int = 40) -> StageC
     proportionally for desk-scale runs."""
     if stage not in PAPER_LRS:
         raise StageOrderViolation(f"stage {stage} outside 1..5")
+    if not scale > 0:
+        raise ValueError(f"epoch scale {scale} is not positive")
     epochs = max(1, round(PAPER_EPOCHS[stage] * scale))
     decay = min(max(1, round(PAPER_DECAY_EPOCHS * scale)), epochs)
     return StageConfig(stage, PAPER_LRS[stage], epochs, decay, batch_size=batch_size)
@@ -163,16 +167,17 @@ def bind_params(model: ModelGraph) -> BoundParams:
 # ---------------------------------------------------------------------------
 
 
-def _norm_act(tape, z, lay, bound, stage, int_bound=None, suffix=""):
+def _norm_act(tape, z, lay, bound, stage, int_bound=None, suffix="", remake=None):
     """The layer's ``norm{suffix}`` on ``z``, then the stage's activation.
     A norm with bound ``gamma`` and ``beta`` trains on batch statistics, and
     keeps an integer-valued ``z`` of magnitude at most ``int_bound`` narrow
-    for its backward; any other applies its fixed scale."""
+    for its backward, or forms ``z`` again there with ``remake``; any other
+    applies its fixed scale."""
     norm = getattr(lay, f"norm{suffix}")
     gamma = bound.vars.get(f"{lay.name}.gamma{suffix}")
     if gamma is not None:
         beta = bound.vars[f"{lay.name}.beta{suffix}"]
-        z = ad.batchnorm_train(tape, z, gamma, beta, norm, bound=int_bound)
+        z = ad.batchnorm_train(tape, z, gamma, beta, norm, bound=int_bound, remake=remake)
     else:
         z = ad.channel_affine(tape, z, norm.scale)
     return _act_node(tape, z, stage)
@@ -187,13 +192,24 @@ def _quant_w(tape, bound, name, stage):
     return ad.sign_ste(tape, w) if stage >= 2 else w
 
 
-def _stem_conv(tape, x, lay, bound, stage):
-    """The stem's conv of the snapped clip ``x``.  From stage 4 it sums the
-    8-bit grid as integers, and 1/255 is one more positive scale after it."""
+def _stem_nodes(tape, x, lay, bound, stage):
+    """The stem's conv of the snapped clip ``x``, then its norm and
+    activation.  From stage 4 the conv sums the 8-bit grid as integers, and
+    1/255 is one more positive scale after it.  Up to stage 3 its output is
+    not integer-valued, so the norm forms it again in its backward, by the
+    same conv of the clip and weights the conv's own formula keeps, in place
+    of keeping its float64 normalized input."""
     w = _quant_w(tape, bound, f"{lay.name}.w", stage)
+    # No name holds the norm's input, so it dies once the norm has run.
     if stage >= 4:
-        return ad.channel_affine(tape, ad.conv3d_op(tape, Var(np.rint(x * 255.0)), w, lay.spec, 255), 1.0 / 255.0)
-    return ad.conv3d_op(tape, Var(x), w, lay.spec)
+        return _norm_act(
+            tape, ad.channel_affine(tape, ad.conv3d_op(tape, Var(np.rint(x * 255.0)), w, lay.spec, 255), 1.0 / 255.0),
+            lay, bound, stage,
+        )
+    wv = w.value
+    return _norm_act(
+        tape, ad.conv3d_op(tape, Var(x), w, lay.spec), lay, bound, stage, remake=lambda: conv3d(x, wv, lay.spec)
+    )
 
 
 def _cf_nodes(tape, x, lay, bound, stage, int_bound=None, suffix=""):
@@ -238,7 +254,7 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     bits = 1 if stage >= 3 else None
     for lay in model.layers:
         if lay.kind == "stem":
-            cur = _norm_act(tape, _stem_conv(tape, x, lay, bound, stage), lay, bound, stage)
+            cur = _stem_nodes(tape, x, lay, bound, stage)
         elif lay.kind == "cf":
             cur = _cf_nodes(tape, cur, lay, bound, stage, bits)
         elif lay.kind == "mor":

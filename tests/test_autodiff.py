@@ -1,5 +1,6 @@
 import ast
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -305,13 +306,36 @@ def test_backward_releases_forward_activations():
         gc.enable()
 
 
+def _captured_arrays(fn):
+    """Every array that the closure ``fn`` holds, directly or through the
+    functions its cells hold."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        f = todo.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            try:
+                v = cell.cell_contents
+            except ValueError:  # an empty cell
+                continue
+            if isinstance(v, np.ndarray):
+                found.append(v)
+            elif callable(v) and hasattr(v, "__closure__"):
+                todo.append(v)
+    return found
+
+
 def test_tape_holds_only_what_backward_reads():
     # The tape keeps an op's output only if a gradient formula reads it as
     # float64: the last conv's weight gradient reads the second step, so that
     # lives until the sweep.  The first conv's output and the float norm's
     # output die with the caller's references, and so do the inputs of the
     # bounded conv and the norm given ``bound``, which keep narrow integer
-    # copies; the tape still holds every op's closure.
+    # copies; the tape still holds every op's closure.  The float norm forms
+    # the first conv again with ``remake``, so no formula holds a float64
+    # array of that conv's size either (its normalized input).
     rng = np.random.default_rng(25)
     spec1 = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 4)
     spec2 = ConvSpec((1, 3, 3), (1, 1, 1), 2, 4, 2)
@@ -323,8 +347,11 @@ def test_tape_holds_only_what_backward_reads():
             tape.watch(ad.Var(rng.normal(size=shape), trainable=True))
             for shape in (spec1.weight_shape, spec2.weight_shape, spec3.weight_shape, (4,), (4,), (2,), (2,))
         )
-        conv = ad.conv3d_op(tape, ad.Var(rng.normal(size=(2, 3, 4, 4, 2))), w1, spec1)
-        normed = ad.batchnorm_train(tape, conv, gamma, beta, _fresh_norm(4))
+        x0 = rng.normal(size=(2, 3, 4, 4, 2))
+        conv = ad.conv3d_op(tape, ad.Var(x0), w1, spec1)
+        normed = ad.batchnorm_train(
+            tape, conv, gamma, beta, _fresh_norm(4), remake=lambda: conv3d(x0, w1.value, spec1)
+        )
         step = ad.heaviside_ste(tape, normed)
         out = ad.conv3d_op(tape, step, ad.sign_ste(tape, w2), spec2, bound=1)
         normed2 = ad.batchnorm_train(tape, out, gamma2, beta2, _fresh_norm(2), bound=spec2.fan_in)
@@ -336,6 +363,9 @@ def test_tape_holds_only_what_backward_reads():
         del conv, normed, step, out, normed2, step2, named
         assert [name for name, ref in alive.items() if ref() is not None] == ["step2"]
         assert len(tape._backward) == 9  # 3 convs, 2 norms, 2 steps, the sign, the sum
+        size = x0.size // spec1.in_channels * spec1.out_channels  # the first conv's output
+        held = [a.shape for f in tape._backward for a in _captured_arrays(f) if a.dtype == np.float64 and a.size == size]
+        assert held == [], held
         ad.backward(tape, loss)
         assert tape._backward == []
         assert alive["step2"]() is None
@@ -409,6 +439,71 @@ def test_bounded_batchnorm_train_gradients_have_the_float64_bits(values, bound):
 
     for got, want in zip(grads(bound), grads(None)):
         assert_same_bits(got, want)
+
+
+def test_remade_batchnorm_train_gradients_have_the_kept_bits():
+    # A norm given ``remake`` forms its float input again in the backward
+    # (here the conv that made it) in place of keeping the normalized input:
+    # its output and every gradient have the bits of the norm that keeps it.
+    rng = np.random.default_rng(28)
+    spec = ConvSpec((3, 3, 3), (2, 2, 2), 1, 2, 5)
+    x0, w0 = rng.random((2, 5, 6, 7, 2)), rng.normal(size=spec.weight_shape)
+    w0[..., 0] = 0.0  # a constant channel: zero variance, xhat all 0.0
+    z0 = conv3d(x0, w0, spec)
+    gamma0, beta0 = rng.normal(size=5), rng.normal(size=5)
+    probe = rng.normal(size=z0.shape)
+    probe.reshape(-1)[::5] = 0.0  # zero upstream gradients, where -0.0 could arise
+
+    def grads(remake):
+        tape = ad.Tape()
+        x = ad.Var(z0.copy(), trainable=True)
+        gamma, beta = ad.Var(gamma0, trainable=True), ad.Var(beta0, trainable=True)
+        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(5), remake=remake)
+        ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))
+        return y.value, x.grad, gamma.grad, beta.grad
+
+    for got, want in zip(grads(lambda: conv3d(x0, w0, spec)), grads(None)):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("channels,rows", [(1, 5), (1, 70_000), (3, 40_000), (64, 1_537), (128, 2)])
+def test_channel_dot_has_the_bits_of_the_full_product_sum(channels, rows):
+    # Blocks of rows, each summed on from the sum so far, add in the order
+    # numpy's sum takes over the whole product: the same bits, -0.0 too.
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(rows, 1, channels)) * rng.choice([1e-8, 1.0, 1e8], size=(rows, 1, channels))
+    b = rng.normal(size=a.shape)
+    b[..., 0], a[..., 0] = 0.0, -np.abs(a[..., 0])  # a channel of -0.0 products
+    assert_same_bits(ad._channel_dot(a, b), (a * b).sum(axis=(0, 1)))
+    assert_same_bits(ad._channel_dot(b, b) / rows, np.square(b).mean(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("form", ["remake", "bound"])
+def test_batchnorm_train_forms_one_array_of_its_input_size_each_way(form):
+    # The forward writes its output over the normalized input it does not
+    # keep, and the formula writes the input gradient over the normalized
+    # input it forms again; the sums over the channels run in blocks.
+    rng = np.random.default_rng(31)
+    x0 = rng.integers(0, 2, size=(4, 4, 16, 16, 32)).astype(np.float64)  # 1 MB
+    g0 = rng.normal(size=x0.shape)
+    keep = {"remake": x0.copy} if form == "remake" else {"bound": 1}
+    tape = ad.Tape()
+    x, gamma, beta = ad.Var(x0, trainable=True), ad.Var(np.ones(32), trainable=True), ad.Var(np.zeros(32), trainable=True)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(32), **keep)
+        forward = tracemalloc.get_traced_memory()[1] - start
+        y.grad = g0
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape._backward.pop()()
+        backward = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x0.shape
+    assert forward < 1.5 * x0.nbytes, forward
+    assert backward < 1.5 * x0.nbytes, backward
 
 
 def test_unused_trainable_is_disconnected_whatever_ids_are_reused():

@@ -124,6 +124,14 @@ class TestExecute:
         with pytest.raises(TypeError):
             execute(plan, [unpack(p) for p in planes])
 
+    def test_input_planes_without_a_shape_are_refused_as_types(self):
+        # The type check comes before any plane's shape is read.
+        plan = engine.compile(model_at(5, 5))
+        planes = frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8))
+        for bad in ([[0]] * 8, [[0]] + planes[1:]):
+            with pytest.raises(TypeError, match="BitTensor"):
+                execute(plan, bad)
+
     def test_unknown_op_kind_is_refused(self):
         plan = engine.compile(model_at(5, 5))
         plan.ops[-1] = dataclasses.replace(plan.ops[-1], kind="bogus")
