@@ -30,23 +30,23 @@ Closures own only what the backward reads.  A closure holds the ``Slot``s
 of its op's output and inputs (``grad``, ``requires_grad``, ``shape``),
 never a ``Var``, and its formula holds only the arrays it reads, captured
 when the op runs (``conv3d_op`` its input and weights, ``matmul`` and
-``mul`` their operands, ``batchnorm_train`` its normalized input and
-``gamma``); an op that needs only a shape captures the shape.  A forward
+``mul`` their operands, ``batchnorm_train`` its normalized input or its
+``remake``, and ``gamma``); an op that needs only a shape captures the shape.  A forward
 value therefore lives only while the caller holds its ``Var`` or a formula
 has captured it.  ``backward`` drops each closure once it has run, so the
 captured arrays and the gradients die as the sweep passes them.
 
 Integer-valued captures are held narrow.  Given ``bound`` (an input of
 integers of magnitude at most ``bound``), ``conv3d_op`` keeps its input and
-its +-1 weights, and ``batchnorm_train`` keeps its input in place of the
-normalized one, as ``_narrow`` integers: int8 for {0,1} steps, int16 or
-int32 for the sums of the convs after them.  The formula rebuilds the
-float64 operands from them, the conv's columns and weights by exact casts
-and the norm's normalized input by the forward's own two ops, so the
-gradients keep every bit.  A norm whose input is not integer-valued but
-can be formed again (the stem conv of the kept clip) is handed a
-``remake`` and keeps neither: recomputing one layer in the backward in
-place of storing its activation (Chen et al., arXiv 1604.06174).
+its +-1 weights as ``_narrow`` integers: int8 for {0,1} steps, int16 or
+int32 for the sums of the convs after them, and its formula rebuilds the
+float64 columns and weights from them by exact casts.  ``batchnorm_train``
+given a ``remake`` keeps no normalized input: it forms its input again in
+the backward and normalizes it by the forward's own two ops, so the
+gradients keep every bit.  ``narrow_remake`` does so from a ``_narrow``
+copy of an integer-valued input; the stem norm's forms the stem conv again
+from the kept clip, recomputing one layer in place of storing its
+activation (Chen et al., arXiv 1604.06174).
 
 Gradients are shared, never written in place: ``Tape._acc`` stores the array
 an op hands it (or a fresh sum), so one array may be the upstream gradient of
@@ -290,6 +290,14 @@ def _narrow(a: np.ndarray, bound: int) -> np.ndarray:
     return a.astype(np.min_scalar_type(-bound - 1))
 
 
+def narrow_remake(a: np.ndarray, bound: int) -> Callable[[], np.ndarray]:
+    """A ``batchnorm_train`` ``remake`` for the integer-valued ``a`` of
+    magnitude at most ``bound``: it keeps ``a`` ``_narrow`` and casts it
+    back to float64, which is exact."""
+    narrow = _narrow(a, bound)
+    return lambda: narrow.astype(np.float64)
+
+
 def conv3d_op(tape: Tape, x: Var, w: Var, spec: ConvSpec, bound: int | None = None) -> Var:
     """Grouped 3-D conv.  With ``bound`` (integer-valued ``x`` of at most that
     magnitude, +-1 weights ``w``) the forward runs through
@@ -367,10 +375,14 @@ def maxpool3d_op(tape: Tape, x: Var, window=(1, 2, 2)) -> Var:
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(a * b).sum`` over all but the last axis, with the same bits but
     without forming ``a * b``.  numpy's sum adds the rows of a C-ordered
-    (rows, C) array one by one, from 0.0.  Here each block of rows is
-    multiplied into a small buffer whose first row holds the sum so far, so
-    the additions run in that same order."""
+    (rows, C) array one by one, from 0.0, when C > 1.  Here each block of
+    rows is multiplied into a small buffer whose first row holds the sum so
+    far, so the additions run in that same order.  With one channel, or an
+    operand in another layout, numpy sums in another order (pairwise along
+    a contiguous run), so those cases form the product."""
     c = a.shape[-1]
+    if c == 1 or not (a.flags.c_contiguous and b.flags.c_contiguous):
+        return (a * b).sum(axis=tuple(range(a.ndim - 1)))
     a, b = a.reshape(-1, c), b.reshape(-1, c)
     rows = max(1, 2**15 // c)  # a 256 KB buffer
     buf = np.empty((min(rows, len(a)) + 1, c))
@@ -390,23 +402,22 @@ def batchnorm_train(
     beta: Var,
     p,
     momentum: float = 0.1,
-    bound: int | None = None,
     remake: Callable[[], np.ndarray] | None = None,
 ) -> Var:
     """Batch-statistics normalization over all but the channel axis.
 
     The formula reads the normalized input ``xhat``.  It keeps the forward's
-    float64 ``xhat`` unless it can form ``x`` again: with ``remake``, a
-    callable that returns ``x`` as a fresh float64 array with the forward's
-    bits (the stem norm's forms its conv again from the clip), or with
-    ``bound`` (integer-valued ``x`` of at most that magnitude) from a
-    ``_narrow`` copy of ``x``.  It then forms ``xhat`` in that array by the
+    float64 ``xhat`` unless given ``remake``, a callable that returns ``x``
+    again as a fresh float64 array with the forward's bits (the stem norm's
+    forms its conv again from the clip; ``narrow_remake`` casts a narrow
+    integer copy back).  It then forms ``xhat`` in that array by the
     forward's own two ops, which give the same bits on the same ``x``.
 
-    Each way forms one array of ``x``'s size: the sums of squares and of
-    ``g * xhat`` run in blocks (``_channel_dot``), a forward that does not
-    keep ``xhat`` writes its output over it, and the formula writes the
-    input gradient over the ``xhat`` it reads.
+    Each way forms one array of ``x``'s size (with more than one channel):
+    the sums of squares and of ``g * xhat`` run in blocks
+    (``_channel_dot``), a forward that does not keep ``xhat`` writes its
+    output over it, and the formula writes the input gradient over the
+    ``xhat`` it reads.
 
     Side effect: moving statistics in ``p`` are advanced by ``momentum``
     toward the batch statistics (used later for eval and shift folding).
@@ -421,12 +432,6 @@ def batchnorm_train(
     xhat *= ivar
     p.mean = (1.0 - momentum) * p.mean + momentum * mu
     p.var = (1.0 - momentum) * p.var + momentum * var
-    if bound is not None:
-        narrow = _narrow(x.value, bound)
-
-        def remake():
-            return narrow.astype(np.float64)
-
     kept = xhat if remake is None else None
     y = np.multiply(gv, xhat, out=None if remake is None else xhat)  # a kept xhat stays as it is
     y += beta.value

@@ -177,7 +177,9 @@ def _norm_act(tape, z, lay, bound, stage, int_bound=None, suffix="", remake=None
     gamma = bound.vars.get(f"{lay.name}.gamma{suffix}")
     if gamma is not None:
         beta = bound.vars[f"{lay.name}.beta{suffix}"]
-        z = ad.batchnorm_train(tape, z, gamma, beta, norm, bound=int_bound, remake=remake)
+        if int_bound is not None:
+            remake = ad.narrow_remake(z.value, int_bound)
+        z = ad.batchnorm_train(tape, z, gamma, beta, norm, remake=remake)
     else:
         z = ad.channel_affine(tape, z, norm.scale)
     return _act_node(tape, z, stage)

@@ -332,10 +332,13 @@ def test_tape_holds_only_what_backward_reads():
     # float64: the last conv's weight gradient reads the second step, so that
     # lives until the sweep.  The first conv's output and the float norm's
     # output die with the caller's references, and so do the inputs of the
-    # bounded conv and the norm given ``bound``, which keep narrow integer
-    # copies; the tape still holds every op's closure.  The float norm forms
-    # the first conv again with ``remake``, so no formula holds a float64
-    # array of that conv's size either (its normalized input).
+    # bounded conv and the norm given ``narrow_remake``, which keep narrow
+    # integer copies; the tape still holds every op's closure.  The float
+    # norm forms the first conv again with ``remake``, so no formula holds a
+    # float64 array of that conv's size either (its normalized input).  The
+    # last norm has no ``remake``: it keeps its float64 normalized input,
+    # which dies with the sweep, while its input and output die with the
+    # caller's references.
     rng = np.random.default_rng(25)
     spec1 = ConvSpec((3, 3, 3), (1, 1, 1), 1, 2, 4)
     spec2 = ConvSpec((1, 3, 3), (1, 1, 1), 2, 4, 2)
@@ -343,9 +346,9 @@ def test_tape_holds_only_what_backward_reads():
     gc.disable()
     try:
         tape = ad.Tape()
-        w1, w2, w3, gamma, beta, gamma2, beta2 = (
+        w1, w2, w3, gamma, beta, gamma2, beta2, gamma3, beta3 = (
             tape.watch(ad.Var(rng.normal(size=shape), trainable=True))
-            for shape in (spec1.weight_shape, spec2.weight_shape, spec3.weight_shape, (4,), (4,), (2,), (2,))
+            for shape in (spec1.weight_shape, spec2.weight_shape, spec3.weight_shape, (4,), (4,), (2,), (2,), (3,), (3,))
         )
         x0 = rng.normal(size=(2, 3, 4, 4, 2))
         conv = ad.conv3d_op(tape, ad.Var(x0), w1, spec1)
@@ -354,22 +357,31 @@ def test_tape_holds_only_what_backward_reads():
         )
         step = ad.heaviside_ste(tape, normed)
         out = ad.conv3d_op(tape, step, ad.sign_ste(tape, w2), spec2, bound=1)
-        normed2 = ad.batchnorm_train(tape, out, gamma2, beta2, _fresh_norm(2), bound=spec2.fan_in)
+        normed2 = ad.batchnorm_train(
+            tape, out, gamma2, beta2, _fresh_norm(2), remake=ad.narrow_remake(out.value, spec2.fan_in)
+        )
         step2 = ad.heaviside_ste(tape, normed2)
-        loss = ad.sum_all(tape, ad.conv3d_op(tape, step2, w3, spec3))
+        last = ad.conv3d_op(tape, step2, w3, spec3)
+        normed3 = ad.batchnorm_train(tape, last, gamma3, beta3, _fresh_norm(3))
+        loss = ad.sum_all(tape, normed3)
         named = (("conv", conv), ("normed", normed), ("step", step), ("out", out),
-                 ("normed2", normed2), ("step2", step2))
+                 ("normed2", normed2), ("step2", step2), ("last", last), ("normed3", normed3))
         alive = {name: weakref.ref(v.value) for name, v in named}
-        del conv, normed, step, out, normed2, step2, named
+        del conv, normed, step, out, normed2, step2, last, normed3, named
         assert [name for name, ref in alive.items() if ref() is not None] == ["step2"]
-        assert len(tape._backward) == 9  # 3 convs, 2 norms, 2 steps, the sign, the sum
-        size = x0.size // spec1.in_channels * spec1.out_channels  # the first conv's output
-        held = [a.shape for f in tape._backward for a in _captured_arrays(f) if a.dtype == np.float64 and a.size == size]
-        assert held == [], held
+        assert len(tape._backward) == 10  # 3 convs, 3 norms, 2 steps, the sign, the sum
+        # x0 holds 2 channels, the first conv's output 4 and the last 3
+        float64s = [a for f in tape._backward for a in _captured_arrays(f) if a.dtype == np.float64]
+        assert [a.shape for a in float64s if a.size == x0.size * 2] == []
+        xhat3 = [a for a in float64s if a.size == x0.size // 2 * 3]
+        assert [a.shape for a in xhat3] == [(2, 3, 4, 4, 3)]
+        kept = weakref.ref(xhat3.pop())
+        del float64s
         ad.backward(tape, loss)
         assert tape._backward == []
         assert alive["step2"]() is None
-        assert all(v.grad is not None for v in (w1, w2, w3, gamma, beta, gamma2, beta2))
+        assert kept() is None
+        assert all(v.grad is not None for v in (w1, w2, w3, gamma, beta, gamma2, beta2, gamma3, beta3))
     finally:
         gc.enable()
 
@@ -420,9 +432,10 @@ def test_bounded_conv3d_op_gradients_have_the_float64_bits(kernel, strides, grou
     "values,bound", [((0, 1), 1), ((-1, 0, 1), 1), (tuple(range(-300, 301, 7)), 300)], ids=["bits", "signs", "ints"],
 )
 def test_bounded_batchnorm_train_gradients_have_the_float64_bits(values, bound):
-    # A norm given ``bound`` keeps its integer input narrow and forms the
-    # normalized input again in the backward: its output and every gradient
-    # have the bits of the norm that keeps the float64 normalized input.
+    # A norm given ``narrow_remake`` keeps its integer input narrow and forms
+    # the normalized input again in the backward: its output and every
+    # gradient have the bits of the norm that keeps the float64 normalized
+    # input.
     rng = np.random.default_rng(27)
     x0 = rng.choice(np.array(values, dtype=np.float64), size=(2, 3, 4, 5, 6))
     x0[..., 0] = values[0]  # a constant channel: zero variance, xhat all 0.0
@@ -433,7 +446,8 @@ def test_bounded_batchnorm_train_gradients_have_the_float64_bits(values, bound):
         tape = ad.Tape()
         x = ad.Var(x0, trainable=True)
         gamma, beta = ad.Var(gamma0, trainable=True), ad.Var(beta0, trainable=True)
-        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(6), bound=b)
+        remake = None if b is None else ad.narrow_remake(x0, b)
+        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(6), remake=remake)
         ad.backward(tape, ad.sum_all(tape, ad.mul(tape, y, ad.Var(probe))))
         return y.value, x.grad, gamma.grad, beta.grad
 
@@ -470,12 +484,17 @@ def test_remade_batchnorm_train_gradients_have_the_kept_bits():
 def test_channel_dot_has_the_bits_of_the_full_product_sum(channels, rows):
     # Blocks of rows, each summed on from the sum so far, add in the order
     # numpy's sum takes over the whole product: the same bits, -0.0 too.
+    # One channel numpy sums pairwise, so there the product is formed.
     rng = np.random.default_rng(30)
     a = rng.normal(size=(rows, 1, channels)) * rng.choice([1e-8, 1.0, 1e8], size=(rows, 1, channels))
     b = rng.normal(size=a.shape)
-    b[..., 0], a[..., 0] = 0.0, -np.abs(a[..., 0])  # a channel of -0.0 products
+    if channels > 1:
+        b[..., 0], a[..., 0] = 0.0, -np.abs(a[..., 0])  # a channel of -0.0 products
     assert_same_bits(ad._channel_dot(a, b), (a * b).sum(axis=(0, 1)))
     assert_same_bits(ad._channel_dot(b, b) / rows, np.square(b).mean(axis=(0, 1)))
+    # operands in Fortran order, whose product numpy sums in another order
+    fa, fb = np.asfortranarray(a), np.asfortranarray(b)
+    assert_same_bits(ad._channel_dot(fa, fb), (fa * fb).sum(axis=(0, 1)))
 
 
 @pytest.mark.parametrize("form", ["remake", "bound"])
@@ -486,13 +505,13 @@ def test_batchnorm_train_forms_one_array_of_its_input_size_each_way(form):
     rng = np.random.default_rng(31)
     x0 = rng.integers(0, 2, size=(4, 4, 16, 16, 32)).astype(np.float64)  # 1 MB
     g0 = rng.normal(size=x0.shape)
-    keep = {"remake": x0.copy} if form == "remake" else {"bound": 1}
     tape = ad.Tape()
     x, gamma, beta = ad.Var(x0, trainable=True), ad.Var(np.ones(32), trainable=True), ad.Var(np.zeros(32), trainable=True)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(32), **keep)
+        remake = x0.copy if form == "remake" else ad.narrow_remake(x0, 1)
+        y = ad.batchnorm_train(tape, x, gamma, beta, _fresh_norm(32), remake=remake)
         forward = tracemalloc.get_traced_memory()[1] - start
         y.grad = g0
         start = tracemalloc.get_traced_memory()[0]
