@@ -10,12 +10,14 @@ zero threshold), and so do the fixed quantizer scales.  So does each MOR
 block's select: its second norm is such a shift, so both mux branches are
 the same bits and the block's output is its OR.  ``execute`` runs a plan on
 8-bit inputs presented as bit planes and reproduces, bit for bit, every
-binary/ternary intermediate of the arithmetic reference path.  It
-reassembles the 8-bit input from its planes in uint8, and the stem conv
-casts it once.  It keeps a slot's value only while a later op still reads it
-or a tap names it: each untapped slot is dropped once its last reader has
-run, so the int conv outputs of one layer are gone before the next layer's
-are formed.
+binary/ternary intermediate of the arithmetic reference path.
+``frames_to_bitplanes`` packs all 8 planes in one pass into one word
+buffer; with one channel a pixel's word is its bit, so neither packing nor
+``execute``'s reassembly of the uint8 input pads bytes or words.  The stem
+conv casts that input once.  ``execute`` keeps a slot's value only while a
+later op still reads it or a tap names it: each untapped slot is dropped
+once its last reader has run, so the int conv outputs of one layer are gone
+before the next layer's are formed.
 
 Every packed dot product (``pw-conv-bin``, the QLSTM carry, ``tern-dense``)
 is a formula over ``tensors.and_count``, the single AND + popcount kernel.
@@ -32,8 +34,12 @@ reference forward and the training tape follow from stage 3: float32 below
 2**24, else float64; a model whose bound reaches ``reference.EXACT_LIMIT``
 (2**53), where float64 stops being exact, is refused.  Every partial sum of an integer dot product
 obeys the same bound, so the product is exact whatever order BLAS sums it in.
-``pw-conv-bin`` hands on the int64 sums of its packed dot products; the
-conv that reads them casts once.  ``execute`` looks each conv up as
+``pw-conv-bin`` hands on the sums of its packed dot products in the
+narrowest integer dtype that holds them (int16 at paper scale), and the conv
+or threshold that reads them casts once or not at all.  The QLSTM's count
+features enter every step through one exact product per clip
+(``count_products``), widened to int64 once; each step adds only its
+recurrent popcounts.  ``execute`` looks each conv up as
 ``reference.conv3d`` at call time, so a profiler that wraps that one name
 times the engine's convs apart from the rest of ``execute``, as it does the
 reference's.
@@ -54,7 +60,7 @@ from . import reference as ref
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch
 from .quantize import sign_strict, stern
 from .reference import ConvSpec, _blocks
-from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, unpack, unpack_bits
+from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, require_tensor5, unpack, unpack_bits
 
 # ---------------------------------------------------------------------------
 # Plan structure
@@ -97,23 +103,23 @@ def _pw_weight_words(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QLSTMGates:
-    """Per-gate kernels: int8 signs for the count features, packed sign
-    rows for the ternary recurrent part (one row per output unit).  The
-    signs stay int8 and are widened per step: an int64 copy held in the
-    plan costs ~1 MB per paper-scale plan, more than the casts cost time."""
+    """The four gates' kernels side by side, in the order i, f, o, c: int8
+    signs for the count features, and packed sign rows for the ternary
+    recurrent part (one row per gate unit).  The signs stay int8 in the
+    plan; ``count_products`` widens them once per clip, for the one product
+    that serves every step."""
 
-    wx: list[np.ndarray]  # 4 x int8 (n_i, n_o)
-    wh_words: list[np.ndarray]  # 4 x uint64 (n_o, words(n_o))
+    wx: np.ndarray  # int8 (n_i, 4 * n_o)
+    wh_words: np.ndarray  # uint64 (4 * n_o, words(n_o))
     n_i: int
     n_o: int
 
     @classmethod
     def from_latent(cls, weights) -> "QLSTMGates":
         n_i, n_o = weights.n_i, weights.n_o
-        wx, whw = [], []
-        for w in weights.kernels():
-            wx.append(sign_strict(w[:n_i]).astype(np.int8))
-            whw.append(pack_vector((w[n_i:] > 0).T))
+        kernels = weights.kernels()
+        wx = np.concatenate([sign_strict(w[:n_i]).astype(np.int8) for w in kernels], axis=1)
+        whw = np.concatenate([pack_vector((w[n_i:] > 0).T) for w in kernels])
         return cls(wx, whw, n_i, n_o)
 
 
@@ -122,29 +128,41 @@ def _pack_tern_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pack_vector(values == 1), pack_vector(values == -1)
 
 
-def qlstm_step(
-    x_counts: np.ndarray, h: np.ndarray, c: np.ndarray, gates: QLSTMGates, input_scale: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fully quantized recurrent step on integer features; returns (h, c).
+def count_products(counts: np.ndarray, gates: QLSTMGates, input_scale: int) -> np.ndarray:
+    """The count features' share of every gate pre-activation, for all steps.
 
-    The carry ``h``, ``c`` is two int8 (N, n_o) arrays in {-1, 0, 1}.  Gate
-    pre-activations are exact integers: count features enter with weight
-    signs, and ``h`` enters as its plus/minus word rows through
-    ``bipolar_dot``, weighted by ``input_scale`` (the pooling denominator),
-    matching the reference path's normalized inputs without ever forming a
-    real number.  The cell update is a saturating ternary add; the new
-    hidden state is the gated cell.
+    ``counts`` is (N, T', n_i) integers in [0, input_scale] (the pooling
+    denominator); returns int64 (N, T', 4, n_o).  Each value is an integer
+    dot product of at most ``input_scale * n_i`` in magnitude, so the one
+    product runs in ``reference.exact_dtype`` of that bound, exact in any
+    summation order, and is widened to int64 once.
     """
-    counts = np.asarray(x_counts, dtype=np.int64)
-    if counts.ndim != 2 or counts.shape[1] != gates.n_i:
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.shape[2] != gates.n_i:
         raise ShapeMismatch(f"counts {counts.shape} vs n_i={gates.n_i}")
+    dtype = ref.exact_dtype(input_scale * gates.n_i)
+    xw = counts.astype(dtype) @ gates.wx.astype(dtype)
+    return xw.astype(np.int64).reshape(*counts.shape[:2], 4, gates.n_o)
+
+
+def qlstm_step(
+    xw: np.ndarray, h: np.ndarray, c: np.ndarray, gates: QLSTMGates, input_scale: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fully quantized recurrent step; returns (h, c).
+
+    ``xw`` is this step's (N, 4, n_o) slice of ``count_products``.  The
+    carry ``h``, ``c`` is two int8 (N, n_o) arrays in {-1, 0, 1}.  Gate
+    pre-activations are exact integers: ``h`` enters as its plus/minus word
+    rows through ``bipolar_dot``, weighted by ``input_scale``, matching the
+    reference path's normalized inputs without ever forming a real number.
+    The cell update is a saturating ternary add; the new hidden state is
+    the gated cell.
+    """
     hp, hm = _pack_tern_rows(h)
-    pre = [
-        counts @ wx.astype(np.int64) + input_scale * (bipolar_dot(hp, whw) - bipolar_dot(hm, whw))
-        for wx, whw in zip(gates.wx, gates.wh_words)
-    ]
-    i, f, o = (p > 0 for p in pre[:3])
-    ctilde = np.where(pre[3] > 0, np.int8(1), np.int8(-1))
+    rec = bipolar_dot(hp, gates.wh_words) - bipolar_dot(hm, gates.wh_words)
+    pre = xw + input_scale * rec.reshape(xw.shape)
+    i, f, o = (pre[:, k] > 0 for k in range(3))
+    ctilde = np.where(pre[:, 3] > 0, np.int8(1), np.int8(-1))
     c_new = np.clip(f * c + i * ctilde, -1, 1)
     return o * c_new, c_new
 
@@ -254,15 +272,19 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
 
 
 def frames_to_bitplanes(frames: np.ndarray) -> list[BitTensor]:
-    """uint8 (N,T,H,W,C) -> 8 bit planes, least significant first."""
-    frames = np.asarray(frames)
+    """uint8 (N,T,H,W,C) -> 8 bit planes, least significant first, packed
+    in one pass: the planes' words are slices of one buffer."""
+    frames = require_tensor5(frames)
     if frames.dtype != np.uint8:
         raise ShapeMismatch("logic-path input must be uint8")
-    return [pack((frames & (1 << b)) != 0) for b in range(8)]
+    bits = (frames & (1 << np.arange(8, dtype=np.uint8))[:, None, None, None, None, None]) != 0
+    return [BitTensor(frames.shape, words) for words in pack_vector(bits)]
 
 
 def _pw_conv_bin(bt: BitTensor, w_words: np.ndarray) -> np.ndarray:
-    return bipolar_dot(bt.words, w_words)
+    """The bipolar sums of a pointwise conv, in the narrowest signed dtype
+    that holds twice the channel count (int16 up to 16,383 channels)."""
+    return bipolar_dot(bt.words, w_words, np.min_scalar_type(-2 * bt.channels - 1))
 
 
 def _maxpool_or(bt: BitTensor, window) -> BitTensor:
@@ -311,7 +333,7 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         p = op.params
         if op.kind in ("stem-conv", "conv-int"):
             spec = ConvSpec(p["kernel"], p["strides"], p["groups"], args[0].shape[4], p["out_channels"])
-            out = ref.conv3d(args[0].astype(p["dtype"], copy=False), p["w"].astype(p["dtype"]), spec)
+            out = ref.conv3d(args[0].astype(p["dtype"], copy=False), p["w"].astype(p["dtype"]), spec, exact=True)
         elif op.kind == "pw-conv-bin":
             out = _pw_conv_bin(args[0], p["w_words"])
         elif op.kind == "threshold":
@@ -323,12 +345,12 @@ def execute(plan: GatePlan, planes: list[BitTensor]) -> ExecutionResult:
         elif op.kind == "gap-count":
             out = _gap_count(args[0])
         elif op.kind == "qlstm":
-            counts = args[0]  # (N, T', n_i)
-            gates = p["gates"]
-            h = c = np.zeros((counts.shape[0], gates.n_o), dtype=np.int8)
+            gates, scale = p["gates"], p["input_scale"]
+            xw = count_products(args[0], gates, scale)  # (N, T', 4, n_o)
+            h = c = np.zeros((xw.shape[0], gates.n_o), dtype=np.int8)
             hs = []
-            for t in range(counts.shape[1]):
-                h, c = qlstm_step(counts[:, t, :], h, c, gates, p["input_scale"])
+            for t in range(xw.shape[1]):
+                h, c = qlstm_step(xw[:, t], h, c, gates, scale)
                 hs.append(h)
             out = np.stack(hs, axis=1)  # int8 (N, T', n_o)
         elif op.kind == "tern-dense":

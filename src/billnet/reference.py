@@ -27,6 +27,14 @@ norm is a positive power-of-two scale (the stem's also divides by 255), and
 no positive scale can move a strict zero step, so ``apply_norm`` is skipped.
 The step's output is float64, so every tapped intermediate is float64 and
 carries the same bits as an all-float64 run through the norms.
+
+Because a bounded conv's every partial sum is an integer below its dtype's
+exact limit, no order of additions can round, so such a conv may sum in an
+order that suits the kernel.  ``conv3d(exact=True)`` splits a stride-1 conv
+with kt > 1 along kt: columns over (kh, kw, channel) only, one product per
+temporal offset, and the products added.  The bounded convs here, the
+logic path's and the training tape's pass it; every float product, whose
+rounding depends on the order, keeps one product per group.
 """
 
 from __future__ import annotations
@@ -135,8 +143,16 @@ def _columns(x: np.ndarray, kernel, strides, groups: int, dtype=None):
     return cols
 
 
-def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Grouped 3-D cross-correlation with zero "same" padding."""
+def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec, exact: bool = False) -> np.ndarray:
+    """Grouped 3-D cross-correlation with zero "same" padding.
+
+    ``exact`` says that every partial sum of the conv is an integer the
+    dtype holds exactly (see ``exact_dtype``), so the sum may be formed in
+    any order.  A stride-1 conv with kt > 1 then takes its columns over
+    (kh, kw, channel) only, about 1/kt of the full matrix, and adds one
+    product per temporal offset, each over the rows of the input frames that
+    offset reads.  Any other conv, and every conv without ``exact``, forms
+    one product per group, whose float rounding depends on BLAS's order."""
     if x.ndim != 5 or x.shape[4] != spec.in_channels:
         raise ShapeMismatch(f"input {x.shape} incompatible with {spec}")
     if w.shape != spec.weight_shape:
@@ -145,11 +161,42 @@ def conv3d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     dims = conv_output_shape(x.shape[1:4], spec.kernel, spec.strides)
     cog = spec.out_channels // spec.groups
     out = np.empty((n * prod(dims), spec.out_channels), dtype=np.result_type(x, w))
+    if exact and spec.kernel[0] > 1 and tuple(spec.strides) == (1, 1, 1):
+        return _conv_split_t(x, w, spec, out)
     cols = _columns(x, spec.kernel, spec.strides, spec.groups)
     for gi in range(spec.groups):
         wg = w[..., gi * cog : (gi + 1) * cog].reshape(-1, cog)
         np.matmul(cols(gi), wg, out=out[:, gi * cog : (gi + 1) * cog])
     return out.reshape(n, *dims, spec.out_channels)
+
+
+def _conv_split_t(x, w, spec: ConvSpec, out):
+    """``conv3d`` of a stride-1 conv with exact sums, split along kt.
+
+    Input frame ``t + dt - pt`` (``pt`` the front pad) meets weight slice
+    ``dt`` at output frame ``t``, so with rows ordered (n, t, h, w) every
+    offset's product reads one contiguous row run per clip and adds into
+    another; the frames a pad would supply add nothing and are skipped.
+    The centre offset, which reaches every output frame, writes ``out``
+    first."""
+    n, t, h, wd, _ = x.shape
+    kt, kh, kw = spec.kernel
+    cog = spec.out_channels // spec.groups
+    pt = conv_same_pads(t, kt, 1)[1]
+    hw = h * wd
+    out = out.reshape(n, t * hw, spec.out_channels)
+    cols = _columns(x, (1, kh, kw), (1, 1, 1), spec.groups)
+    for gi in range(spec.groups):
+        cg = cols(gi).reshape(n, t * hw, -1)
+        og = out[..., gi * cog : (gi + 1) * cog]
+        wg = w[..., gi * cog : (gi + 1) * cog].reshape(kt, -1, cog)
+        np.matmul(cg, wg[pt], out=og)
+        for dt in range(kt):
+            s = dt - pt  # input frame minus output frame
+            lo, hi = max(0, -s), min(t, t - s)  # output frames this offset reaches
+            if dt != pt and lo < hi:
+                og[:, lo * hw : hi * hw] += cg[:, (lo + s) * hw : (hi + s) * hw] @ wg[dt]
+    return out.reshape(n, t, h, wd, spec.out_channels)
 
 
 # Largest magnitudes below which float32 and float64 hold every integer exactly.
@@ -168,13 +215,14 @@ def _conv(x, w, spec: ConvSpec, bound: int | None = None):
     """``conv3d`` and the bound on its output.
 
     With ``bound`` (integer-valued ``x`` of at most that magnitude, +-1
-    weights ``w``) the conv runs in ``exact_dtype`` of its accumulator bound
-    and the result stays in that dtype; without it, as given."""
+    weights ``w``) the conv runs in ``exact_dtype`` of its accumulator bound,
+    as an ``exact`` conv, and the result stays in that dtype; without it, as
+    given."""
     if bound is None:
         return conv3d(x, w, spec), None
     bound *= spec.fan_in
     dtype = exact_dtype(bound)
-    return conv3d(x.astype(dtype, copy=False), w.astype(dtype, copy=False), spec), bound
+    return conv3d(x.astype(dtype, copy=False), w.astype(dtype, copy=False), spec, exact=True), bound
 
 
 def _blocks(a: np.ndarray, window) -> np.ndarray:

@@ -10,12 +10,15 @@ one ``np.packbits`` / ``np.unpackbits`` call (little bit order) over the
 whole flattened buffer, never one per channel row: the bits of a row are
 first padded to whole bytes, so every row starts on a byte boundary, and the
 bytes are then padded to whole words and viewed as little-endian uint64.
-Bit i of word j is channel j*64 + i; no 64-lane temporary is formed.
+Bit i of word j is channel j*64 + i; no 64-lane temporary is formed.  With
+one channel a pixel's word is its bit, so packing widens the bits and
+unpacking narrows the words, with no padding and no bit-array call.
 
 Ternary values {-1, 0, +1} are int8 ndarrays; integer accumulators are
-plain int64 ndarrays.  A ternary operand of a dot product is packed as two
-word rows, the bits of its +1 and of its -1 entries (``pack_vector`` of
-each), and the product is the difference of the two rows' terms.
+int64 ndarrays unless a caller asks for a narrower dtype that holds them.
+A ternary operand of a dot product is packed as two word rows, the bits of
+its +1 and of its -1 entries (``pack_vector`` of each), and the product is
+the difference of the two rows' terms.
 
 ``and_count`` is the one packed dot-product kernel: every AND + popcount
 of the logic path runs through it.  ``bipolar_dot`` builds the {0,1} x
@@ -83,8 +86,12 @@ def _as_bits(x: np.ndarray, caller: str) -> np.ndarray:
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """bool (..., C) -> uint64 words (..., words_per_channel(C)), LSB first."""
+    """bool (..., C) -> uint64 words (..., words_per_channel(C)), LSB first.
+
+    A lone channel's word is its bit, widened: no byte or word padding."""
     lead, c = bits.shape[:-1], bits.shape[-1]
+    if c == 1:
+        return bits.astype(np.uint64)
     cbytes = -(-c // 8)
     if c % 8:
         padded = np.zeros(lead + (cbytes * 8,), dtype=bool)
@@ -112,6 +119,8 @@ def pack(x: np.ndarray) -> BitTensor:
 def unpack_bits(bt: BitTensor) -> np.ndarray:
     """The bits of a BitTensor as a uint8 (N,T,H,W,C) tensor of 0/1 values."""
     c = bt.channels
+    if c == 1:
+        return bt.words.astype(np.uint8)
     cbytes = -(-c // 8)
     octets = np.ascontiguousarray(bt.words, dtype="<u8").view(np.uint8)[..., :cbytes]
     bits = np.unpackbits(np.ascontiguousarray(octets).reshape(-1), bitorder="little")
@@ -128,27 +137,29 @@ def pack_vector(bits: np.ndarray) -> np.ndarray:
     return _pack_words(_as_bits(bits, "pack_vector"))
 
 
-def and_count(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def and_count(a: np.ndarray, w: np.ndarray, dtype=np.int64) -> np.ndarray:
     """popcount(a AND w) of every word row of ``a`` against every row of ``w``.
 
-    ``a`` is (..., nw) uint64 words, ``w`` is (k, nw); returns (..., k) int64.
+    ``a`` is (..., nw) uint64 words, ``w`` is (k, nw); returns (..., k)
+    counts in ``dtype``, which the caller picks to hold 64 * nw.
     """
     if a.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"word rows differ: {a.shape} vs {w.shape}")
-    out = np.zeros(a.shape[:-1] + (w.shape[0],), dtype=np.int64)
+    out = np.zeros(a.shape[:-1] + (w.shape[0],), dtype=dtype)
     for j in range(w.shape[-1]):  # one word at a time: no (..., k, nw) temporary
         out += np.bitwise_count(a[..., j, None] & w[:, j])
     return out
 
 
-def bipolar_dot(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def bipolar_dot(a: np.ndarray, w: np.ndarray, dtype=np.int64) -> np.ndarray:
     """{0,1} activation words times {-1,+1} weight rows (bit 1 means +1).
 
     The product is 2*popcount(a AND w) - popcount(a), an exact integer;
-    shapes as in ``and_count``.
+    shapes and ``dtype`` as in ``and_count``, which must also hold twice
+    the count.
     """
-    ones = np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
-    return 2 * and_count(a, w) - ones[..., None]
+    ones = np.bitwise_count(a).sum(axis=-1, dtype=dtype)
+    return 2 * and_count(a, w, dtype) - ones[..., None]
 
 
 def conv_same_pads(size: int, kernel: int, stride: int) -> tuple[int, int, int]:

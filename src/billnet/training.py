@@ -217,12 +217,23 @@ def _stem_nodes(tape, x, lay, bound, stage):
 def _cf_nodes(tape, x, lay, bound, stage, int_bound=None, suffix=""):
     """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``: with the
     input's ``int_bound``, each conv at its exact precision.  Then the
-    layer's ``norm{suffix}`` and activation."""
-    for part, spec in (("pw1", lay.pw1_spec), ("gconv", lay.gconv_spec), ("pw2", lay.pw2_spec)):
-        x = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec, int_bound)
+    layer's ``norm{suffix}`` and activation.  No name holds a conv's output:
+    each goes straight into the next op, so the norm's float64 input dies
+    before the activation runs."""
+
+    def conv(x, part, spec):
+        nonlocal int_bound
+        out = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec, int_bound)
         if int_bound is not None:
             int_bound *= spec.fan_in
-    return _norm_act(tape, x, lay, bound, stage, int_bound, suffix)
+        return out
+
+    # Arguments are evaluated left to right, so the convs have advanced
+    # int_bound to the norm input's bound before it is read.
+    return _norm_act(
+        tape, conv(conv(conv(x, "pw1", lay.pw1_spec), "gconv", lay.gconv_spec), "pw2", lay.pw2_spec),
+        lay, bound, stage, int_bound, suffix,
+    )
 
 
 def _mor_nodes(tape, x, lay, bound, stage, bits):
@@ -328,10 +339,14 @@ def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
 # ---------------------------------------------------------------------------
 
 
-def _check_labels(frames, labels, classes: int):
-    """Refuse a label count other than the clip count (ShapeMismatch) and
-    class labels outside [0, classes) (ValueError); no clips and no labels
-    (both None) pass."""
+def _check_clips(frames, labels, classes: int):
+    """Refuse clips that are not uint8 (TypeError: both walks divide them
+    by 255, so a float clip in [0, 1] would read as a near-black one), a
+    label count other than the clip count (ShapeMismatch) and class labels
+    outside [0, classes) (ValueError); no clips and no labels (both None)
+    pass."""
+    if frames is not None and np.asarray(frames).dtype != np.uint8:
+        raise TypeError(f"clips must be uint8 gray levels, got {np.asarray(frames).dtype}")
     clips, count = (None if a is None else len(a) for a in (frames, labels))
     if clips != count:
         raise ShapeMismatch(f"{clips} clips but {count} labels")
@@ -345,7 +360,7 @@ def evaluate(model: ModelGraph, frames: np.ndarray, labels: np.ndarray, batch_si
         raise ValueError(f"unknown path {path!r}")
     _check_batch_size(batch_size)
     classes = model.config.num_classes
-    _check_labels(frames, labels, classes)
+    _check_clips(frames, labels, classes)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     plan = engine.compile(model) if path == "logic" else None
     for lo in range(0, len(frames), batch_size):
@@ -377,12 +392,12 @@ def run_stage(
     """Enter ``cfg.stage`` (applying its swaps) and train; returns log rows.
 
     Weights carry over verbatim from the previous stage; optimizer moments
-    start from zero.  Labels outside [0, num_classes) raise ValueError, and
-    a label count other than its clip count raises ShapeMismatch, before the
-    stage is entered.
+    start from zero.  Clips that are not uint8 raise TypeError, labels
+    outside [0, num_classes) raise ValueError, and a label count other than
+    its clip count raises ShapeMismatch, before the stage is entered.
     """
     for x, y in ((train_frames, train_labels), (test_frames, test_labels)):
-        _check_labels(x, y, model.config.num_classes)
+        _check_clips(x, y, model.config.num_classes)
     if cfg.stage == 1:
         if model.stage != 1:
             raise StageOrderViolation(f"stage 1 requested on a stage-{model.stage} model")

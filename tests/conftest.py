@@ -31,12 +31,13 @@ def recorded(model, x):
 
 @pytest.fixture
 def conv_calls(monkeypatch):
-    """``(x.dtype, w.dtype, spec)`` of every ``reference.conv3d`` call, in order."""
+    """``(x.dtype, w.dtype, spec, exact)`` of every ``reference.conv3d``
+    call, in order."""
     calls, real = [], reference.conv3d
 
-    def conv3d(x, w, spec):
-        calls.append((x.dtype, w.dtype, spec))
-        return real(x, w, spec)
+    def conv3d(x, w, spec, exact=False):
+        calls.append((x.dtype, w.dtype, spec, exact))
+        return real(x, w, spec, exact)
 
     monkeypatch.setattr(reference, "conv3d", conv3d)
     return calls

@@ -62,6 +62,26 @@ def test_reduce_pairs_medians_quartiles_and_better_counts():
     assert (entry["change"]["failed"], entry["change"]["attempted"]) == (0, 60)
 
 
+def test_verdicts_flag_a_bound_and_judge_a_claim_per_end_to_end_metric():
+    # unit_s: 9 of 10 pairs lower, gap 0.3 against a parent IQR of 0.1;
+    # peak_rss_mb: 6 % worse, past a 0.05 bound; setup_s: level, no claim.
+    parent_units = [1.0, 1.05, 0.95, 1.0, 1.1, 0.9, 1.0, 1.02, 0.98, 1.0]
+    change_units = [0.7] * 9 + [1.2]
+    pairs = [(record(p, 100.0, [p]), record(c, 106.0, [c])) for p, c in zip(parent_units, change_units)]
+    entry = benchpairs.reduce_pairs(list(range(10)), pairs)
+    spec = json.loads((benchpairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    got = {v["name"]: v for v in benchpairs.verdicts(entry, spec)}
+    assert list(got) == [m["name"] for m in spec]
+    unit, rss, setup = got["unit_s"], got["peak_rss_mb"], got["setup_s"]
+    assert unit["claim_holds"] and not unit["past_bound"] and unit["wins"] == 9
+    assert unit["ratio"] == 0.7 and unit["gap"] > unit["parent_iqr"]
+    assert rss["past_bound"] and not rss["claim_holds"] and rss["bound"] == 0.05
+    assert setup["ratio"] == 1.0 and not setup["past_bound"] and not setup["claim_holds"]
+    # Eight wins of ten are short of nine tenths, whatever the gap.
+    entry["change_better_pairs"]["unit_s"] = 8
+    assert not benchpairs.verdicts(entry, spec)[1]["claim_holds"]
+
+
 def test_reduce_pairs_drops_a_figure_one_side_lacks():
     parent = record(1.0, 100.0, [1.0])
     change = record(0.9, 100.0, [0.9])

@@ -9,6 +9,7 @@ from billnet import engine, reference
 from billnet.engine import (
     QLSTMGates,
     compare_paths,
+    count_products,
     execute,
     frames_to_bitplanes,
     qlstm_step,
@@ -73,7 +74,8 @@ class TestCompile:
         frames = np.random.default_rng(13).integers(0, 256, size=(1, 16, 96, 128, 1), dtype=np.uint8)
         planes = frames_to_bitplanes(frames)
         want = execute(plan, planes)
-        assert [xt for xt, _, _ in conv_calls] == [op.params["dtype"] for op in convs]
+        assert [xt for xt, _, _, _ in conv_calls] == [op.params["dtype"] for op in convs]
+        assert all(exact for _, _, _, exact in conv_calls)  # every engine conv sums integers
         monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
         plan64 = engine.compile(model)
         assert all(op.params["dtype"] == np.float64 for op in plan64.ops if "dtype" in op.params)
@@ -249,8 +251,8 @@ class TestExecute:
         outputs = []
 
         def spy(fn):
-            def wrapper(*args):
-                out = fn(*args)
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
                 outputs.append(out.nbytes)
                 return out
             return wrapper
@@ -286,8 +288,12 @@ class TestExecute:
         bits = rng.random((2, 2, 3, 3, c)) < 0.5
         w = rng.normal(size=(1, 1, 1, c, 70))
         got = engine._pw_conv_bin(pack(bits), engine._pw_weight_words(w))
-        assert got.dtype == np.int64
+        # narrow sums: twice the channel count fits (int8 up to 63 channels)
+        assert got.dtype == (np.int8 if c < 64 else np.int16)
         np.testing.assert_array_equal(got, bits @ np.where(w[0, 0, 0] > 0, 1, -1))
+        ones = pack(np.ones((1, 1, 1, 1, c), dtype=bool))
+        extremes = engine._pw_conv_bin(ones, engine._pw_weight_words(np.array([1.0, -1.0]) * np.ones((1, 1, 1, c, 2))))
+        np.testing.assert_array_equal(extremes, [[[[[c, -c]]]]])
 
     @pytest.mark.parametrize("c", WORD_BOUNDARY_CHANNELS)
     def test_tern_dense_matches_integer_matmul(self, c):
@@ -319,10 +325,13 @@ def zero_carry(batch, n_o):
 
 
 class TestQLSTMStep:
+    # Each step reads its slice of count_products, the one exact product
+    # formed for every step of a clip before the first.
     def test_zero_everything_stays_zero(self):
         rng = np.random.default_rng(7)
         _, gates = random_gates(rng, 4, 3)
-        h, c = qlstm_step(np.zeros((1, 4), dtype=np.int64), *zero_carry(1, 3), gates, 48)
+        xw = count_products(np.zeros((1, 1, 4), dtype=np.int64), gates, 48)
+        h, c = qlstm_step(xw[:, 0], *zero_carry(1, 3), gates, 48)
         np.testing.assert_array_equal(h, 0)
         np.testing.assert_array_equal(c, 0)
 
@@ -333,7 +342,8 @@ class TestQLSTMStep:
         wts = LSTMWeights(*(np.ones((n_i + n_o, n_o)) for _ in range(4)))
         gates = QLSTMGates.from_latent(wts)
         h0, c0 = np.zeros((1, n_o), dtype=np.int8), np.ones((1, n_o), dtype=np.int8)
-        h, c = qlstm_step(np.full((1, n_i), 10, dtype=np.int64), h0, c0, gates, 48)
+        xw = count_products(np.full((1, 1, n_i), 10, dtype=np.int64), gates, 48)
+        h, c = qlstm_step(xw[:, 0], h0, c0, gates, 48)
         np.testing.assert_array_equal(c, 1)
         np.testing.assert_array_equal(h, 1)
 
@@ -345,14 +355,16 @@ class TestQLSTMStep:
         rng = np.random.default_rng(8)
         n_i, den = 6, 48
         wts, gates = random_gates(rng, n_i, n_o)
+        counts = rng.integers(0, den + 1, size=(2, 500, n_i))
+        xw = count_products(counts, gates, den)
+        assert xw.dtype == np.int64 and xw.shape == (2, 500, 4, n_o)
         h, c = zero_carry(2, n_o)
         h_ref = np.zeros((2, n_o))
         c_ref = np.zeros((2, n_o))
-        for _ in range(500):
-            counts = rng.integers(0, den + 1, size=(2, n_i))
-            h, c = qlstm_step(counts, h, c, gates, den)
+        for t in range(500):
+            h, c = qlstm_step(xw[:, t], h, c, gates, den)
             h_ref, c_ref = lstm_cell(
-                counts / den, h_ref, c_ref, wts, "fq", input_denominator=den
+                counts[:, t] / den, h_ref, c_ref, wts, "fq", input_denominator=den
             )
             np.testing.assert_array_equal(h, h_ref)
             np.testing.assert_array_equal(c, c_ref)
@@ -363,9 +375,9 @@ class TestQLSTMStep:
         rng = np.random.default_rng(9)
         _, gates = random_gates(rng, 4, 6)
         h, c = zero_carry(1, 6)
-        for _ in range(1000):
-            counts = rng.integers(0, 49, size=(1, 4))
-            h, c = qlstm_step(counts, h, c, gates, 48)
+        xw = count_products(rng.integers(0, 49, size=(1, 1000, 4)), gates, 48)
+        for t in range(1000):
+            h, c = qlstm_step(xw[:, t], h, c, gates, 48)
             for carry in (h, c):
                 assert carry.dtype == np.int8 and carry.shape == (1, 6)
                 assert np.isin(carry, (-1, 0, 1)).all()
@@ -376,4 +388,4 @@ class TestQLSTMStep:
         rng = np.random.default_rng(10)
         _, gates = random_gates(rng, 4, 3)
         with pytest.raises(ShapeMismatch):
-            qlstm_step(np.zeros((1, 5), dtype=np.int64), *zero_carry(1, 3), gates, 48)
+            count_products(np.zeros((1, 1, 5), dtype=np.int64), gates, 48)

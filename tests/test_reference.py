@@ -143,6 +143,48 @@ class TestConv3d:
                     assert got.dtype == dtype
                     assert np.array_equal(got, want), (groups, cig, gi)
 
+    @pytest.mark.parametrize("kernel", [(3, 3, 3), (5, 1, 3)])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("t", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_conv_split_along_kt_has_the_one_product_bytes(self, n, t, groups, kernel):
+        # Integer input in [0, M], M = (2**24 - 1) // fan-in, and +-1 weights,
+        # except all +1 for output channel 0.  One input value then grows
+        # until channel 0's largest sum is exactly 2**24 - 1.  That sum
+        # bounds every partial sum of every output, so float32 holds them
+        # all, and the kt-split sums match the one-product ones byte for byte.
+        rng = np.random.default_rng(n * 100 + t * 10 + groups)
+        spec = ConvSpec(kernel, (1, 1, 1), groups, 3 * groups, 2 * groups)
+        bound = 2**24 - 1
+        x = rng.integers(0, bound // spec.fan_in + 1, size=(n, t, 5, 4, spec.in_channels)).astype(np.float64)
+        w = np.where(rng.random(spec.weight_shape) < 0.5, -1.0, 1.0)
+        w[..., 0] = 1.0
+        peak = np.unravel_index(np.argmax(conv3d(x, w, spec)[..., 0]), (n, t, 5, 4))
+        x[(*peak, 0)] += bound - conv3d(x, w, spec)[(*peak, 0)]
+        want = conv3d(x, w, spec)
+        assert want[..., 0].max() == bound
+        x32, w32 = x.astype(np.float32), w.astype(np.float32)
+        got = conv3d(x32, w32, spec, exact=True)
+        assert got.dtype == np.float32 and got.tobytes() == conv3d(x32, w32, spec).tobytes()
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kernel, strides, split",
+        [((3, 3, 3), (1, 1, 1), True), ((3, 3, 3), (2, 2, 2), False), ((3, 3, 3), (1, 2, 2), False),
+         ((1, 1, 1), (1, 1, 1), False), ((1, 3, 3), (1, 1, 1), False)],
+    )
+    def test_only_exact_stride_1_convs_over_several_frames_split_along_kt(self, kernel, strides, split, monkeypatch):
+        calls = []
+        real = ref._conv_split_t
+        monkeypatch.setattr(ref, "_conv_split_t", lambda *a: calls.append(a) or real(*a))
+        spec = ConvSpec(kernel, strides, 2, 4, 4)
+        x = np.random.default_rng(3).integers(0, 2, size=(1, 4, 6, 6, 4)).astype(np.float32)
+        w = np.ones(spec.weight_shape, dtype=np.float32)
+        conv3d(x, w, spec)
+        assert not calls
+        assert np.array_equal(conv3d(x, w, spec, exact=True), conv3d_oracle(x, w, spec))
+        assert len(calls) == split
+
     def test_bad_grouping_rejected(self):
         with pytest.raises(BadGrouping):
             ConvSpec((3, 3, 3), (1, 1, 1), 3, 4, 6)
@@ -462,15 +504,15 @@ class TestExactPrecision:
         model = model_at(5, 0, **PAPER_CONFIG)
         x = np.random.default_rng(17).integers(0, 256, size=(1, 16, 96, 128, 1)) / 255.0
         got, got_taps = recorded(model, x)
-        assert all(xt == wt for xt, wt, _ in conv_calls)
+        assert all(xt == wt and exact for xt, wt, _, exact in conv_calls)  # all bounded
         assert len(conv_calls) == 33
-        assert sum(xt == np.float32 for xt, _, _ in conv_calls) == 30
-        wide = [(sp.in_channels, sp.kernel) for xt, _, sp in conv_calls if xt == np.float64]
+        assert sum(xt == np.float32 for xt, _, _, _ in conv_calls) == 30
+        wide = [(sp.in_channels, sp.kernel) for xt, _, sp, _ in conv_calls if xt == np.float64]
         assert wide == [(128, (1, 1, 1))] * 3
         monkeypatch.setattr(ref, "FLOAT32_EXACT_LIMIT", 0)
         conv_calls.clear()
         want, want_taps = recorded(model, x)
-        assert len(conv_calls) == 33 and all(xt == wt == np.float64 for xt, wt, _ in conv_calls)
+        assert len(conv_calls) == 33 and all(xt == wt == np.float64 for xt, wt, _, _ in conv_calls)
         assert got_taps.keys() == want_taps.keys()
         pairs = [(name, got_taps[name], v) for name, v in want_taps.items()]
         pairs += [("logits", got.logits, want.logits), ("scores", got.scores, want.scores)]

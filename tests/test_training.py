@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -170,16 +171,19 @@ def test_tape_integer_convs_run_at_exact_precision(config, stage, conv_calls, mo
     frames = np.random.default_rng(5).integers(0, 256, size=(1, cfg.t, cfg.h, cfg.w, 1), dtype=np.uint8)
     labels = np.arange(1)
     got = train_step(model, frames, labels)
-    assert all(xt == wt for xt, wt, _ in conv_calls)
+    assert all(xt == wt for xt, wt, _, _ in conv_calls)
     stem, rest = conv_calls[0], conv_calls[1:]
-    assert stem[0] == (np.float64 if stage == 3 else np.float32)
-    wide = [(sp.in_channels, sp.kernel) for xt, _, sp in rest if xt == np.float64]
+    # Exactly the bounded convs say their sums are exact: the stage-3 stem
+    # reads the k/255 clip, so its float product keeps one call per group.
+    assert stem[0] == (np.float64 if stage == 3 else np.float32) and stem[3] == (stage >= 4)
+    assert all(exact for _, _, _, exact in rest)
+    wide = [(sp.in_channels, sp.kernel) for xt, _, sp, _ in rest if xt == np.float64]
     assert wide == ([(128, (1, 1, 1))] * 3 if config == "paper" else [])
-    assert len(rest) > len(wide) and all(xt in (np.float32, np.float64) for xt, _, _ in rest)
+    assert len(rest) > len(wide) and all(xt in (np.float32, np.float64) for xt, _, _, _ in rest)
     monkeypatch.setattr(reference, "FLOAT32_EXACT_LIMIT", 0)
     conv_calls.clear()
     want = train_step(model_at(stage, 4, **overrides), frames, labels)
-    assert len(conv_calls) == len(rest) + 1 and all(xt == wt == np.float64 for xt, wt, _ in conv_calls)
+    assert len(conv_calls) == len(rest) + 1 and all(xt == wt == np.float64 for xt, wt, _, _ in conv_calls)
     assert got.keys() == want.keys()
     for key, val in want.items():
         if val is None:
@@ -201,7 +205,39 @@ def test_reference_convs_run_at_the_tape_precision_from_stage_3(config, conv_cal
     conv_calls.clear()
     training_graph(Tape(), model, bind_params(model), x, np.arange(1))
     assert ref_convs == conv_calls
-    assert conv_calls[0][0] == np.float64 and any(xt == np.float32 for xt, _, _ in conv_calls)
+    assert conv_calls[0][0] == np.float64 and any(xt == np.float32 for xt, _, _, _ in conv_calls)
+    assert [exact for _, _, _, exact in conv_calls] == [False] + [True] * (len(conv_calls) - 1)
+
+
+@pytest.mark.parametrize("stage", [1, 3])
+def test_norm_inputs_die_before_their_activation(stage, monkeypatch):
+    # A conv block's norm input is a float64 array of the block's size that
+    # no formula reads; only a MOR block's second norm reads an input (i0)
+    # that the select after it needs.
+    model = model_at(stage, 0, **CONFIGS["cf-blocks"])
+    second = {id(lay.norm2) for lay in model.layers if lay.kind == "mor"}
+    inputs, alive = [], []
+    real_norm, real_acts = autodiff.batchnorm_train, {f: getattr(autodiff, f) for f in ("relu", "heaviside_ste")}
+
+    def norm(tape, x, gamma, beta, p, *args, **kwargs):
+        if id(p) not in second:
+            inputs.append(weakref.ref(x.value))
+        return real_norm(tape, x, gamma, beta, p, *args, **kwargs)
+
+    def act(real):
+        def run(tape, x, *args, **kwargs):
+            alive.extend(ref() is not None for ref in inputs)
+            inputs.clear()
+            return real(tape, x, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(autodiff, "batchnorm_train", norm)
+    for name, real in real_acts.items():
+        monkeypatch.setattr(autodiff, name, act(real))
+    x = np.random.default_rng(6).integers(0, 256, size=(2, 8, 24, 32, 1)) / 255.0
+    training_graph(Tape(), model, bind_params(model), x, np.arange(2))
+    assert len(alive) == len(model.layers) - sum(lay.kind in ("mp", "gap", "lstm", "dense") for lay in model.layers)
+    assert not any(alive)
 
 
 def latent_weights(model):
@@ -285,6 +321,24 @@ def test_labels_outside_the_classes_are_refused_before_any_step(label):
         run_stage(model, StageConfig(1, 1e-3, 1, 1, batch_size=2), frames, np.array([0, label]))
     with pytest.raises(ValueError):
         evaluate(model, frames, np.array([0, label]))
+    assert np.array_equal(model.layers[0].w, before)
+
+
+@pytest.mark.parametrize("walk", ["evaluate-ref", "evaluate-logic", "run_stage-train", "run_stage-test"])
+def test_clips_that_are_not_uint8_are_refused_before_any_step(walk):
+    # Both walks divide clips by 255: a float clip already in [0, 1] would
+    # train and score as a near-black one.
+    model = model_at(5 if walk == "evaluate-logic" else 1, 0)
+    before = model.layers[0].w.copy()
+    clips = np.zeros((2, 8, 24, 32, 1), dtype=np.uint8)
+    floats, y = clips / 255.0, np.arange(2)
+    with pytest.raises(TypeError, match="float64"):
+        if walk.startswith("evaluate"):
+            evaluate(model, floats, y, path=walk.removeprefix("evaluate-"))
+        else:
+            data = (floats, y, clips, y) if walk == "run_stage-train" else (clips, y, floats, y)
+            run_stage(model, StageConfig(2, 1e-3, 1, 1, batch_size=2), *data)
+    assert model.stage == (5 if walk == "evaluate-logic" else 1)
     assert np.array_equal(model.layers[0].w, before)
 
 

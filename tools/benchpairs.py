@@ -27,6 +27,13 @@ already in the file are kept):
   run read lower than the parent's run of the same seed (every metric here
   is better lower).
 
+It then prints, for each end-to-end metric that ``BENCHMARK.json`` names,
+the change/parent ratio of the medians against the bound the benchmark fixes
+for it, flagging a metric that worsened past its bound, and whether a gain
+claim on it would hold: the change better in at least nine tenths of the
+pairs (ties count for neither), and the medians further apart than the
+parent's quartiles.  The tool only reads ``BENCHMARK.json``.
+
 Each run's figures come only from its JSON record, so the tool imports
 nothing from ``perfbench`` and needs no ``billnet`` on its path.
 """
@@ -91,6 +98,29 @@ def reduce_pairs(seeds: list[int], pairs: list[tuple[dict, dict]]) -> dict:
         entry[side]["attempted"] = sum(pair[idx]["result"]["attempted"] for pair in pairs)
     entry["change_better_pairs"] = {n: sum(c[n] < p[n] for p, c in figs) for n in names}
     return entry
+
+
+def verdicts(entry: dict, end_to_end: list[dict]) -> list[dict]:
+    """Per end-to-end metric of ``BENCHMARK.json`` (its ``end_to_end`` list)
+    that ``entry`` holds: the change/parent median ratio, whether the change
+    is worse than the parent by more than the metric's bound, and whether a
+    gain claim holds (better in >= 9/10 of the pairs, and a median gap wider
+    than the parent's interquartile range).  ``change_better_pairs`` counts
+    lower runs, so only lower-is-better metrics are judged."""
+    rows = []
+    for metric in end_to_end:
+        name = metric["name"]
+        if name not in entry["change_better_pairs"] or metric["better"] != "lower":
+            continue
+        p, c = entry["parent"][name], entry["change"][name]
+        ratio = c["median"] / p["median"]
+        wins, gap, iqr = entry["change_better_pairs"][name], p["median"] - c["median"], p["q3"] - p["q1"]
+        rows.append({
+            "name": name, "ratio": ratio, "bound": metric["bound"], "past_bound": ratio > 1 + metric["bound"],
+            "wins": wins, "pairs": entry["pairs"], "gap": gap, "parent_iqr": iqr,
+            "claim_holds": wins >= 0.9 * entry["pairs"] and gap > iqr,
+        })
+    return rows
 
 
 def traced_entry(seed: int, parent: dict, change: dict) -> dict:
@@ -170,6 +200,13 @@ def main(argv=None) -> int:
         p, c = entry["parent"][name], entry["change"][name]
         print(f"{name:<14} parent {p['median']:.5g} [{p['q1']:.5g}, {p['q3']:.5g}]  "
               f"change {c['median']:.5g}  better in {better}/{entry['pairs']}")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    print("end to end, against BENCHMARK.json:")
+    for v in verdicts(entry, spec["end_to_end"]):
+        bound = "PAST BOUND" if v["past_bound"] else "within bound"
+        claim = "claim holds" if v["claim_holds"] else "no claim"
+        print(f"{v['name']:<14} change/parent {v['ratio']:.3f} ({bound} {1 + v['bound']:.2f})  {claim}: "
+              f"better in {v['wins']}/{v['pairs']}, gap {v['gap']:.4g} vs parent IQR {v['parent_iqr']:.4g}")
     return 0
 
 
