@@ -273,10 +273,11 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
 
 def frames_to_bitplanes(frames: np.ndarray) -> list[BitTensor]:
     """uint8 (N,T,H,W,C) -> 8 bit planes, least significant first, packed
-    in one pass: the planes' words are slices of one buffer."""
+    in one pass: the planes' words are slices of one buffer.  Frames of any
+    other dtype raise TypeError, which names it."""
     frames = require_tensor5(frames)
     if frames.dtype != np.uint8:
-        raise ShapeMismatch("logic-path input must be uint8")
+        raise TypeError(f"logic-path input must be uint8 gray levels, got {frames.dtype}")
     bits = (frames & (1 << np.arange(8, dtype=np.uint8))[:, None, None, None, None, None]) != 0
     return [BitTensor(frames.shape, words) for words in pack_vector(bits)]
 

@@ -1,6 +1,7 @@
 """Arithmetic reference path: dense-tensor forward for every training stage.
 
-Everything here operates on (N, T, H, W, C) float64 arrays.  The model-level
+Everything here operates on (N, T, H, W, C) arrays: float64, except the
+narrower dtypes described below.  The model-level
 ``forward`` evaluates a built graph at its current stage using frozen
 statistics (moving batch-norm stats, folded shifts), hands each binary and
 ternary intermediate the logic path must reproduce to its ``on_tap``
@@ -25,8 +26,11 @@ the batch norm that follows reads the sums as float64.  From stage 4 it
 steps on the raw integer sums, as the logic path does: the folded
 norm is a positive power-of-two scale (the stem's also divides by 255), and
 no positive scale can move a strict zero step, so ``apply_norm`` is skipped.
-The step's output is float64, so every tapped intermediate is float64 and
-carries the same bits as an all-float64 run through the norms.
+The step's output is bool, and so is every binary activation from there
+(the MOR OR, the pools) until the global average, which averages in
+float64 because the LSTM reads it; a bounded conv casts its bool input once
+to its dtype.  Each tapped intermediate reaches ``on_tap`` as float64, with
+the same bits as an all-float64 run through the norms.
 
 Because a bounded conv's every partial sum is an integer below its dtype's
 exact limit, no order of additions can round, so such a conv may sum in an
@@ -420,10 +424,13 @@ def apply_act(x, stage: int):
 
 
 def _norm_act(z, norm, stage: int):
-    """Norm, then activation.  From stage 4 the norm is a positive
-    power-of-two shift, which cannot move the strict zero step, so the step
-    reads the raw sum ``z`` in whatever dtype its conv ran."""
-    return heaviside(z) if stage >= 4 else apply_act(apply_norm(z, norm), stage)
+    """Norm (none for a skip conv, ``norm`` None), then activation.  From
+    stage 4 the norm is a positive power-of-two shift, which cannot move the
+    strict zero step, so the step reads the raw sum ``z`` in whatever dtype
+    its conv ran and gives bool."""
+    if stage >= 4:
+        return z > 0
+    return apply_act(z if norm is None else apply_norm(z, norm), stage)
 
 
 @dataclass
@@ -458,9 +465,16 @@ def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | No
     ``on_tap``, when given, is called with each named intermediate's name
     and value as it is formed, in graph order; it is the only way out for
     intermediates, so the forward holds none of them past its own use.
+    From stage 4 the forward carries binary activations as bool; ``on_tap``
+    still receives each as float64 {0, 1}, and the integer taps (gap counts,
+    the LSTM's ``.h``, int logits, prediction) as integers.
     """
     stage = model.stage
-    put = on_tap or (lambda key, value: None)
+
+    def put(key, value):
+        if on_tap is not None:
+            on_tap(key, value.astype(np.float64) if value.dtype == bool else value)
+
     x = snap_to_grid(x, model.config)
     gap_den = 0
     # From stage 3 every conv after the stem reads {0,1} and sums integers.
@@ -469,31 +483,30 @@ def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | No
     for layer in model.layers:
         kind = layer.kind
         if kind == "stem":
-            wq = conv_weight(layer.w, stage)
+            bound = None
             if stage >= 4:
                 # Accumulate the 8-bit grid exactly: 1/255 is one more
                 # positive scale ahead of the step.
-                z, _ = _conv(np.rint(x * 255.0), wq, layer.spec, 255)
-            else:
-                z = conv3d(x, wq, layer.spec)
-            x = _norm_act(z, layer.norm, stage)
+                x, bound = np.rint(x * 255.0), 255
+            # No name holds the conv's sums, so they are freed once stepped.
+            x = _norm_act(_conv(x, conv_weight(layer.w, stage), layer.spec, bound)[0], layer.norm, stage)
             put(f"{layer.name}.out", x)
         elif kind == "cf":
             x = _norm_act(_cf_apply(x, layer, stage, bits), layer.norm, stage)
             put(f"{layer.name}.out", x)
         elif kind == "mor":
             if layer.skip_w is not None:
-                zs, _ = _conv(x, conv_weight(layer.skip_w, stage), layer.skip_spec, bits)
-                skip = apply_act(zs, stage)
+                skip = _norm_act(_conv(x, conv_weight(layer.skip_w, stage), layer.skip_spec, bits)[0], None, stage)
             else:
                 skip = x
             v = _norm_act(_cf_apply(x, layer, stage, bits), layer.norm1, stage)
-            i0 = clip(v + skip)
             if stage >= 4:
-                # The second norm is a positive shift and the step fixes the
+                # On binary v and skip the clipped sum is their OR.  The
+                # second norm is a positive shift and the step fixes the
                 # binary i0, so i1 is i0 and the select cannot change a bit.
-                x = i1 = i0
+                x = i1 = i0 = v | skip
             else:
+                i0 = clip(v + skip)
                 sel = tgap_select(skip, quantized=stage >= 3)
                 i1 = apply_act(apply_norm(i0, layer.norm2), stage)
                 x = mux(i0, i1, sel)

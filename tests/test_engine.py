@@ -141,7 +141,7 @@ class TestExecute:
             execute(plan, frames_to_bitplanes(np.zeros((1, 8, 24, 32, 1), dtype=np.uint8)))
 
     def test_bitplanes_require_uint8(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TypeError, match="float64"):
             frames_to_bitplanes(np.zeros((1, 2, 2, 2, 1)))
 
     def test_bitplanes_reassemble_colour_frames(self):

@@ -465,6 +465,15 @@ class TestModelForward:
         np.testing.assert_array_equal(taps["mor1.out"], taps["mor1.i0"])
 
 
+# The taps ``forward`` hands on as integers; every other one is float64.
+INT_TAPS = {"gap.counts", "lstm.h", "dense.intlogits", "pred"}
+
+
+def assert_float64_taps(taps):
+    for name, val in taps.items():
+        assert (val.dtype.kind == "i") if name in INT_TAPS else (val.dtype == np.float64), (name, val.dtype)
+
+
 class TestExactPrecision:
     @pytest.mark.parametrize("stage", [4, 5])
     @pytest.mark.parametrize("config", ["toy", "cf-blocks", "paper"])
@@ -487,9 +496,39 @@ class TestExactPrecision:
             0, 256, size=(1, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8
         )
         _, taps = recorded(model, frames / 255.0)
-        assert all(v.dtype == np.float64 for k, v in taps.items() if k.endswith((".out", ".v")))
+        assert_float64_taps(taps)
         if stage == 5:
             assert compare_paths(model, frames) is None
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("config", ["toy", "cf-blocks", "paper"])
+    def test_binary_activations_are_bool_from_stage_4(self, config, stage, monkeypatch):
+        # From stage 4 the forward carries each binary activation as bool,
+        # so the pools read bool; up to stage 3 they read float64.  Either
+        # way every tap reaches on_tap as float64, or as its integer dtype.
+        pooled, real = [], ref.maxpool3d
+        monkeypatch.setattr(ref, "maxpool3d", lambda x, window: pooled.append(x.dtype) or real(x, window))
+        model = model_at(stage, 7, **(PAPER_CONFIG if config == "paper" else CONFIGS[config]))
+        cfg = model.config
+        x = np.random.default_rng(19).integers(0, 256, size=(1, cfg.t, cfg.h, cfg.w, cfg.in_channels)) / 255.0
+        _, taps = recorded(model, x)
+        assert pooled and set(pooled) == {np.dtype(bool if stage >= 4 else np.float64)}
+        assert_float64_taps(taps)
+
+    def test_untapped_paper_forward_peak_below_15_mb(self):
+        # Bool activations take one byte a bit where float64 took eight, and
+        # the stem's sums are dropped once stepped: the untapped stage-5
+        # paper-scale forward peaks at about 12.2 MB traced, against about
+        # 22 MB with float64 activations.
+        model = model_at(5, 0, **PAPER_CONFIG)
+        x = np.random.default_rng(20).integers(0, 256, size=(1, 16, 96, 128, 1)) / 255.0
+        tracemalloc.start()
+        try:
+            ref.forward(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6, peak
 
     def test_exact_dtype_limits(self):
         assert ref.exact_dtype(2**24 - 1) == np.float32
