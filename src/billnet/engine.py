@@ -58,7 +58,7 @@ import numpy as np
 
 from . import reference as ref
 from .errors import BadConfig, NotFullyQuantized, ShapeMismatch
-from .quantize import sign_strict, stern
+from .quantize import sign_strict, stage_rules, stern
 from .reference import ConvSpec, _blocks
 from .tensors import BitTensor, and_count, bipolar_dot, pack, pack_vector, require_tensor5, unpack, unpack_bits
 
@@ -177,7 +177,7 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
 
     Raises BadConfig when an int accumulator could reach ``reference.EXACT_LIMIT``.
     """
-    if model.stage != 5:
+    if not stage_rules(model.stage).int_lstm:
         raise NotFullyQuantized(f"model is at stage {model.stage}, need 5")
     plan = GatePlan()
     cfg = model.config

@@ -1,10 +1,11 @@
 """Declarative model builder and parameter accounting.
 
 A built graph is an ordered list of layer records, each carrying its latent
-(real) weights, its normalization state (batch-norm statistics before stage
-4, power-of-two shifts after), and its input/output shapes.  Forward
-semantics are derived from the graph's current stage: the same latent
-weights are consumed raw in stage 1 and through their quantizers afterwards.
+(real) weights, its normalization state (batch-norm statistics until
+``quantize.stage_rules`` fold the norms, power-of-two shifts after), and
+its input/output shapes.  Forward semantics are derived from the rules of
+the graph's current stage: the same latent weights are consumed raw in
+stage 1 and through their quantizers afterwards.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, StageOrderViolation
-from .quantize import BNParams, ShiftNorm, bsn_fold
+from .quantize import BNParams, ShiftNorm, bsn_fold, stage_rules
 from .reference import ConvSpec, LSTMWeights
 from .tensors import conv_output_shape, pool_output_shape
 
@@ -307,19 +308,22 @@ def apply_stage_transition(model: ModelGraph, stage: int) -> ModelGraph:
     """Advance the graph to ``stage``, applying that stage's swaps.
 
     Quantization only ever grows: each entry requires the immediately
-    preceding stage.  Stage 2 removes recurrent biases, stage 4 folds all
-    batch norms into offset-free shifts using the moving statistics frozen
-    at that moment; stages 3 and 5 only flip activation semantics.
+    preceding stage.  The stage whose rules turn ``binary_weights`` on
+    removes recurrent biases, and the one that turns ``folded_norms`` on
+    folds all batch norms into offset-free shifts using the moving
+    statistics frozen at that moment; the others only flip activation
+    semantics.
     """
-    if stage < 1 or stage > 5 or stage != model.stage + 1:
+    new, old = stage_rules(stage), stage_rules(model.stage)
+    if stage != model.stage + 1:
         raise StageOrderViolation(
             f"cannot enter stage {stage} from stage {model.stage}"
         )
-    if stage == 2:
+    if new.binary_weights and not old.binary_weights:
         for lay in model.layers:
             if lay.kind == "lstm":
                 lay.weights.bi = lay.weights.bf = lay.weights.bo = lay.weights.bc = None
-    if stage == 4:
+    if new.folded_norms and not old.folded_norms:
         for lay in model.layers:
             for attr, norm in norms(lay).items():
                 setattr(lay, attr, bsn_fold(norm))
@@ -330,12 +334,6 @@ def apply_stage_transition(model: ModelGraph, stage: int) -> ModelGraph:
 # ---------------------------------------------------------------------------
 # Parameter accounting
 # ---------------------------------------------------------------------------
-
-
-def _weight_bits(kind: str, stage: int) -> int:
-    if stage <= 1:
-        return 32
-    return 2 if kind == "dense" else 1
 
 
 @dataclass
@@ -375,11 +373,14 @@ def _norm_bits(norm) -> int:
 def count_params(model: ModelGraph, stage: int | None = None) -> ParamReport:
     """Per-layer parameter counts and bit sizes under a stage's bitwidths.
 
-    The headline weight size covers conv/recurrent/dense kernels only;
-    normalization statistics and biases are reported separately as
-    bookkeeping, mirroring how weight-related memory is usually quoted.
+    The headline weight size covers conv/recurrent/dense kernels only, at
+    32 bits, or with ``binary_weights`` at 2 bits (dense) and 1 bit (the
+    rest); normalization statistics and biases are reported separately as
+    bookkeeping, mirroring how weight-related memory is usually quoted.  A
+    stage outside 1..5 raises StageOrderViolation.
     """
     stage = model.stage if stage is None else stage
+    binary = stage_rules(stage).binary_weights
     rep = ParamReport(stage=stage)
     for lay in model.layers:
         n = sum(w.size for w in latents(lay).values())
@@ -388,5 +389,6 @@ def count_params(model: ModelGraph, stage: int | None = None) -> ParamReport:
         book = sum(_norm_bits(norm) for norm in norms(lay).values())
         if lay.kind == "lstm":
             book += sum(b.size * 32 for b in lay.weights.biases() if b is not None)
-        rep.layers.append(LayerParams(lay.name, lay.kind, n, n * _weight_bits(lay.kind, stage), book))
+        bits = (2 if lay.kind == "dense" else 1) if binary else 32
+        rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, book))
     return rep

@@ -1,8 +1,10 @@
-"""Element-wise quantizers, their surrogate gradients, and norm folding.
+"""The stage rules, element-wise quantizers, their surrogate gradients, and
+norm folding.
 
-All forward functions accept scalars or ndarrays and are pure.
-``heaviside_ste_grad`` is the surrogate-gradient window the training tape's
-step, sign and ternary nodes share.
+``stage_rules`` is the one table of which quantizers each of the five
+training stages switches on.  All forward functions accept scalars or
+ndarrays and are pure.  ``heaviside_ste_grad`` is the surrogate-gradient
+window the training tape's step, sign and ternary nodes share.
 """
 
 from __future__ import annotations
@@ -11,7 +13,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroScale
+from .errors import StageOrderViolation, ZeroScale
+
+
+@dataclass(frozen=True)
+class StageRules:
+    """What a training stage quantizes.  Each switch, once on, stays on in
+    every later stage.
+
+    * ``binary_weights`` (stage 2 on): +-1 conv and recurrent kernels, the
+      ternary dense layer, no LSTM biases, latents clipped to [-1, 1] after
+      each update, and 1 or 2 bits per weight in the accounting.
+    * ``binary_acts`` (3 on): step activations, so every conv after the stem
+      reads {0,1} (bound ``act_bound``), and the quantized ``tgap_select``.
+    * ``folded_norms`` (4 on): norms folded into power-of-two shifts and no
+      longer trained; the stem sums the 8-bit levels as integers, and the
+      reference steps on raw sums and ORs each MOR block.
+    * ``int_lstm`` (5): the 'fq' LSTM, the integer taps, and the stage
+      ``engine.compile`` requires.
+    """
+
+    binary_weights: bool
+    binary_acts: bool
+    folded_norms: bool
+    int_lstm: bool
+
+    @property
+    def lstm_mode(self) -> str:
+        """The recurrent cell's mode: 'float', 'wq' or 'fq'."""
+        return "fq" if self.int_lstm else ("wq" if self.binary_weights else "float")
+
+    @property
+    def act_bound(self) -> int | None:
+        """The magnitude bound of what every conv after the stem reads: 1
+        for {0,1} steps, else None (not integer-valued)."""
+        return 1 if self.binary_acts else None
+
+
+def stage_rules(stage: int) -> StageRules:
+    """The rules of training stage ``stage``; a stage outside 1..5 raises
+    StageOrderViolation."""
+    if stage not in range(1, 6):
+        raise StageOrderViolation(f"stage {stage} outside 1..5")
+    return StageRules(stage >= 2, stage >= 3, stage >= 4, stage == 5)
 
 
 def heaviside(x):

@@ -1,36 +1,38 @@
 """Arithmetic reference path: dense-tensor forward for every training stage.
 
 Everything here operates on (N, T, H, W, C) arrays: float64, except the
-narrower dtypes described below.  The model-level
-``forward`` evaluates a built graph at its current stage using frozen
-statistics (moving batch-norm stats, folded shifts), hands each binary and
-ternary intermediate the logic path must reproduce to its ``on_tap``
-callback, and returns per-step logits plus aggregated class scores.
+narrower dtypes described below.  The model-level ``forward`` evaluates a
+built graph under the ``quantize.stage_rules`` of its current stage, using
+frozen statistics (moving batch-norm stats, folded shifts), hands each
+binary and ternary intermediate the logic path must reproduce to its
+``on_tap`` callback, and returns per-step logits plus aggregated class
+scores.
 
-Inputs are 8-bit fixed point (gray levels scaled by 1/255).  In the
-offset-free stages (4 and 5) every threshold sits exactly at zero, so
+Inputs are 8-bit fixed point (gray levels scaled by 1/255).  Once the rules
+fold the norms (``folded_norms``) every threshold sits exactly at zero, so
 pre-activations that feed a step function are accumulated over
 integer-valued operands, and the two execution paths agree bit for bit
 rather than merely within tolerance.  Such a sum is exact in floating point
 whatever order BLAS adds it in, as long as its worst-case magnitude stays
 below the limit where the format stops holding every integer.
 ``exact_dtype`` is the one home of that precision rule: float32 below 2**24,
-else float64, which is exact below 2**53.  From stage 3 every conv after
-the stem reads {0,1} with +-1 weights, and from stage 4 the stem reads the
-8-bit grid as integers.  ``forward`` bounds each such conv's accumulator
-from its input's bound and its fan-in, as the logic-path compiler and the
-training tape do (255 x fan-in for the stem on the 8-bit grid, fan-in for a
-conv reading {0,1}, the previous bound x fan-in along a pointwise ->
-grouped -> pointwise chain), and runs the conv in that dtype; at stage 3
-the batch norm that follows reads the sums as float64.  From stage 4 it
-steps on the raw integer sums, as the logic path does: the folded
-norm is a positive power-of-two scale (the stem's also divides by 255), and
-no positive scale can move a strict zero step, so ``apply_norm`` is skipped.
-The step's output is bool, and so is every binary activation from there
-(the MOR OR, the pools) until the global average, which averages in
-float64 because the LSTM reads it; a bounded conv casts its bool input once
-to its dtype.  Each tapped intermediate reaches ``on_tap`` as float64, with
-the same bits as an all-float64 run through the norms.
+else float64, which is exact below 2**53.  With ``binary_acts`` every conv
+after the stem reads {0,1} with +-1 weights, and with ``folded_norms`` the
+stem reads the 8-bit levels as integers.  ``forward`` bounds each such
+conv's accumulator from its input's bound and its fan-in, as the logic-path
+compiler and the training tape do (255 x fan-in for the stem on the 8-bit
+grid, fan-in for a conv reading {0,1}, the previous bound x fan-in along a
+pointwise -> grouped -> pointwise chain), and runs the conv in that dtype;
+before the norms fold, the batch norm that follows reads the sums as
+float64.  Once they fold it steps on the raw integer sums, as the logic
+path does: the folded norm is a positive power-of-two scale (the stem's
+also divides by 255), and no positive scale can move a strict zero step, so
+``apply_norm`` is skipped.  The step's output is bool, and so is every
+binary activation from there (the MOR OR, the pools) until the global
+average, which averages in float64 because the LSTM reads it; a bounded
+conv casts its bool input once to its dtype.  Each tapped intermediate
+reaches ``on_tap`` as float64, with the same bits as an all-float64 run
+through the norms.
 
 Because a bounded conv's every partial sum is an integer below its dtype's
 exact limit, no order of additions can round, so such a conv may sum in an
@@ -54,12 +56,14 @@ from .errors import BadConfig, BadGrouping, NonBinarySelect, ShapeMismatch
 from .quantize import (
     BNParams,
     ShiftNorm,
+    StageRules,
     bn_forward,
     bsn_forward,
     clip,
     heaviside,
     sign_strict,
     ssign,
+    stage_rules,
     stern,
     tgap_select,
 )
@@ -382,10 +386,6 @@ def exact_preactivations(x_t, h_prev, signs, d: int) -> list[np.ndarray]:
     return [counts @ s[:n_i] + d * (h_prev @ s[n_i:]) for s in signs]
 
 
-def lstm_mode(stage: int) -> str:
-    return "float" if stage <= 1 else ("wq" if stage <= 4 else "fq")
-
-
 # ---------------------------------------------------------------------------
 # Classifier head
 # ---------------------------------------------------------------------------
@@ -406,9 +406,9 @@ def predict(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def conv_weight(w: np.ndarray, stage: int) -> np.ndarray:
-    """Latent conv weights as used at a given stage (binary from stage 2)."""
-    return w if stage <= 1 else sign_strict(w)
+def conv_weight(w: np.ndarray, rules: StageRules) -> np.ndarray:
+    """Latent conv weights as ``rules`` use them (signs with ``binary_weights``)."""
+    return sign_strict(w) if rules.binary_weights else w
 
 
 def apply_norm(x, norm):
@@ -419,18 +419,15 @@ def apply_norm(x, norm):
     raise TypeError(f"unknown norm {type(norm)!r}")
 
 
-def apply_act(x, stage: int):
-    return relu(x) if stage <= 2 else heaviside(x)
-
-
-def _norm_act(z, norm, stage: int):
-    """Norm (none for a skip conv, ``norm`` None), then activation.  From
-    stage 4 the norm is a positive power-of-two shift, which cannot move the
-    strict zero step, so the step reads the raw sum ``z`` in whatever dtype
-    its conv ran and gives bool."""
-    if stage >= 4:
+def _norm_act(z, norm, rules: StageRules):
+    """Norm (none for a skip conv, ``norm`` None), then activation: the step
+    with ``binary_acts``, else relu.  Once the norms fold, each is a positive
+    power-of-two shift, which cannot move the strict zero step, so the step
+    reads the raw sum ``z`` in whatever dtype its conv ran and gives bool."""
+    if rules.folded_norms:
         return z > 0
-    return apply_act(z if norm is None else apply_norm(z, norm), stage)
+    z = z if norm is None else apply_norm(z, norm)
+    return heaviside(z) if rules.binary_acts else relu(z)
 
 
 @dataclass
@@ -440,23 +437,28 @@ class ForwardResult:
     pred: np.ndarray  # (N,) argmax class
 
 
-def _cf_apply(x, layer, stage, bound=None):
-    """Pointwise -> grouped -> pointwise, no nonlinearity in between; with an
-    input ``bound``, each conv at its exact precision (see ``_conv``), and
-    the result in that dtype."""
+def _cf_apply(x, layer, rules: StageRules):
+    """Pointwise -> grouped -> pointwise, no nonlinearity in between; with
+    ``rules.act_bound`` on the input, each conv at its exact precision (see
+    ``_conv``), and the result in that dtype."""
+    bound = rules.act_bound
     parts = ((layer.pw1_w, layer.pw1_spec), (layer.gconv_w, layer.gconv_spec), (layer.pw2_w, layer.pw2_spec))
     for w, spec in parts:
-        x, bound = _conv(x, conv_weight(w, stage), spec, bound)
+        x, bound = _conv(x, conv_weight(w, rules), spec, bound)
     return x
 
 
-def snap_to_grid(x: np.ndarray, cfg) -> np.ndarray:
+def snap_to_grid(x: np.ndarray, cfg, rules: StageRules) -> np.ndarray:
     """Snap a (N,T,H,W,C) clip of config ``cfg``'s shape onto the 8-bit
-    fixed-point grid k/255; any other shape raises ShapeMismatch."""
+    grid, formed once as one float64 array: the levels ``rint(x * 255)``
+    themselves once ``rules`` fold the norms (the stem then sums them as
+    integers, and 1/255 is one more positive scale ahead of its step), else
+    those levels / 255.  Any other shape raises ShapeMismatch."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 5 or x.shape[1:] != (cfg.t, cfg.h, cfg.w, cfg.in_channels):
         raise ShapeMismatch(f"clip {x.shape} is not (N, {cfg.t}, {cfg.h}, {cfg.w}, {cfg.in_channels})")
-    return np.rint(x * 255) / 255
+    levels = np.rint(x * 255)
+    return levels if rules.folded_norms else np.divide(levels, 255, out=levels)
 
 
 def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | None = None) -> ForwardResult:
@@ -465,95 +467,91 @@ def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | No
     ``on_tap``, when given, is called with each named intermediate's name
     and value as it is formed, in graph order; it is the only way out for
     intermediates, so the forward holds none of them past its own use.
-    From stage 4 the forward carries binary activations as bool; ``on_tap``
-    still receives each as float64 {0, 1}, and the integer taps (gap counts,
-    the LSTM's ``.h``, int logits, prediction) as integers.
+    Once the norms fold the forward carries binary activations as bool;
+    ``on_tap`` still receives each as float64 {0, 1}, one copy per array
+    whatever the number of names it goes by, and the integer taps (gap
+    counts, the LSTM's ``.h``, int logits, prediction) as integers.
     """
-    stage = model.stage
+    rules = stage_rules(model.stage)
 
-    def put(key, value):
+    def put(value, *keys):
         if on_tap is not None:
-            on_tap(key, value.astype(np.float64) if value.dtype == bool else value)
+            value = value.astype(np.float64) if value.dtype == bool else value
+            for key in keys:
+                on_tap(key, value)
 
-    x = snap_to_grid(x, model.config)
+    x = snap_to_grid(x, model.config, rules)
     gap_den = 0
-    # From stage 3 every conv after the stem reads {0,1} and sums integers.
-    bits = 1 if stage >= 3 else None
 
     for layer in model.layers:
         kind = layer.kind
         if kind == "stem":
-            bound = None
-            if stage >= 4:
-                # Accumulate the 8-bit grid exactly: 1/255 is one more
-                # positive scale ahead of the step.
-                x, bound = np.rint(x * 255.0), 255
-            # No name holds the conv's sums, so they are freed once stepped.
-            x = _norm_act(_conv(x, conv_weight(layer.w, stage), layer.spec, bound)[0], layer.norm, stage)
-            put(f"{layer.name}.out", x)
+            # Folded norms sum the 8-bit levels exactly.  No name holds the
+            # conv's sums, so they are freed once stepped.
+            bound = 255 if rules.folded_norms else None
+            x = _norm_act(_conv(x, conv_weight(layer.w, rules), layer.spec, bound)[0], layer.norm, rules)
+            put(x, f"{layer.name}.out")
         elif kind == "cf":
-            x = _norm_act(_cf_apply(x, layer, stage, bits), layer.norm, stage)
-            put(f"{layer.name}.out", x)
+            x = _norm_act(_cf_apply(x, layer, rules), layer.norm, rules)
+            put(x, f"{layer.name}.out")
         elif kind == "mor":
             if layer.skip_w is not None:
-                skip = _norm_act(_conv(x, conv_weight(layer.skip_w, stage), layer.skip_spec, bits)[0], None, stage)
+                w = conv_weight(layer.skip_w, rules)
+                skip = _norm_act(_conv(x, w, layer.skip_spec, rules.act_bound)[0], None, rules)
             else:
                 skip = x
-            v = _norm_act(_cf_apply(x, layer, stage, bits), layer.norm1, stage)
-            if stage >= 4:
+            v = _norm_act(_cf_apply(x, layer, rules), layer.norm1, rules)
+            put(skip, f"{layer.name}.skip")
+            put(v, f"{layer.name}.v")
+            if rules.folded_norms:
                 # On binary v and skip the clipped sum is their OR.  The
                 # second norm is a positive shift and the step fixes the
                 # binary i0, so i1 is i0 and the select cannot change a bit.
-                x = i1 = i0 = v | skip
+                x = v | skip
+                put(x, f"{layer.name}.i0", f"{layer.name}.i1", f"{layer.name}.out")
             else:
                 i0 = clip(v + skip)
-                sel = tgap_select(skip, quantized=stage >= 3)
-                i1 = apply_act(apply_norm(i0, layer.norm2), stage)
+                sel = tgap_select(skip, quantized=rules.binary_acts)
+                i1 = _norm_act(i0, layer.norm2, rules)
                 x = mux(i0, i1, sel)
-                put(f"{layer.name}.sel", sel)
-            put(f"{layer.name}.skip", skip)
-            put(f"{layer.name}.v", v)
-            put(f"{layer.name}.i0", i0)
-            put(f"{layer.name}.i1", i1)
-            put(f"{layer.name}.out", x)
+                put(sel, f"{layer.name}.sel")
+                put(i0, f"{layer.name}.i0")
+                put(i1, f"{layer.name}.i1")
+                put(x, f"{layer.name}.out")
         elif kind == "mp":
             x = maxpool3d(x, layer.window)
-            put(f"{layer.name}.out", x)
+            put(x, f"{layer.name}.out")
         elif kind == "gap":
             gap_den = x.shape[2] * x.shape[3]
             x = gap_spatial(x).reshape(x.shape[0], x.shape[1], x.shape[4])
-            if stage >= 5:
-                put(f"{layer.name}.counts", np.rint(x * gap_den).astype(np.int64))
+            if rules.int_lstm:
+                put(np.rint(x * gap_den).astype(np.int64), f"{layer.name}.counts")
         elif kind == "lstm":
-            mode = lstm_mode(stage)
             n, t_steps, _ = x.shape
             h = np.zeros((n, layer.weights.n_o))
             c = np.zeros((n, layer.weights.n_o))
             hs = []
-            kernels = lstm_kernels(layer.weights, mode)
+            kernels = lstm_kernels(layer.weights, rules.lstm_mode)
             for t in range(t_steps):
-                h, c = lstm_cell(
-                    x[:, t, :], h, c, layer.weights, mode,
-                    input_denominator=gap_den if mode == "fq" else None,
-                    kernels=kernels,
-                )
+                # only the 'fq' mode reads the pooling denominator
+                h, c = lstm_cell(x[:, t, :], h, c, layer.weights, rules.lstm_mode, gap_den, kernels)
                 hs.append(h)
             x = np.stack(hs, axis=1)  # (N, T', n_o)
-            if stage >= 5:
-                put(f"{layer.name}.h", x.astype(np.int8))
+            if rules.int_lstm:
+                put(x.astype(np.int8), f"{layer.name}.h")
                 # c of the final step is enough to pin closure; full h carries
                 # the information the classifier consumes.
-            put(f"{layer.name}.out", x)
+            put(x, f"{layer.name}.out")
         elif kind == "dense":
-            w, scale = stern(layer.w, layer.m) if stage >= 2 else (layer.w, 1.0)
-            raw = x @ w  # exact integers from stage 5 on
+            w, scale = stern(layer.w, layer.m) if rules.binary_weights else (layer.w, 1.0)
+            raw = x @ w  # exact integers with the integer LSTM
             logits = scale * raw
             scores = scale * aggregate_logits(raw)
-            if stage >= 5:
-                put(f"{layer.name}.intlogits", np.rint(raw).astype(np.int64))
-            put(f"{layer.name}.logits", logits)
+            if rules.int_lstm:
+                put(np.rint(raw).astype(np.int64), f"{layer.name}.intlogits")
+            put(logits, f"{layer.name}.logits")
         else:
             raise TypeError(f"unknown layer kind {kind!r}")
     pred = predict(scores)
-    put("pred", pred)
+    put(pred, "pred")
     return ForwardResult(logits=logits, scores=scores, pred=pred)

@@ -1,24 +1,25 @@
 """Multi-stage quantization training: Adam, schedule, and the stage driver.
 
-Each stage trains the same latent weights through that stage's quantizer
-set.  The tape graph mirrors the reference forward exactly, except that
-normalization uses batch statistics (advancing the moving estimates that
-stage 4 later folds into shifts).  Optimizer moments are reset at stage
-boundaries; latent weights of quantized layers are clipped to [-1, 1] after
-every update.
+Each stage trains the same latent weights through the quantizers its
+``quantize.stage_rules`` switch on.  The tape graph mirrors the reference
+forward exactly, except that normalization uses batch statistics (advancing
+the moving estimates that ``folded_norms`` later folds into shifts).
+Optimizer moments are reset at stage boundaries; with ``binary_weights``
+latent weights are clipped to [-1, 1] after every update.
 
-From stage 3 every conv after the stem reads {0,1} activations with +-1
-weights, and from stage 4 the stem reads the 8-bit grid as integers up to
-255, so those forward convs sum integers.  The graph carries each one's
-input bound, as ``reference.forward`` does, and ``autodiff.conv3d_op`` runs
-it at the precision ``reference.exact_dtype`` proves exact: the same bits
-as float64, at float32 cost where the bound allows.  The bounds also reach
-the stage-3 batch norms that read such sums or the {0,1} residual ``i0``,
-so every bounded conv and norm holds its input as narrow integers for the
-backward (see ``autodiff``).  Up to stage 3 the stem norm, whose input is
-not integer-valued, forms that input again in its backward from the clip.
-Each block is built in its own helper, so its float64 intermediates die
-once their last reader has run.
+With ``binary_acts`` every conv after the stem reads {0,1} activations with
++-1 weights, and with ``folded_norms`` the stem reads the 8-bit levels as
+integers up to 255, so those forward convs sum integers.  The graph carries
+each one's input bound, as ``reference.forward`` does, and
+``autodiff.conv3d_op`` runs it at the precision ``reference.exact_dtype``
+proves exact: the same bits as float64, at float32 cost where the bound
+allows.  The bounds also reach the batch norms that read such sums or the
+{0,1} residual ``i0`` before the norms fold, so every bounded conv and norm
+holds its input as narrow integers for the backward (see ``autodiff``).
+Until the norms fold the stem norm, whose input is not integer-valued,
+forms that input again in its backward from the clip.  Each block is built
+in its own helper, so its float64 intermediates die once their last reader
+has run.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from . import engine
 from .autodiff import Tape, Var
 from .errors import ShapeMismatch, StageOrderViolation
 from .model import ModelGraph, apply_stage_transition, latents, norms
-from .quantize import ssign_scale, stern_scale, tgap_select
+from .quantize import StageRules, ssign_scale, stage_rules, stern_scale, tgap_select
 from .reference import forward as eval_forward
-from .reference import conv3d, exact_preactivations, lstm_kernels, lstm_mode, snap_to_grid
+from .reference import conv3d, exact_preactivations, lstm_kernels, snap_to_grid
 
 # ---------------------------------------------------------------------------
 # Schedule
@@ -56,8 +57,7 @@ class StageConfig:
     batch_size: int = 40
 
     def __post_init__(self):
-        if not 1 <= self.stage <= 5:
-            raise StageOrderViolation(f"stage {self.stage} outside 1..5")
+        stage_rules(self.stage)  # refuses a stage outside 1..5
         if self.decay_epochs > self.epochs:
             raise ValueError("decay window longer than the stage")
         _check_batch_size(self.batch_size)
@@ -71,8 +71,7 @@ def _check_batch_size(batch_size: int):
 def stage_config(stage: int, scale: float = 1.0, batch_size: int = 40) -> StageConfig:
     """Published per-stage (lr, epochs); epochs and the decay window shrink
     proportionally for desk-scale runs."""
-    if stage not in PAPER_LRS:
-        raise StageOrderViolation(f"stage {stage} outside 1..5")
+    stage_rules(stage)  # refuses a stage outside 1..5
     if not scale > 0:
         raise ValueError(f"epoch scale {scale} is not positive")
     epochs = max(1, round(PAPER_EPOCHS[stage] * scale))
@@ -139,21 +138,21 @@ class BoundParams:
 
 
 def bind_params(model: ModelGraph) -> BoundParams:
-    stage = model.stage
+    rules = stage_rules(model.stage)
     bound = BoundParams()
 
     def reg(name, arr, clip=False):
         bound.vars[name] = Var(arr, trainable=True, name=name)
-        if clip and stage >= 2:
+        if clip and rules.binary_weights:
             bound.clip_latents.append(name)
 
     for lay in model.layers:
         for tag, w in latents(lay).items():
             reg(f"{lay.name}.{tag}", w, clip=True)
-        if lay.kind == "lstm" and stage <= 1:
+        if lay.kind == "lstm" and not rules.binary_weights:
             for tag, b in zip("ifoc", lay.weights.biases()):
                 reg(f"{lay.name}.b{tag}", b)
-    if stage <= 3:
+    if not rules.folded_norms:
         for lay in model.layers:
             for attr, norm in norms(lay).items():
                 suffix = attr.removeprefix("norm")  # norm1 -> gamma1, beta1
@@ -167,7 +166,7 @@ def bind_params(model: ModelGraph) -> BoundParams:
 # ---------------------------------------------------------------------------
 
 
-def _norm_act(tape, z, lay, bound, stage, int_bound=None, suffix="", remake=None):
+def _norm_act(tape, z, lay, bound, rules: StageRules, int_bound=None, suffix="", remake=None):
     """The layer's ``norm{suffix}`` on ``z``, then the stage's activation.
     A norm with bound ``gamma`` and ``beta`` trains on batch statistics, and
     keeps an integer-valued ``z`` of magnitude at most ``int_bound`` narrow
@@ -182,48 +181,49 @@ def _norm_act(tape, z, lay, bound, stage, int_bound=None, suffix="", remake=None
         z = ad.batchnorm_train(tape, z, gamma, beta, norm, remake=remake)
     else:
         z = ad.channel_affine(tape, z, norm.scale)
-    return _act_node(tape, z, stage)
+    return _act_node(tape, z, rules)
 
 
-def _act_node(tape, x, stage):
-    return ad.relu(tape, x) if stage <= 2 else ad.heaviside_ste(tape, x)
+def _act_node(tape, x, rules: StageRules):
+    return ad.heaviside_ste(tape, x) if rules.binary_acts else ad.relu(tape, x)
 
 
-def _quant_w(tape, bound, name, stage):
+def _quant_w(tape, bound, name, rules: StageRules):
     w = bound.vars[name]
-    return ad.sign_ste(tape, w) if stage >= 2 else w
+    return ad.sign_ste(tape, w) if rules.binary_weights else w
 
 
-def _stem_nodes(tape, x, lay, bound, stage):
+def _stem_nodes(tape, x, lay, bound, rules: StageRules):
     """The stem's conv of the snapped clip ``x``, then its norm and
-    activation.  From stage 4 the conv sums the 8-bit grid as integers, and
-    1/255 is one more positive scale after it.  Up to stage 3 its output is
-    not integer-valued, so the norm forms it again in its backward, by the
-    same conv of the clip and weights the conv's own formula keeps, in place
-    of keeping its float64 normalized input."""
-    w = _quant_w(tape, bound, f"{lay.name}.w", stage)
+    activation.  Once the norms fold, ``x`` holds the 8-bit levels, the conv
+    sums them as integers, and 1/255 is one more positive scale after it.
+    Before, its output is not integer-valued, so the norm forms it again in
+    its backward, by the same conv of the clip and weights the conv's own
+    formula keeps, in place of keeping its float64 normalized input."""
+    w = _quant_w(tape, bound, f"{lay.name}.w", rules)
     # No name holds the norm's input, so it dies once the norm has run.
-    if stage >= 4:
+    if rules.folded_norms:
         return _norm_act(
-            tape, ad.channel_affine(tape, ad.conv3d_op(tape, Var(np.rint(x * 255.0)), w, lay.spec, 255), 1.0 / 255.0),
-            lay, bound, stage,
+            tape, ad.channel_affine(tape, ad.conv3d_op(tape, Var(x), w, lay.spec, 255), 1.0 / 255.0),
+            lay, bound, rules,
         )
     wv = w.value
     return _norm_act(
-        tape, ad.conv3d_op(tape, Var(x), w, lay.spec), lay, bound, stage, remake=lambda: conv3d(x, wv, lay.spec)
+        tape, ad.conv3d_op(tape, Var(x), w, lay.spec), lay, bound, rules, remake=lambda: conv3d(x, wv, lay.spec)
     )
 
 
-def _cf_nodes(tape, x, lay, bound, stage, int_bound=None, suffix=""):
-    """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``: with the
-    input's ``int_bound``, each conv at its exact precision.  Then the
-    layer's ``norm{suffix}`` and activation.  No name holds a conv's output:
-    each goes straight into the next op, so the norm's float64 input dies
-    before the activation runs."""
+def _cf_nodes(tape, x, lay, bound, rules: StageRules, suffix=""):
+    """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``: with
+    ``rules.act_bound`` on the input, each conv at its exact precision.
+    Then the layer's ``norm{suffix}`` and activation.  No name holds a
+    conv's output: each goes straight into the next op, so the norm's
+    float64 input dies before the activation runs."""
+    int_bound = rules.act_bound
 
     def conv(x, part, spec):
         nonlocal int_bound
-        out = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", stage), spec, int_bound)
+        out = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", rules), spec, int_bound)
         if int_bound is not None:
             int_bound *= spec.fan_in
         return out
@@ -232,22 +232,22 @@ def _cf_nodes(tape, x, lay, bound, stage, int_bound=None, suffix=""):
     # int_bound to the norm input's bound before it is read.
     return _norm_act(
         tape, conv(conv(conv(x, "pw1", lay.pw1_spec), "gconv", lay.gconv_spec), "pw2", lay.pw2_spec),
-        lay, bound, stage, int_bound, suffix,
+        lay, bound, rules, int_bound, suffix,
     )
 
 
-def _mor_nodes(tape, x, lay, bound, stage, bits):
-    """The MUX-OR residual block on ``x``; ``bits`` (1 from stage 3, else
-    None) bounds ``x``, and so the {0,1} ``i0`` its second norm reads."""
+def _mor_nodes(tape, x, lay, bound, rules: StageRules):
+    """The MUX-OR residual block on ``x``; ``rules.act_bound`` bounds ``x``,
+    and so the {0,1} ``i0`` its second norm reads."""
     if lay.skip_w is not None:
-        w = _quant_w(tape, bound, f"{lay.name}.skip", stage)
-        skip = _act_node(tape, ad.conv3d_op(tape, x, w, lay.skip_spec, bits), stage)
+        w = _quant_w(tape, bound, f"{lay.name}.skip", rules)
+        skip = _act_node(tape, ad.conv3d_op(tape, x, w, lay.skip_spec, rules.act_bound), rules)
     else:
         skip = x
-    sel = tgap_select(skip.value, quantized=stage >= 3)
-    i0 = ad.clip_ste(tape, ad.add(tape, _cf_nodes(tape, x, lay, bound, stage, bits, "1"), skip))
+    sel = tgap_select(skip.value, quantized=rules.binary_acts)
+    i0 = ad.clip_ste(tape, ad.add(tape, _cf_nodes(tape, x, lay, bound, rules, "1"), skip))
     del skip  # its last reader has run
-    i1 = _norm_act(tape, i0, lay, bound, stage, bits, "2")
+    i1 = _norm_act(tape, i0, lay, bound, rules, rules.act_bound, "2")
     return ad.mux_select(tape, i0, i1, sel)
 
 
@@ -258,30 +258,28 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     block is built in a helper where no name holds an intermediate past its
     last reader, so it dies then unless a gradient formula keeps it.
     """
-    stage = model.stage
+    rules = stage_rules(model.stage)
     for v in bound.vars.values():
         tape.watch(v)
-    x = snap_to_grid(x, model.config)
+    x = snap_to_grid(x, model.config, rules)
     gap_den = 0
-    # From stage 3 every conv after the stem reads {0,1} and sums integers.
-    bits = 1 if stage >= 3 else None
     for lay in model.layers:
         if lay.kind == "stem":
-            cur = _stem_nodes(tape, x, lay, bound, stage)
+            cur = _stem_nodes(tape, x, lay, bound, rules)
         elif lay.kind == "cf":
-            cur = _cf_nodes(tape, cur, lay, bound, stage, bits)
+            cur = _cf_nodes(tape, cur, lay, bound, rules)
         elif lay.kind == "mor":
-            cur = _mor_nodes(tape, cur, lay, bound, stage, bits)
+            cur = _mor_nodes(tape, cur, lay, bound, rules)
         elif lay.kind == "mp":
             cur = ad.maxpool3d_op(tape, cur, lay.window)
         elif lay.kind == "gap":
             gap_den = cur.shape[2] * cur.shape[3]
             cur = ad.mean_axes(tape, cur, (2, 3))
         elif lay.kind == "lstm":
-            cur = _lstm_nodes(tape, cur, lay, bound, stage, gap_den)
+            cur = _lstm_nodes(tape, cur, lay, bound, rules, gap_den)
         elif lay.kind == "dense":
             w = bound.vars[f"{lay.name}.w"]
-            if stage >= 2:
+            if rules.binary_weights:
                 w = ad.tern_ste(tape, w, stern_scale(lay.m))
             logits = ad.matmul(tape, cur, w)
             scores = ad.mean_axes(tape, logits, (1,))
@@ -289,11 +287,12 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
     return loss, scores.value
 
 
-def _lstm_nodes(tape, x_seq, lay, bound, stage, gap_den):
-    """The recurrent layer on the tape.  In 'fq' mode the gates threshold the
-    exact integer pre-activations ``reference.lstm_cell`` uses; the STE
-    windows read the float pre-activations."""
-    mode = lstm_mode(stage)
+def _lstm_nodes(tape, x_seq, lay, bound, rules: StageRules, gap_den):
+    """The recurrent layer on the tape, in ``rules.lstm_mode``.  In 'fq'
+    mode the gates threshold the exact integer pre-activations
+    ``reference.lstm_cell`` uses; the STE windows read the float
+    pre-activations."""
+    mode = rules.lstm_mode
     wts = lay.weights
     scale = ssign_scale(wts.n_i, wts.n_o)
     kernels = {}

@@ -10,7 +10,7 @@ import pytest
 from billnet import autodiff as ad
 from billnet.errors import DisconnectedGraph
 from billnet.model import LSTMLayer
-from billnet.quantize import BNParams, heaviside_ste_grad, sign_strict, tern
+from billnet.quantize import BNParams, heaviside_ste_grad, sign_strict, stage_rules, tern
 from billnet.reference import ConvSpec, LSTMWeights, conv3d
 from billnet.training import BoundParams, _lstm_nodes
 
@@ -630,7 +630,7 @@ def test_lstm_nodes_gradients_match_central_differences(stage, monkeypatch):
     tape = ad.Tape()
     bound = BoundParams({name: tape.watch(ad.Var(a, trainable=True)) for name, a in arrays.items()})
     x = ad.Var(x0, trainable=True)
-    out = _lstm_nodes(tape, x, lay, bound, stage, den)
+    out = _lstm_nodes(tape, x, lay, bound, stage_rules(stage), den)
     loss = ad.sum_all(tape, ad.mul(tape, out, ad.Var(probe)))
     ad.backward(tape, loss)
 
@@ -639,7 +639,7 @@ def test_lstm_nodes_gradients_match_central_differences(stage, monkeypatch):
     def loss_value():
         lin.calls = 0
         free = BoundParams({name: ad.Var(a) for name, a in arrays.items()})
-        return float((_lstm_nodes(ad.Tape(), ad.Var(x0), lay, free, stage, den).value * probe).sum())
+        return float((_lstm_nodes(ad.Tape(), ad.Var(x0), lay, free, stage_rules(stage), den).value * probe).sum())
 
     assert loss_value() == float(loss.value)  # anchored at the forward itself
     assert bool(lin.anchors) == (stage > 1)

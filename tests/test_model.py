@@ -150,6 +150,12 @@ class TestParamAccounting:
         rep = count_params(ModelGraph(config=toy_config(), layers=[], stage=1))
         assert rep.total_weight_params == 0 and rep.total_weight_bits == 0
 
+    @pytest.mark.parametrize("stage", [0, -3, 7])
+    def test_stage_outside_1_to_5_refused(self, stage):
+        # It used to report 32-bit widths below stage 1 and packed ones above 5.
+        with pytest.raises(StageOrderViolation):
+            count_params(build(toy_config()), stage=stage)
+
     def test_stage5_bits_are_packed_widths(self):
         model = build(toy_config())
         rep = count_params(model, stage=5)

@@ -515,6 +515,17 @@ class TestExactPrecision:
         assert pooled and set(pooled) == {np.dtype(bool if stage >= 4 else np.float64)}
         assert_float64_taps(taps)
 
+    @pytest.mark.parametrize("stage", [4, 5])
+    def test_one_float64_copy_per_bool_tap_array(self, stage):
+        # From stage 4 a MOR block's i0, i1 and out are one bool array, so
+        # on_tap gets one float64 copy of it under all three names.
+        model = model_at(stage, 9)
+        x = np.random.default_rng(21).integers(0, 256, size=(1, 8, 24, 32, 1)) / 255.0
+        _, taps = recorded(model, x)
+        for block in ("mor1", "mor2"):
+            i0, i1, out = (taps[f"{block}.{tap}"] for tap in ("i0", "i1", "out"))
+            assert i0 is i1 is out and i0.dtype == np.float64
+
     def test_untapped_paper_forward_peak_below_15_mb(self):
         # Bool activations take one byte a bit where float64 took eight, and
         # the stem's sums are dropped once stepped: the untapped stage-5
