@@ -185,44 +185,46 @@ def compile(model) -> GatePlan:  # noqa: A001 - deliberate: it compiles the mode
     cur = 0  # the input slot: 8-bit features reassembled from planes
     bound = {cur: 255}  # worst-case |value| of each int slot a conv writes or reads
 
-    def conv_int(src, name, spec, w, kind="conv-int"):
+    def conv_int(src, name, conv, kind="conv-int"):
+        spec = conv.spec
         acc = bound[src] * spec.fan_in
         out = plan.emit(
             kind, name, (src,),
-            w=sign_strict(w).astype(np.int8), kernel=spec.kernel, strides=spec.strides,
+            w=sign_strict(conv.w).astype(np.int8), kernel=spec.kernel, strides=spec.strides,
             groups=spec.groups, out_channels=spec.out_channels,
             bound=acc, dtype=ref.exact_dtype(acc),
         )
         bound[out] = acc
         return out
 
-    def pw_bin(src, name, spec, w):
-        out = plan.emit("pw-conv-bin", name, (src,), w_words=_pw_weight_words(w), out_channels=spec.out_channels)
-        bound[out] = spec.fan_in
+    def pw_bin(src, name, conv):
+        w_words = _pw_weight_words(conv.w)
+        out = plan.emit("pw-conv-bin", name, (src,), w_words=w_words, out_channels=conv.spec.out_channels)
+        bound[out] = conv.spec.fan_in
         return out
 
-    def cf_chain(src, base, lay):
-        z = pw_bin(src, f"{base}.cf1", lay.pw1_spec, lay.pw1_w)
-        z = conv_int(z, f"{base}.cf2", lay.gconv_spec, lay.gconv_w)
-        return conv_int(z, f"{base}.cf3", lay.pw2_spec, lay.pw2_w)
+    def cf_chain(src, base, chain):
+        pw1, gconv, pw2 = chain
+        z = pw_bin(src, f"{base}.cf1", pw1)
+        return conv_int(conv_int(z, f"{base}.cf2", gconv), f"{base}.cf3", pw2)
 
     for lay in model.layers:
         if lay.kind == "stem":
-            z = conv_int(cur, f"{lay.name}.pre", lay.spec, lay.w, kind="stem-conv")
+            z = conv_int(cur, f"{lay.name}.pre", lay.conv, kind="stem-conv")
             cur = plan.emit("threshold", f"{lay.name}.out", (z,))
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "cf":
-            z = cf_chain(cur, lay.name, lay)
+            z = cf_chain(cur, lay.name, lay.chain)
             cur = plan.emit("threshold", f"{lay.name}.out", (z,))
             plan.outputs[f"{lay.name}.out"] = cur
         elif lay.kind == "mor":
-            if lay.skip_w is not None:
-                zs = pw_bin(cur, f"{lay.name}.skippre", lay.skip_spec, lay.skip_w)
+            if lay.skip is not None:
+                zs = pw_bin(cur, f"{lay.name}.skippre", lay.skip)
                 skip = plan.emit("threshold", f"{lay.name}.skip", (zs,))
             else:
                 skip = cur
             plan.outputs[f"{lay.name}.skip"] = skip
-            u = cf_chain(cur, lay.name, lay)
+            u = cf_chain(cur, lay.name, lay.chain)
             v = plan.emit("threshold", f"{lay.name}.v", (u,))
             plan.outputs[f"{lay.name}.v"] = v
             cur = plan.emit("or", f"{lay.name}.i0", (v, skip))

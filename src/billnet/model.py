@@ -6,6 +6,19 @@ A built graph is an ordered list of layer records, each carrying its latent
 its input/output shapes.  Forward semantics are derived from the rules of
 the graph's current stage: the same latent weights are consumed raw in
 stage 1 and through their quantizers afterwards.
+
+Each convolution is one ``Conv`` record, its ``ConvSpec`` geometry and its
+latent weights ``w``: the stem's ``conv`` and a MOR block's ``skip`` (None
+where the block keeps its width).  A CF or MOR block's factorized Conv3D is
+its ``chain``, three ``Conv`` records in ``CHAIN`` order: pointwise down to
+half the input width, grouped 3x3x3, pointwise up to the output width.
+The ``CHAIN`` tags name the chain's latents, and so its trainable vars
+(``<block>.pw1`` and so on).
+
+``build`` draws every weight from ``default_rng(config.seed)`` in one fixed
+order: the stem; then per block, in order, a MOR block's skip before its
+chain, pw1 -> gconv -> pw2; then the four LSTM kernels (i, f, o, c); then
+the dense kernel.  A reorder moves every draw after it.
 """
 
 from __future__ import annotations
@@ -88,11 +101,22 @@ def _channel_mult(entry: str) -> int:
 
 
 @dataclass
+class Conv:
+    """One convolution: its geometry and its latent weights."""
+
+    spec: ConvSpec
+    w: np.ndarray
+
+
+# The tags of a factorized Conv3D's convs, in the order they run.
+CHAIN = ("pw1", "gconv", "pw2")
+
+
+@dataclass
 class StemLayer:
     kind: ClassVar[str] = "stem"
     name: str
-    spec: ConvSpec
-    w: np.ndarray
+    conv: Conv
     norm: BNParams | ShiftNorm
     in_shape: tuple = ()
     out_shape: tuple = ()
@@ -102,12 +126,7 @@ class StemLayer:
 class CFLayer:
     kind: ClassVar[str] = "cf"
     name: str
-    pw1_spec: ConvSpec
-    pw1_w: np.ndarray
-    gconv_spec: ConvSpec
-    gconv_w: np.ndarray
-    pw2_spec: ConvSpec
-    pw2_w: np.ndarray
+    chain: tuple[Conv, Conv, Conv]  # in CHAIN order
     norm: BNParams | ShiftNorm
     in_shape: tuple = ()
     out_shape: tuple = ()
@@ -117,16 +136,10 @@ class CFLayer:
 class MORLayer:
     kind: ClassVar[str] = "mor"
     name: str
-    pw1_spec: ConvSpec
-    pw1_w: np.ndarray
-    gconv_spec: ConvSpec
-    gconv_w: np.ndarray
-    pw2_spec: ConvSpec
-    pw2_w: np.ndarray
+    chain: tuple[Conv, Conv, Conv]  # in CHAIN order
     norm1: BNParams | ShiftNorm
     norm2: BNParams | ShiftNorm
-    skip_spec: ConvSpec | None = None
-    skip_w: np.ndarray | None = None
+    skip: Conv | None = None
     in_shape: tuple = ()
     out_shape: tuple = ()
 
@@ -176,12 +189,14 @@ class ModelGraph:
 
 def latents(lay) -> dict[str, np.ndarray]:
     """A layer's latent weight arrays by tag: the one inventory of them."""
-    if lay.kind in ("stem", "dense"):
+    if lay.kind == "stem":
+        return {"w": lay.conv.w}
+    if lay.kind == "dense":
         return {"w": lay.w}
     if lay.kind in ("cf", "mor"):
-        out = {"pw1": lay.pw1_w, "gconv": lay.gconv_w, "pw2": lay.pw2_w}
-        if getattr(lay, "skip_w", None) is not None:
-            out["skip"] = lay.skip_w
+        out = {tag: c.w for tag, c in zip(CHAIN, lay.chain)}
+        if getattr(lay, "skip", None) is not None:
+            out["skip"] = lay.skip.w
         return out
     if lay.kind == "lstm":
         return dict(zip(("wi", "wf", "wo", "wc"), lay.weights.kernels()))
@@ -228,16 +243,15 @@ def build(cfg: BillnetConfig) -> ModelGraph:
     shape = (cfg.t, cfg.h, cfg.w)
     c = cfg.in_channels
 
-    def conv_init(spec: ConvSpec) -> np.ndarray:
-        return _uniform(rng, spec.fan_in, spec.weight_shape)
+    def conv(c_in, c_out, kernel=(1, 1, 1), strides=(1, 1, 1), groups=1) -> Conv:
+        spec = ConvSpec(kernel, strides, groups, c_in, c_out)
+        return Conv(spec, _uniform(rng, spec.fan_in, spec.weight_shape))
 
-    stem_spec = ConvSpec((3, 3, 3), (2, 2, 2), 1, c, cfg.n)
+    stem = conv(c, cfg.n, (3, 3, 3), (2, 2, 2))
     in_shape = shape + (c,)
-    shape = conv_output_shape(shape, stem_spec.kernel, stem_spec.strides)
+    shape = conv_output_shape(shape, stem.spec.kernel, stem.spec.strides)
     c = cfg.n
-    layers.append(
-        StemLayer("stem", stem_spec, conv_init(stem_spec), _fresh_bn(c), in_shape, shape + (c,))
-    )
+    layers.append(StemLayer("stem", stem, _fresh_bn(c), in_shape, shape + (c,)))
 
     mor_i = cf_i = mp_i = 0
     for entry in cfg.blocks:
@@ -255,30 +269,15 @@ def build(cfg: BillnetConfig) -> ModelGraph:
         mid = c // 2
         if mid % cfg.g:
             raise BadConfig(f"low dim {mid} of {entry} not divisible by g={cfg.g}")
-        pw1 = ConvSpec((1, 1, 1), (1, 1, 1), 1, c, mid)
-        gco = ConvSpec((3, 3, 3), (1, 1, 1), cfg.g, mid, mid)
-        pw2 = ConvSpec((1, 1, 1), (1, 1, 1), 1, mid, c_out)
+        skip = conv(c, c_out) if kind == "mor" and c != c_out else None
+        chain = (conv(c, mid), conv(mid, mid, (3, 3, 3), groups=cfg.g), conv(mid, c_out))
+        shapes = (shape + (c,), shape + (c_out,))
         if kind == "cf":
             cf_i += 1
-            layers.append(
-                CFLayer(
-                    f"cf{cf_i}", pw1, conv_init(pw1), gco, conv_init(gco), pw2,
-                    conv_init(pw2), _fresh_bn(c_out), shape + (c,), shape + (c_out,),
-                )
-            )
+            layers.append(CFLayer(f"cf{cf_i}", chain, _fresh_bn(c_out), *shapes))
         else:
             mor_i += 1
-            skip_spec = skip_w = None
-            if c != c_out:
-                skip_spec = ConvSpec((1, 1, 1), (1, 1, 1), 1, c, c_out)
-                skip_w = conv_init(skip_spec)
-            layers.append(
-                MORLayer(
-                    f"mor{mor_i}", pw1, conv_init(pw1), gco, conv_init(gco), pw2,
-                    conv_init(pw2), _fresh_bn(c_out), _fresh_bn(c_out),
-                    skip_spec, skip_w, shape + (c,), shape + (c_out,),
-                )
-            )
+            layers.append(MORLayer(f"mor{mor_i}", chain, _fresh_bn(c_out), _fresh_bn(c_out), skip, *shapes))
         c = c_out
 
     layers.append(GAPLayer("gap", shape + (c,), (shape[0], c)))

@@ -8,7 +8,10 @@ binary and ternary intermediate the logic path must reproduce to its
 ``on_tap`` callback, and returns per-step logits plus aggregated class
 scores.
 
-Inputs are 8-bit fixed point (gray levels scaled by 1/255).  Once the rules
+Inputs are 8-bit fixed point (gray levels scaled by 1/255); ``snap_to_grid``
+refuses a clip that is not floating point or not in [0, 1].  Each conv is a
+``model.Conv`` record, and a CF or MOR block's factorized Conv3D is its
+``chain`` of three, pointwise -> grouped -> pointwise.  Once the rules
 fold the norms (``folded_norms``) every threshold sits exactly at zero, so
 pre-activations that feed a step function are accumulated over
 integer-valued operands, and the two execution paths agree bit for bit
@@ -22,7 +25,7 @@ stem reads the 8-bit levels as integers.  ``forward`` bounds each such
 conv's accumulator from its input's bound and its fan-in, as the logic-path
 compiler and the training tape do (255 x fan-in for the stem on the 8-bit
 grid, fan-in for a conv reading {0,1}, the previous bound x fan-in along a
-pointwise -> grouped -> pointwise chain), and runs the conv in that dtype;
+block's chain), and runs the conv in that dtype;
 before the norms fold, the batch norm that follows reads the sums as
 float64.  Once they fold it steps on the raw integer sums, as the logic
 path does: the folded norm is a positive power-of-two scale (the stem's
@@ -406,9 +409,11 @@ def predict(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def conv_weight(w: np.ndarray, rules: StageRules) -> np.ndarray:
-    """Latent conv weights as ``rules`` use them (signs with ``binary_weights``)."""
-    return sign_strict(w) if rules.binary_weights else w
+def _layer_conv(x, conv, rules: StageRules, bound: int | None = None):
+    """``_conv`` of a layer's ``model.Conv`` record, its latent weights as
+    ``rules`` use them (signs with ``binary_weights``)."""
+    w = sign_strict(conv.w) if rules.binary_weights else conv.w
+    return _conv(x, w, conv.spec, bound)
 
 
 def apply_norm(x, norm):
@@ -438,13 +443,12 @@ class ForwardResult:
 
 
 def _cf_apply(x, layer, rules: StageRules):
-    """Pointwise -> grouped -> pointwise, no nonlinearity in between; with
-    ``rules.act_bound`` on the input, each conv at its exact precision (see
-    ``_conv``), and the result in that dtype."""
+    """The layer's ``chain`` (pointwise -> grouped -> pointwise), no
+    nonlinearity in between; with ``rules.act_bound`` on the input, each conv
+    at its exact precision (see ``_conv``), and the result in that dtype."""
     bound = rules.act_bound
-    parts = ((layer.pw1_w, layer.pw1_spec), (layer.gconv_w, layer.gconv_spec), (layer.pw2_w, layer.pw2_spec))
-    for w, spec in parts:
-        x, bound = _conv(x, conv_weight(w, rules), spec, bound)
+    for conv in layer.chain:
+        x, bound = _layer_conv(x, conv, rules, bound)
     return x
 
 
@@ -453,11 +457,17 @@ def snap_to_grid(x: np.ndarray, cfg, rules: StageRules) -> np.ndarray:
     grid, formed once as one float64 array: the levels ``rint(x * 255)``
     themselves once ``rules`` fold the norms (the stem then sums them as
     integers, and 1/255 is one more positive scale ahead of its step), else
-    those levels / 255.  Any other shape raises ShapeMismatch."""
-    x = np.asarray(x, dtype=np.float64)
+    those levels / 255.  Any other shape raises ShapeMismatch.  The clip
+    holds gray levels already scaled by 1/255: one that is not floating
+    point raises TypeError, and values outside [0, 1] raise ValueError."""
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        raise TypeError(f"clip must be floating-point gray levels / 255, got {x.dtype}")
     if x.ndim != 5 or x.shape[1:] != (cfg.t, cfg.h, cfg.w, cfg.in_channels):
         raise ShapeMismatch(f"clip {x.shape} is not (N, {cfg.t}, {cfg.h}, {cfg.w}, {cfg.in_channels})")
-    levels = np.rint(x * 255)
+    if x.size and not (0 <= x.min() and x.max() <= 1):
+        raise ValueError("clip values outside [0, 1]: gray levels must be scaled by 1/255")
+    levels = np.rint(x.astype(np.float64, copy=False) * 255)
     return levels if rules.folded_norms else np.divide(levels, 255, out=levels)
 
 
@@ -489,15 +499,14 @@ def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | No
             # Folded norms sum the 8-bit levels exactly.  No name holds the
             # conv's sums, so they are freed once stepped.
             bound = 255 if rules.folded_norms else None
-            x = _norm_act(_conv(x, conv_weight(layer.w, rules), layer.spec, bound)[0], layer.norm, rules)
+            x = _norm_act(_layer_conv(x, layer.conv, rules, bound)[0], layer.norm, rules)
             put(x, f"{layer.name}.out")
         elif kind == "cf":
             x = _norm_act(_cf_apply(x, layer, rules), layer.norm, rules)
             put(x, f"{layer.name}.out")
         elif kind == "mor":
-            if layer.skip_w is not None:
-                w = conv_weight(layer.skip_w, rules)
-                skip = _norm_act(_conv(x, w, layer.skip_spec, rules.act_bound)[0], None, rules)
+            if layer.skip is not None:
+                skip = _norm_act(_layer_conv(x, layer.skip, rules, rules.act_bound)[0], None, rules)
             else:
                 skip = x
             v = _norm_act(_cf_apply(x, layer, rules), layer.norm1, rules)

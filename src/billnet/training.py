@@ -19,12 +19,14 @@ holds its input as narrow integers for the backward (see ``autodiff``).
 Until the norms fold the stem norm, whose input is not integer-valued,
 forms that input again in its backward from the clip.  Each block is built
 in its own helper, so its float64 intermediates die once their last reader
-has run.
+has run.  A block's ``chain`` runs its ``model.Conv`` records in ``CHAIN``
+order, each with the trainable weights bound as ``<block>.<tag>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from . import autodiff as ad
 from . import engine
 from .autodiff import Tape, Var
 from .errors import ShapeMismatch, StageOrderViolation
-from .model import ModelGraph, apply_stage_transition, latents, norms
+from .model import CHAIN, ModelGraph, apply_stage_transition, latents, norms
 from .quantize import StageRules, ssign_scale, stage_rules, stern_scale, tgap_select
 from .reference import forward as eval_forward
 from .reference import conv3d, exact_preactivations, lstm_kernels, snap_to_grid
@@ -58,8 +60,12 @@ class StageConfig:
 
     def __post_init__(self):
         stage_rules(self.stage)  # refuses a stage outside 1..5
-        if self.decay_epochs > self.epochs:
-            raise ValueError("decay window longer than the stage")
+        if self.epochs < 1:
+            raise ValueError(f"{self.epochs} epochs: the stage would take no step")
+        if not 0 <= self.decay_epochs <= self.epochs:
+            raise ValueError(f"decay window of {self.decay_epochs} epochs outside [0, {self.epochs}]")
+        if not (np.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ValueError(f"initial_lr {self.initial_lr} is not finite and positive")
         _check_batch_size(self.batch_size)
 
 
@@ -200,48 +206,46 @@ def _stem_nodes(tape, x, lay, bound, rules: StageRules):
     Before, its output is not integer-valued, so the norm forms it again in
     its backward, by the same conv of the clip and weights the conv's own
     formula keeps, in place of keeping its float64 normalized input."""
-    w = _quant_w(tape, bound, f"{lay.name}.w", rules)
+    w, spec = _quant_w(tape, bound, f"{lay.name}.w", rules), lay.conv.spec
     # No name holds the norm's input, so it dies once the norm has run.
     if rules.folded_norms:
         return _norm_act(
-            tape, ad.channel_affine(tape, ad.conv3d_op(tape, Var(x), w, lay.spec, 255), 1.0 / 255.0),
+            tape, ad.channel_affine(tape, ad.conv3d_op(tape, Var(x), w, spec, 255), 1.0 / 255.0),
             lay, bound, rules,
         )
     wv = w.value
     return _norm_act(
-        tape, ad.conv3d_op(tape, Var(x), w, lay.spec), lay, bound, rules, remake=lambda: conv3d(x, wv, lay.spec)
+        tape, ad.conv3d_op(tape, Var(x), w, spec), lay, bound, rules, remake=lambda: conv3d(x, wv, spec)
     )
 
 
 def _cf_nodes(tape, x, lay, bound, rules: StageRules, suffix=""):
-    """Pointwise -> grouped -> pointwise, as ``reference._cf_apply``: with
-    ``rules.act_bound`` on the input, each conv at its exact precision.
-    Then the layer's ``norm{suffix}`` and activation.  No name holds a
-    conv's output: each goes straight into the next op, so the norm's
-    float64 input dies before the activation runs."""
+    """The layer's ``chain`` (pointwise -> grouped -> pointwise), as
+    ``reference._cf_apply``: with ``rules.act_bound`` on the input, each conv
+    at its exact precision.  Then the layer's ``norm{suffix}`` and
+    activation.  No name holds a conv's output: each goes straight into the
+    next op, so the norm's float64 input dies before the activation runs."""
     int_bound = rules.act_bound
 
-    def conv(x, part, spec):
+    def conv(x, tagged):
         nonlocal int_bound
-        out = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{part}", rules), spec, int_bound)
+        tag, c = tagged
+        out = ad.conv3d_op(tape, x, _quant_w(tape, bound, f"{lay.name}.{tag}", rules), c.spec, int_bound)
         if int_bound is not None:
-            int_bound *= spec.fan_in
+            int_bound *= c.spec.fan_in
         return out
 
     # Arguments are evaluated left to right, so the convs have advanced
     # int_bound to the norm input's bound before it is read.
-    return _norm_act(
-        tape, conv(conv(conv(x, "pw1", lay.pw1_spec), "gconv", lay.gconv_spec), "pw2", lay.pw2_spec),
-        lay, bound, rules, int_bound, suffix,
-    )
+    return _norm_act(tape, reduce(conv, zip(CHAIN, lay.chain), x), lay, bound, rules, int_bound, suffix)
 
 
 def _mor_nodes(tape, x, lay, bound, rules: StageRules):
     """The MUX-OR residual block on ``x``; ``rules.act_bound`` bounds ``x``,
     and so the {0,1} ``i0`` its second norm reads."""
-    if lay.skip_w is not None:
+    if lay.skip is not None:
         w = _quant_w(tape, bound, f"{lay.name}.skip", rules)
-        skip = _act_node(tape, ad.conv3d_op(tape, x, w, lay.skip_spec, rules.act_bound), rules)
+        skip = _act_node(tape, ad.conv3d_op(tape, x, w, lay.skip.spec, rules.act_bound), rules)
     else:
         skip = x
     sel = tgap_select(skip.value, quantized=rules.binary_acts)

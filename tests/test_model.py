@@ -3,11 +3,14 @@ import pytest
 
 from billnet.errors import BadConfig, StageOrderViolation
 from billnet.model import (
+    CHAIN,
+    TOY_BLOCKS,
     BillnetConfig,
     ModelGraph,
     apply_stage_transition,
     build,
     count_params,
+    latents,
     norms,
     seed_norms,
     toy_config,
@@ -61,10 +64,29 @@ class TestBuild:
         b = build(toy_config(seed=11))
         for la, lb in zip(a.layers, b.layers):
             if la.kind == "mor":
-                np.testing.assert_array_equal(la.pw1_w, lb.pw1_w)
-                np.testing.assert_array_equal(la.gconv_w, lb.gconv_w)
+                np.testing.assert_array_equal(la.chain[0].w, lb.chain[0].w)
+                np.testing.assert_array_equal(la.chain[1].w, lb.chain[1].w)
         c = build(toy_config(seed=12))
-        assert not np.array_equal(layer(a, "stem").w, layer(c, "stem").w)
+        assert not np.array_equal(layer(a, "stem").conv.w, layer(c, "stem").conv.w)
+
+    @pytest.mark.parametrize("blocks", [TOY_BLOCKS, ("cf:n", "mp", "mor:2n", "cf:4n")])
+    def test_build_draws_in_the_documented_order(self, blocks):
+        # The stem; per block its skip, if any, then pw1 -> gconv -> pw2;
+        # the four LSTM kernels; the dense kernel.  A reorder moves every
+        # draw after it.
+        model = build(toy_config(blocks=blocks, seed=3))
+        rng = np.random.default_rng(3)
+        order = {
+            "stem": ["w"], "cf": [*CHAIN], "mor": ["skip", *CHAIN],
+            "lstm": ["wi", "wf", "wo", "wc"], "dense": ["w"],
+        }
+        for lay in model.layers:
+            got = latents(lay)
+            assert set(got) <= set(order.get(lay.kind, []))
+            for tag in (t for t in order.get(lay.kind, []) if t in got):  # a MOR block of one width has no skip
+                w = got[tag]
+                bound = 1 / np.sqrt(w.shape[0]) if lay.kind == "lstm" else np.sqrt(3.0 / np.prod(w.shape[:-1]))
+                np.testing.assert_array_equal(w, rng.uniform(-bound, bound, size=w.shape), err_msg=f"{lay.name}.{tag}")
 
     def test_pooling_below_one_rejected(self):
         with pytest.raises(BadConfig):

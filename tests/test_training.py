@@ -312,16 +312,35 @@ def test_every_walk_refuses_a_clip_of_another_shape():
         engine.execute(engine.compile(model), engine.frames_to_bitplanes(frames))
 
 
+@pytest.mark.parametrize("walk", ["forward", "training_graph"])
+def test_every_walk_refuses_a_clip_off_the_unit_scale(walk):
+    # Both walks read gray levels / 255: a uint8 clip passed straight in, or
+    # an unscaled float one, would snap to other levels and score silently.
+    model = model_at(5, 0)
+    labels = np.arange(1)
+    run = {
+        "forward": lambda x: reference.forward(model, x),
+        "training_graph": lambda x: training_graph(Tape(), model, bind_params(model), x, labels),
+    }[walk]
+    levels = np.full((1, 8, 24, 32, 1), 200, dtype=np.uint8)
+    with pytest.raises(TypeError, match="uint8"):
+        run(levels)
+    for clip in (levels.astype(np.float64), levels / -255.0, np.full(levels.shape, np.nan)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run(clip)
+    run(levels / 255.0)
+
+
 @pytest.mark.parametrize("label", [-1, 4])
 def test_labels_outside_the_classes_are_refused_before_any_step(label):
     model = build(toy_config())
-    before = model.layers[0].w.copy()
+    before = model.layers[0].conv.w.copy()
     frames = np.zeros((2, 8, 24, 32, 1), dtype=np.uint8)
     with pytest.raises(ValueError):
         run_stage(model, StageConfig(1, 1e-3, 1, 1, batch_size=2), frames, np.array([0, label]))
     with pytest.raises(ValueError):
         evaluate(model, frames, np.array([0, label]))
-    assert np.array_equal(model.layers[0].w, before)
+    assert np.array_equal(model.layers[0].conv.w, before)
 
 
 @pytest.mark.parametrize("walk", ["evaluate-ref", "evaluate-logic", "run_stage-train", "run_stage-test"])
@@ -329,7 +348,7 @@ def test_clips_that_are_not_uint8_are_refused_before_any_step(walk):
     # Both walks divide clips by 255: a float clip already in [0, 1] would
     # train and score as a near-black one.
     model = model_at(5 if walk == "evaluate-logic" else 1, 0)
-    before = model.layers[0].w.copy()
+    before = model.layers[0].conv.w.copy()
     clips = np.zeros((2, 8, 24, 32, 1), dtype=np.uint8)
     floats, y = clips / 255.0, np.arange(2)
     with pytest.raises(TypeError, match="float64"):
@@ -339,7 +358,7 @@ def test_clips_that_are_not_uint8_are_refused_before_any_step(walk):
             data = (floats, y, clips, y) if walk == "run_stage-train" else (clips, y, floats, y)
             run_stage(model, StageConfig(2, 1e-3, 1, 1, batch_size=2), *data)
     assert model.stage == (5 if walk == "evaluate-logic" else 1)
-    assert np.array_equal(model.layers[0].w, before)
+    assert np.array_equal(model.layers[0].conv.w, before)
 
 
 def test_evaluate_refuses_an_unknown_path_on_no_clips():
@@ -362,20 +381,32 @@ def test_run_stage_refuses_clip_and_label_counts_that_differ_before_any_step(cli
     # them mid-epoch, with more it trains on a prefix.  The test pair is
     # refused the same way, before the stage is entered.
     model = model_at(1, 0)
-    before = model.layers[0].w.copy()
+    before = model.layers[0].conv.w.copy()
     frames = np.zeros((clips, 8, 24, 32, 1), dtype=np.uint8)
     y = np.arange(labels) % 4
     data = (frames, y, frames[:2], y[:2]) if pair == "train" else (frames[:2], y[:2], frames, y)
     with pytest.raises(ShapeMismatch):
         run_stage(model, StageConfig(2, 1e-3, 1, 1, batch_size=2), *data)
     assert model.stage == 1
-    assert np.array_equal(model.layers[0].w, before)
+    assert np.array_equal(model.layers[0].conv.w, before)
 
 
 @pytest.mark.parametrize("stage", [0, 6])
 def test_stage_config_refuses_a_stage_outside_the_schedule(stage):
     with pytest.raises(StageOrderViolation):
         stage_config(stage)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2, 1e-3, 0, 0), (1, 1e-3, 1, -1), (1, -1e-3, 1, 1), (1, 0.0, 1, 1), (1, float("nan"), 1, 1), (1, float("inf"), 1, 1)],
+    ids=["no-epochs", "negative-decay", "negative-lr", "zero-lr", "nan-lr", "inf-lr"],
+)
+def test_stage_config_refuses_a_schedule_that_cannot_train(args):
+    # With no epochs run_stage would enter the stage and return without a
+    # step; a rate that is not finite and positive steps nowhere or to NaN.
+    with pytest.raises(ValueError):
+        StageConfig(*args)
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
