@@ -395,13 +395,17 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+# How far each training step moves a norm's moving statistics toward its
+# batch statistics.
+BN_MOMENTUM = 0.1
+
+
 def batchnorm_train(
     tape: Tape,
     x: Var,
     gamma: Var,
     beta: Var,
     p,
-    momentum: float = 0.1,
     remake: Callable[[], np.ndarray] | None = None,
 ) -> Var:
     """Batch-statistics normalization over all but the channel axis.
@@ -419,7 +423,7 @@ def batchnorm_train(
     output over it, and the formula writes the input gradient over the
     ``xhat`` it reads.
 
-    Side effect: moving statistics in ``p`` are advanced by ``momentum``
+    Side effect: moving statistics in ``p`` are advanced by ``BN_MOMENTUM``
     toward the batch statistics (used later for eval and shift folding).
     """
     axes = tuple(range(x.value.ndim - 1))
@@ -430,8 +434,8 @@ def batchnorm_train(
     var = _channel_dot(xhat, xhat) / m  # the mean of squares x.var forms
     ivar = 1.0 / np.sqrt(var + p.eps)
     xhat *= ivar
-    p.mean = (1.0 - momentum) * p.mean + momentum * mu
-    p.var = (1.0 - momentum) * p.var + momentum * var
+    p.mean = (1.0 - BN_MOMENTUM) * p.mean + BN_MOMENTUM * mu
+    p.var = (1.0 - BN_MOMENTUM) * p.var + BN_MOMENTUM * var
     kept = xhat if remake is None else None
     y = np.multiply(gv, xhat, out=None if remake is None else xhat)  # a kept xhat stays as it is
     y += beta.value

@@ -103,7 +103,7 @@ def _pw_weight_words(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QLSTMGates:
-    """The four gates' kernels side by side, in the order i, f, o, c: int8
+    """The four gates' kernels side by side, in ``reference.GATES`` order: int8
     signs for the count features, and packed sign rows for the ternary
     recurrent part (one row per gate unit).  The signs stay int8 in the
     plan; ``count_products`` widens them once per clip, for the one product
@@ -117,9 +117,8 @@ class QLSTMGates:
     @classmethod
     def from_latent(cls, weights) -> "QLSTMGates":
         n_i, n_o = weights.n_i, weights.n_o
-        kernels = weights.kernels()
-        wx = np.concatenate([sign_strict(w[:n_i]).astype(np.int8) for w in kernels], axis=1)
-        whw = np.concatenate([pack_vector((w[n_i:] > 0).T) for w in kernels])
+        wx = np.concatenate([sign_strict(w[:n_i]).astype(np.int8) for w in weights.w], axis=1)
+        whw = np.concatenate([pack_vector((w[n_i:] > 0).T) for w in weights.w])
         return cls(wx, whw, n_i, n_o)
 
 

@@ -17,8 +17,9 @@ The ``CHAIN`` tags name the chain's latents, and so its trainable vars
 
 ``build`` draws every weight from ``default_rng(config.seed)`` in one fixed
 order: the stem; then per block, in order, a MOR block's skip before its
-chain, pw1 -> gconv -> pw2; then the four LSTM kernels (i, f, o, c); then
-the dense kernel.  A reorder moves every draw after it.
+chain, pw1 -> gconv -> pw2; then the four LSTM kernels as one (4, ...)
+draw in ``reference.GATES`` order; then the dense kernel.  A reorder moves
+every draw after it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import BadConfig, StageOrderViolation
 from .quantize import BNParams, ShiftNorm, bsn_fold, stage_rules
-from .reference import ConvSpec, LSTMWeights
+from .reference import GATES, ConvSpec, LSTMWeights
 from .tensors import conv_output_shape, pool_output_shape
 
 # Default block stack at paper scale.  The published figure's exact block
@@ -199,7 +200,7 @@ def latents(lay) -> dict[str, np.ndarray]:
             out["skip"] = lay.skip.w
         return out
     if lay.kind == "lstm":
-        return dict(zip(("wi", "wf", "wo", "wc"), lay.weights.kernels()))
+        return {f"w{g}": w for g, w in zip(GATES, lay.weights.w)}
     return {}
 
 
@@ -284,10 +285,7 @@ def build(cfg: BillnetConfig) -> ModelGraph:
     n_o = cfg.lstm_hidden
     n_i = c
     bound = 1.0 / np.sqrt(n_i + n_o)
-    lw = LSTMWeights(
-        *(rng.uniform(-bound, bound, size=(n_i + n_o, n_o)) for _ in range(4)),
-        *(np.zeros(n_o) for _ in range(4)),
-    )
+    lw = LSTMWeights(rng.uniform(-bound, bound, size=(4, n_i + n_o, n_o)), np.zeros((4, n_o)))
     layers.append(LSTMLayer("lstm", lw, (shape[0], n_i), (shape[0], n_o)))
     layers.append(
         DenseLayer(
@@ -321,7 +319,7 @@ def apply_stage_transition(model: ModelGraph, stage: int) -> ModelGraph:
     if new.binary_weights and not old.binary_weights:
         for lay in model.layers:
             if lay.kind == "lstm":
-                lay.weights.bi = lay.weights.bf = lay.weights.bo = lay.weights.bc = None
+                lay.weights.b = None
     if new.folded_norms and not old.folded_norms:
         for lay in model.layers:
             for attr, norm in norms(lay).items():
@@ -362,32 +360,30 @@ class ParamReport:
         return sum(l.bookkeeping_bits for l in self.layers)
 
 
-def _norm_bits(norm) -> int:
-    if isinstance(norm, ShiftNorm):
-        return norm.shift.size * 8
-    # four per-channel statistics at full precision
-    return 4 * norm.gamma.size * 32
-
-
 def count_params(model: ModelGraph, stage: int | None = None) -> ParamReport:
-    """Per-layer parameter counts and bit sizes under a stage's bitwidths.
+    """Per-layer parameter counts and bit sizes under a stage's rules.
 
     The headline weight size covers conv/recurrent/dense kernels only, at
     32 bits, or with ``binary_weights`` at 2 bits (dense) and 1 bit (the
-    rest); normalization statistics and biases are reported separately as
-    bookkeeping, mirroring how weight-related memory is usually quoted.  A
-    stage outside 1..5 raises StageOrderViolation.
+    rest).  Normalization and biases are reported separately as
+    bookkeeping, mirroring how weight-related memory is usually quoted: per
+    norm channel, an 8-bit shift with ``folded_norms``, else four 32-bit
+    statistics; the LSTM's 4 * n_o biases at 32 bits unless
+    ``binary_weights`` drops them.  Both sizes follow the rules of
+    ``stage`` alone, whatever stage the model is at.  A stage outside 1..5
+    raises StageOrderViolation.
     """
     stage = model.stage if stage is None else stage
-    binary = stage_rules(stage).binary_weights
+    rules = stage_rules(stage)
     rep = ParamReport(stage=stage)
     for lay in model.layers:
         n = sum(w.size for w in latents(lay).values())
         if not n:
             continue
-        book = sum(_norm_bits(norm) for norm in norms(lay).values())
-        if lay.kind == "lstm":
-            book += sum(b.size * 32 for b in lay.weights.biases() if b is not None)
-        bits = (2 if lay.kind == "dense" else 1) if binary else 32
+        # every norm of a layer normalizes its output channels
+        book = len(norms(lay)) * lay.out_shape[-1] * (8 if rules.folded_norms else 4 * 32)
+        if lay.kind == "lstm" and not rules.binary_weights:
+            book += 4 * lay.weights.n_o * 32
+        bits = (2 if lay.kind == "dense" else 1) if rules.binary_weights else 32
         rep.layers.append(LayerParams(lay.name, lay.kind, n, n * bits, book))
     return rep

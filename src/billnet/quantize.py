@@ -21,15 +21,17 @@ class StageRules:
     """What a training stage quantizes.  Each switch, once on, stays on in
     every later stage.
 
-    * ``binary_weights`` (stage 2 on): +-1 conv and recurrent kernels, the
-      ternary dense layer, no LSTM biases, latents clipped to [-1, 1] after
-      each update, and 1 or 2 bits per weight in the accounting.
+    * ``binary_weights`` (stage 2 on): +-1 conv kernels, ``ssign`` recurrent
+      kernels, the ternary dense layer, no LSTM biases, latents clipped to
+      [-1, 1] after each update, and 1 or 2 bits per weight in the
+      accounting.
     * ``binary_acts`` (3 on): step activations, so every conv after the stem
       reads {0,1} (bound ``act_bound``), and the quantized ``tgap_select``.
     * ``folded_norms`` (4 on): norms folded into power-of-two shifts and no
       longer trained; the stem sums the 8-bit levels as integers, and the
       reference steps on raw sums and ORs each MOR block.
-    * ``int_lstm`` (5): the 'fq' LSTM, the integer taps, and the stage
+    * ``int_lstm`` (5): the integer LSTM (strict-sign kernels, step gates,
+      saturated cell state), the integer taps, and the stage
       ``engine.compile`` requires.
     """
 
@@ -37,11 +39,6 @@ class StageRules:
     binary_acts: bool
     folded_norms: bool
     int_lstm: bool
-
-    @property
-    def lstm_mode(self) -> str:
-        """The recurrent cell's mode: 'float', 'wq' or 'fq'."""
-        return "fq" if self.int_lstm else ("wq" if self.binary_weights else "float")
 
     @property
     def act_bound(self) -> int | None:

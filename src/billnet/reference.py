@@ -284,48 +284,42 @@ def relu(x):
 # ---------------------------------------------------------------------------
 
 
+# The recurrent gates in the order ``LSTMWeights`` stacks them: input,
+# forget, output, candidate.  The tags also name the gates' trainable vars.
+GATES = "ifoc"
+
+
 @dataclass
 class LSTMWeights:
-    """Four gate kernels of shape (n_i + n_o, n_o); biases only in float mode."""
+    """The recurrent layer's latents: ``w``, the gate kernels stacked in
+    ``GATES`` order, (4, n_i + n_o, n_o), and ``b``, their biases, (4, n_o),
+    or None once ``binary_weights`` drops them."""
 
-    wi: np.ndarray
-    wf: np.ndarray
-    wo: np.ndarray
-    wc: np.ndarray
-    bi: np.ndarray | None = None
-    bf: np.ndarray | None = None
-    bo: np.ndarray | None = None
-    bc: np.ndarray | None = None
+    w: np.ndarray
+    b: np.ndarray | None
 
     @property
     def n_i(self) -> int:
-        return self.wi.shape[0] - self.wi.shape[1]
+        return self.w.shape[1] - self.w.shape[2]
 
     @property
     def n_o(self) -> int:
-        return self.wi.shape[1]
-
-    def kernels(self):
-        return (self.wi, self.wf, self.wo, self.wc)
-
-    def biases(self):
-        return (self.bi, self.bf, self.bo, self.bc)
+        return self.w.shape[2]
 
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def lstm_kernels(weights: LSTMWeights, mode: str) -> tuple[np.ndarray, ...]:
-    """The four gate kernels as ``mode`` reads them: latent in 'float',
-    ``ssign`` in 'wq', strict signs in 'fq'."""
-    if mode == "float":
-        return weights.kernels()
-    if mode == "wq":
-        return tuple(ssign(w, weights.n_i, weights.n_o) for w in weights.kernels())
-    if mode == "fq":
-        return tuple(sign_strict(w) for w in weights.kernels())
-    raise ValueError(f"unknown lstm mode {mode!r}")
+def lstm_kernels(weights: LSTMWeights, rules: StageRules) -> np.ndarray:
+    """The gate kernels as ``rules`` read them, one stack like ``weights.w``:
+    strict signs with ``int_lstm``, else ``ssign`` with ``binary_weights``,
+    else the latents."""
+    if rules.int_lstm:
+        return sign_strict(weights.w)
+    if rules.binary_weights:
+        return ssign(weights.w, weights.n_i, weights.n_o)
+    return weights.w
 
 
 def lstm_cell(
@@ -333,34 +327,34 @@ def lstm_cell(
     h_prev: np.ndarray,
     c_prev: np.ndarray,
     weights: LSTMWeights,
-    mode: str,
+    rules: StageRules,
+    kernels: np.ndarray,
     input_denominator: int | None = None,
-    kernels: tuple[np.ndarray, ...] | None = None,
 ):
-    """One recurrent step; returns (h_t, c_t).
+    """One recurrent step under ``rules``; returns (h_t, c_t).
 
-    mode 'float':  sigmoid gates, tanh candidate and output squash, biases.
-    mode 'wq':     kernels binarized to +-3/sqrt(n_i+n_o), no biases,
-                   activations unchanged.
-    mode 'fq':     step gates, strict-sign candidate, cell state saturated
-                   to {-1,0,+1}, output squash removed (h = o * c).
+    ``kernels`` is ``lstm_kernels(weights, rules)``: a caller stepping
+    through a sequence quantizes the kernels once, not per step.  Each gate
+    takes its own product.
 
-    In 'fq' mode inputs lie on the grid k/d for ``input_denominator`` d,
-    which that mode requires: pre-activations are accumulated as exact
-    integers, so the strict zero thresholds match the logic path bit for bit.
+    Before ``binary_weights``: sigmoid gates, tanh candidate and output
+    squash, and the biases.  With it: the same activations on kernels
+    binarized to +-3/sqrt(n_i+n_o), and no biases.  With ``int_lstm``: step
+    gates, strict-sign candidate, cell state saturated to {-1,0,+1}, output
+    squash removed (h = o * c).
 
-    ``kernels``, when given, is ``lstm_kernels(weights, mode)``: a caller
-    stepping through a sequence quantizes the kernels once, not per step.
+    With ``int_lstm`` inputs lie on the grid k/d for ``input_denominator``
+    d, which the cell then requires: pre-activations are accumulated as
+    exact integers, so the strict zero thresholds match the logic path bit
+    for bit.
     """
-    if x_t.shape[1] + h_prev.shape[1] != weights.wi.shape[0]:
+    if x_t.shape[1] + h_prev.shape[1] != kernels.shape[1]:
         raise ShapeMismatch(
-            f"x {x_t.shape} + h {h_prev.shape} does not match kernel {weights.wi.shape}"
+            f"x {x_t.shape} + h {h_prev.shape} does not match kernels {kernels.shape}"
         )
-    if kernels is None:
-        kernels = lstm_kernels(weights, mode)
-    if mode == "fq":
+    if rules.int_lstm:
         if not input_denominator:
-            raise ValueError("'fq' mode needs the input_denominator of its grid")
+            raise ValueError("the integer LSTM needs the input_denominator of its grid")
         pre = exact_preactivations(x_t, h_prev, kernels, input_denominator)
         # The positive factor scale/d cannot move a strict zero threshold, so
         # the gates are taken on the integer form directly.
@@ -368,22 +362,21 @@ def lstm_cell(
         ctilde = sign_strict(pre[3])
         c_new = clip(f * c_prev + i * ctilde)
         return o * c_new, c_new
-    if mode not in ("float", "wq"):
-        raise ValueError(f"unknown lstm mode {mode!r}")
     zx = np.concatenate([x_t, h_prev], axis=1)
     pre = [zx @ w for w in kernels]
-    if mode == "float":
-        pre = [p if b is None else p + b for p, b in zip(pre, weights.biases())]
+    if not rules.binary_weights:
+        pre = [p + b for p, b in zip(pre, weights.b)]
     i, f, o = _sigmoid(pre[0]), _sigmoid(pre[1]), _sigmoid(pre[2])
     c_new = f * c_prev + i * np.tanh(pre[3])
     return o * np.tanh(c_new), c_new
 
 
 def exact_preactivations(x_t, h_prev, signs, d: int) -> list[np.ndarray]:
-    """'fq' gate pre-activations as exact integers for inputs on the grid k/d,
-    from the kernels' strict signs (``lstm_kernels(weights, "fq")``):
-    rint(x*d) @ sign(w_x) + d * (h @ sign(w_h)), the scaled float form times
-    the positive factor d/scale."""
+    """The integer LSTM's gate pre-activations as exact integers for inputs
+    on the grid k/d, from the stack of the kernels' strict signs
+    (``lstm_kernels`` with ``int_lstm``): rint(x*d) @ sign(w_x) +
+    d * (h @ sign(w_h)), the scaled float form times the positive factor
+    d/scale."""
     counts = np.rint(x_t * d)
     n_i = x_t.shape[1]
     return [counts @ s[:n_i] + d * (h_prev @ s[n_i:]) for s in signs]
@@ -540,10 +533,10 @@ def forward(model, x: np.ndarray, on_tap: Callable[[str, np.ndarray], None] | No
             h = np.zeros((n, layer.weights.n_o))
             c = np.zeros((n, layer.weights.n_o))
             hs = []
-            kernels = lstm_kernels(layer.weights, rules.lstm_mode)
+            kernels = lstm_kernels(layer.weights, rules)
             for t in range(t_steps):
-                # only the 'fq' mode reads the pooling denominator
-                h, c = lstm_cell(x[:, t, :], h, c, layer.weights, rules.lstm_mode, gap_den, kernels)
+                # only the integer LSTM reads the pooling denominator
+                h, c = lstm_cell(x[:, t, :], h, c, layer.weights, rules, kernels, gap_den)
                 hs.append(h)
             x = np.stack(hs, axis=1)  # (N, T', n_o)
             if rules.int_lstm:

@@ -25,6 +25,7 @@ order, each with the trainable weights bound as ``<block>.<tag>``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -37,7 +38,7 @@ from .errors import ShapeMismatch, StageOrderViolation
 from .model import CHAIN, ModelGraph, apply_stage_transition, latents, norms
 from .quantize import StageRules, ssign_scale, stage_rules, stern_scale, tgap_select
 from .reference import forward as eval_forward
-from .reference import conv3d, exact_preactivations, lstm_kernels, snap_to_grid
+from .reference import GATES, conv3d, exact_preactivations, lstm_kernels, snap_to_grid
 
 # ---------------------------------------------------------------------------
 # Schedule
@@ -60,6 +61,8 @@ class StageConfig:
 
     def __post_init__(self):
         stage_rules(self.stage)  # refuses a stage outside 1..5
+        _check_count("epochs", self.epochs)
+        _check_count("decay_epochs", self.decay_epochs)
         if self.epochs < 1:
             raise ValueError(f"{self.epochs} epochs: the stage would take no step")
         if not 0 <= self.decay_epochs <= self.epochs:
@@ -69,7 +72,16 @@ class StageConfig:
         _check_batch_size(self.batch_size)
 
 
+def _check_count(name: str, value):
+    """Refuse a count that is not an integer (``operator.index``) with TypeError."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
+
+
 def _check_batch_size(batch_size: int):
+    _check_count("batch_size", batch_size)
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} is below 1")
 
@@ -156,8 +168,8 @@ def bind_params(model: ModelGraph) -> BoundParams:
         for tag, w in latents(lay).items():
             reg(f"{lay.name}.{tag}", w, clip=True)
         if lay.kind == "lstm" and not rules.binary_weights:
-            for tag, b in zip("ifoc", lay.weights.biases()):
-                reg(f"{lay.name}.b{tag}", b)
+            for g, b in zip(GATES, lay.weights.b):
+                reg(f"{lay.name}.b{g}", b)
     if not rules.folded_norms:
         for lay in model.layers:
             for attr, norm in norms(lay).items():
@@ -292,18 +304,18 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
 
 
 def _lstm_nodes(tape, x_seq, lay, bound, rules: StageRules, gap_den):
-    """The recurrent layer on the tape, in ``rules.lstm_mode``.  In 'fq'
-    mode the gates threshold the exact integer pre-activations
-    ``reference.lstm_cell`` uses; the STE windows read the float
-    pre-activations."""
-    mode = rules.lstm_mode
+    """The recurrent layer on the tape, ``reference.lstm_cell`` under
+    ``rules``: one product per gate, in ``GATES`` order, each with its bias
+    while ``binary_weights`` is off (only then are the biases bound).  With
+    ``int_lstm`` the gates threshold the exact integer pre-activations the
+    cell uses; the STE windows read the float pre-activations."""
     wts = lay.weights
     scale = ssign_scale(wts.n_i, wts.n_o)
     kernels = {}
-    for tag in "ifoc":
-        w = bound.vars[f"{lay.name}.w{tag}"]
-        kernels[tag] = w if mode == "float" else ad.sign_ste(tape, w, scale)
-    signs = lstm_kernels(wts, mode) if mode == "fq" else None  # the latents' signs, once
+    for g in GATES:
+        w = bound.vars[f"{lay.name}.w{g}"]
+        kernels[g] = ad.sign_ste(tape, w, scale) if rules.binary_weights else w
+    signs = lstm_kernels(wts, rules) if rules.int_lstm else None  # the latents' signs, once
     n, t_steps, _ = x_seq.value.shape
     h = Var(np.zeros((n, wts.n_o)))
     c = Var(np.zeros((n, wts.n_o)))
@@ -312,14 +324,12 @@ def _lstm_nodes(tape, x_seq, lay, bound, rules: StageRules, gap_den):
         xt = ad.select_time(tape, x_seq, t)
         z = ad.concat(tape, xt, h, axis=1)
         pre = {}
-        for tag in "ifoc":
-            p = ad.matmul(tape, z, kernels[tag])
-            bias = bound.vars.get(f"{lay.name}.b{tag}")
-            if mode == "float" and bias is not None:
-                p = ad.add(tape, p, bias)
-            pre[tag] = p
-        if mode == "fq":
-            exact = dict(zip("ifoc", exact_preactivations(xt.value, h.value, signs, gap_den)))
+        for g in GATES:
+            p = ad.matmul(tape, z, kernels[g])
+            bias = bound.vars.get(f"{lay.name}.b{g}")
+            pre[g] = p if bias is None else ad.add(tape, p, bias)
+        if rules.int_lstm:
+            exact = dict(zip(GATES, exact_preactivations(xt.value, h.value, signs, gap_den)))
             i = ad.heaviside_ste(tape, pre["i"], exact["i"])
             f = ad.heaviside_ste(tape, pre["f"], exact["f"])
             o = ad.heaviside_ste(tape, pre["o"], exact["o"])

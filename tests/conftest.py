@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from billnet import reference
 from billnet.model import BillnetConfig, apply_stage_transition, build, seed_norms, toy_config
@@ -13,6 +14,22 @@ CONFIGS = {
 }
 # toy_config overrides that give the paper-scale BillnetConfig.
 PAPER_CONFIG = {f: getattr(BillnetConfig(), f) for f in ("n", "g", "m", "t", "h", "w", "num_classes", "blocks")}
+
+
+@st.composite
+def model_overrides(draw):
+    """toy_config overrides: 1-3 input channels, n and g off any word
+    boundary, small odd or even H/W (as many pools as the stem's output
+    allows), T from 1, m from 1, 2-4 classes, cf/mor blocks of 1-3n."""
+    g = draw(st.integers(1, 3))
+    entries = st.sampled_from(("mp", "cf:n", "cf:2n", "mor:n", "mor:2n", "mor:3n"))
+    blocks = draw(st.lists(entries, min_size=1, max_size=4))
+    lo = 2 ** (blocks.count("mp") + 1) - 1  # the stem's ceil(h/2) halved per pool stays >= 1
+    return dict(
+        in_channels=draw(st.integers(1, 3)), g=g, n=2 * g * draw(st.integers(1, 3)),
+        h=draw(st.integers(lo, lo + 8)), w=draw(st.integers(lo, lo + 8)), t=draw(st.integers(1, 4)),
+        m=draw(st.integers(1, 3)), num_classes=draw(st.integers(2, 4)), blocks=tuple(blocks),
+    )
 
 
 def model_at(stage, seed, **overrides):

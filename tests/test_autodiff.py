@@ -11,7 +11,7 @@ from billnet import autodiff as ad
 from billnet.errors import DisconnectedGraph
 from billnet.model import LSTMLayer
 from billnet.quantize import BNParams, heaviside_ste_grad, sign_strict, stage_rules, tern
-from billnet.reference import ConvSpec, LSTMWeights, conv3d
+from billnet.reference import GATES, ConvSpec, LSTMWeights, conv3d
 from billnet.training import BoundParams, _lstm_nodes
 
 
@@ -260,14 +260,19 @@ def test_batchnorm_train_gradients_match_central_differences():
     np.testing.assert_allclose(beta.grad, numeric(beta0, loss_value), rtol=1e-7, atol=1e-8)
 
 
-def test_batchnorm_train_momentum_one_stores_batch_statistics():
-    # stage 4 folds these statistics into shifts, so they must be x's own
-    x = np.random.default_rng(14).normal(0.3, 1.7, size=(2, 4, 6, 5, 7))
+def test_batchnorm_train_blends_a_tenth_of_the_batch_statistics():
+    # stage 4 folds these statistics into shifts: each step moves them 0.1
+    # of the way from where they were toward x's own
+    rng = np.random.default_rng(14)
+    x = rng.normal(0.3, 1.7, size=(2, 4, 6, 5, 7))
     p = _fresh_norm(7)
-    ad.batchnorm_train(ad.Tape(), ad.Var(x), ad.Var(np.ones(7)), ad.Var(np.zeros(7)), p, momentum=1.0)
+    p.mean, p.var = rng.normal(size=7), rng.lognormal(size=7)
+    mean0, var0 = p.mean, p.var
+    ad.batchnorm_train(ad.Tape(), ad.Var(x), ad.Var(np.ones(7)), ad.Var(np.zeros(7)), p)
     axes = (0, 1, 2, 3)
-    np.testing.assert_array_equal(p.mean, x.mean(axis=axes))
-    np.testing.assert_array_equal(p.var, x.var(axis=axes))
+    assert ad.BN_MOMENTUM == 0.1
+    np.testing.assert_array_equal(p.mean, 0.9 * mean0 + 0.1 * x.mean(axis=axes))
+    np.testing.assert_array_equal(p.var, 0.9 * var0 + 0.1 * x.var(axis=axes))
 
 
 def test_shared_upstream_gradient_is_not_written():
@@ -610,22 +615,22 @@ class Linearized:
         return node
 
 
-@pytest.mark.parametrize("stage", [1, 3, 5], ids=["float", "wq", "fq"])
+@pytest.mark.parametrize("stage", [1, 3, 5], ids=["float", "signed", "integer"])
 def test_lstm_nodes_gradients_match_central_differences(stage, monkeypatch):
-    # float: the smooth cell.  wq: sign_ste kernels under a smooth cell.
-    # fq: step gates and strict-sign candidate read the exact integer
+    # float: the smooth cell.  signed: sign_ste kernels under a smooth cell.
+    # integer: step gates and strict-sign candidate read the exact integer
     # pre-activations, the carry is clip_ste'd.  The quantized modes are
     # checked against the central differences of their straight-through
     # linearization (``Linearized``), anchored at the forward's own values.
     rng = np.random.default_rng(22)
     n, t_steps, n_i, n_o, den = 2, 3, 3, 4, 6
-    kernels = [rng.uniform(-1.5, 1.5, size=(n_i + n_o, n_o)) for _ in range(4)]
-    biases = [rng.normal(size=n_o) for _ in range(4)] if stage == 1 else [None] * 4
-    lay = LSTMLayer("lstm", LSTMWeights(*kernels, *biases))
+    w = rng.uniform(-1.5, 1.5, size=(4, n_i + n_o, n_o))
+    wts = LSTMWeights(w, rng.normal(size=(4, n_o)) if stage == 1 else None)
+    lay = LSTMLayer("lstm", wts)
     x0 = rng.integers(0, den + 1, size=(n, t_steps, n_i)) / den  # on the pooled grid k/den
     probe = rng.normal(size=(n, t_steps, n_o))
-    arrays = {f"lstm.w{tag}": w for tag, w in zip("ifoc", kernels)}
-    arrays.update({f"lstm.b{tag}": b for tag, b in zip("ifoc", biases) if b is not None})
+    arrays = {f"lstm.w{g}": w for g, w in zip(GATES, wts.w)}  # views of the layer's stack
+    arrays.update({f"lstm.b{g}": b for g, b in zip(GATES, [] if wts.b is None else wts.b)})
 
     tape = ad.Tape()
     bound = BoundParams({name: tape.watch(ad.Var(a, trainable=True)) for name, a in arrays.items()})

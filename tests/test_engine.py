@@ -15,7 +15,8 @@ from billnet.engine import (
     qlstm_step,
 )
 from billnet.errors import BadConfig, NotFullyQuantized, ShapeMismatch
-from billnet.reference import LSTMWeights, lstm_cell, maxpool3d
+from billnet.quantize import stage_rules
+from billnet.reference import LSTMWeights, lstm_cell, lstm_kernels
 from billnet.tensors import BitTensor, pack, unpack
 
 WORD_BOUNDARY_CHANNELS = (1, 63, 64, 65, 129, 200)
@@ -154,11 +155,17 @@ class TestExecute:
         assert compare_paths(model, frames) is None
 
     @pytest.mark.parametrize("window", [(1, 2, 2), (2, 3, 2)])
-    def test_maxpool_or_matches_reference_pool(self, window):
+    def test_maxpool_or_matches_an_or_over_window_offsets(self, window):
+        # Oracle: OR of one strided slice per window offset, each starting
+        # at the offset and stopping where floor mode crops, not _blocks.
         rng = np.random.default_rng(11)
-        bits = (rng.random((2, 5, 7, 9, 70)) < 0.3).astype(np.float64)
-        got = unpack(engine._maxpool_or(pack(bits), window))
-        np.testing.assert_array_equal(got, maxpool3d(bits, window))
+        bits = rng.random((2, 5, 7, 9, 70)) < 0.3
+        (kt, kh, kw), (to, ho, wo) = window, (s // k for s, k in zip(bits.shape[1:4], window))
+        want = np.zeros((2, to, ho, wo, 70), dtype=bool)
+        for dt, dh, dw in np.ndindex(*window):
+            want |= bits[:, dt : to * kt : kt, dh : ho * kh : kh, dw : wo * kw : kw]
+        got = unpack(engine._maxpool_or(pack(bits.astype(np.float64)), window))
+        np.testing.assert_array_equal(got, want.astype(np.float64))
 
     def test_broken_logic_op_is_reported(self, monkeypatch):
         # A pool that drops every bit must surface as a divergence at its tap.
@@ -316,7 +323,7 @@ class TestExecute:
 
 
 def random_gates(rng, n_i, n_o):
-    wts = LSTMWeights(*(rng.normal(size=(n_i + n_o, n_o)) for _ in range(4)))
+    wts = LSTMWeights(rng.normal(size=(4, n_i + n_o, n_o)), None)
     return wts, QLSTMGates.from_latent(wts)
 
 
@@ -339,7 +346,7 @@ class TestQLSTMStep:
         # All-positive kernels and strong inputs: every gate fires with a +1
         # candidate onto a +1 cell; the sum 2 must clip to +1.
         n_i, n_o = 2, 2
-        wts = LSTMWeights(*(np.ones((n_i + n_o, n_o)) for _ in range(4)))
+        wts = LSTMWeights(np.ones((4, n_i + n_o, n_o)), None)
         gates = QLSTMGates.from_latent(wts)
         h0, c0 = np.zeros((1, n_o), dtype=np.int8), np.ones((1, n_o), dtype=np.int8)
         xw = count_products(np.full((1, 1, n_i), 10, dtype=np.int64), gates, 48)
@@ -359,13 +366,13 @@ class TestQLSTMStep:
         xw = count_products(counts, gates, den)
         assert xw.dtype == np.int64 and xw.shape == (2, 500, 4, n_o)
         h, c = zero_carry(2, n_o)
+        rules = stage_rules(5)
+        kernels = lstm_kernels(wts, rules)
         h_ref = np.zeros((2, n_o))
         c_ref = np.zeros((2, n_o))
         for t in range(500):
             h, c = qlstm_step(xw[:, t], h, c, gates, den)
-            h_ref, c_ref = lstm_cell(
-                counts[:, t] / den, h_ref, c_ref, wts, "fq", input_denominator=den
-            )
+            h_ref, c_ref = lstm_cell(counts[:, t] / den, h_ref, c_ref, wts, rules, kernels, den)
             np.testing.assert_array_equal(h, h_ref)
             np.testing.assert_array_equal(c, c_ref)
 

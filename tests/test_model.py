@@ -16,6 +16,7 @@ from billnet.model import (
     toy_config,
 )
 from billnet.quantize import BNParams, ShiftNorm
+from billnet.reference import GATES
 
 
 def layer(model, name):
@@ -72,13 +73,13 @@ class TestBuild:
     @pytest.mark.parametrize("blocks", [TOY_BLOCKS, ("cf:n", "mp", "mor:2n", "cf:4n")])
     def test_build_draws_in_the_documented_order(self, blocks):
         # The stem; per block its skip, if any, then pw1 -> gconv -> pw2;
-        # the four LSTM kernels; the dense kernel.  A reorder moves every
-        # draw after it.
+        # the four LSTM kernels, in GATES order; the dense kernel.  A
+        # reorder moves every draw after it.
         model = build(toy_config(blocks=blocks, seed=3))
         rng = np.random.default_rng(3)
         order = {
             "stem": ["w"], "cf": [*CHAIN], "mor": ["skip", *CHAIN],
-            "lstm": ["wi", "wf", "wo", "wc"], "dense": ["w"],
+            "lstm": [f"w{g}" for g in GATES], "dense": ["w"],
         }
         for lay in model.layers:
             got = latents(lay)
@@ -104,9 +105,9 @@ class TestStageTransitions:
 
     def test_stage2_drops_recurrent_biases(self):
         model = build(toy_config())
-        assert layer(model, "lstm").weights.bi is not None
+        assert layer(model, "lstm").weights.b.shape == (4, model.config.lstm_hidden)
         apply_stage_transition(model, 2)
-        assert layer(model, "lstm").weights.bi is None
+        assert layer(model, "lstm").weights.b is None
 
     def test_stage4_folds_all_norms(self):
         model = build(toy_config())
@@ -177,6 +178,22 @@ class TestParamAccounting:
         # It used to report 32-bit widths below stage 1 and packed ones above 5.
         with pytest.raises(StageOrderViolation):
             count_params(build(toy_config()), stage=stage)
+
+    @pytest.mark.parametrize("cfg", [toy_config(), toy_config(blocks=("cf:n", "mor:n", "mp", "mor:2n"))])
+    def test_report_follows_the_stage_asked_not_the_models(self, cfg):
+        # It used to take stage k's bit widths but the model's own norms and
+        # biases: a stage-5 toy model reported at stage 1 gave 896
+        # bookkeeping bits, where a stage-1 one gives 18,432.
+        late = build(cfg)
+        for k in range(2, 6):
+            apply_stage_transition(late, k)
+        for k in range(1, 6):
+            at_k = build(cfg)
+            for j in range(2, k + 1):
+                apply_stage_transition(at_k, j)
+            assert count_params(late, stage=k) == count_params(at_k)
+        if cfg == toy_config():
+            assert count_params(late, stage=1).total_bookkeeping_bits == 18_432
 
     def test_stage5_bits_are_packed_widths(self):
         model = build(toy_config())

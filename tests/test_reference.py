@@ -1,50 +1,38 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import CONFIGS, PAPER_CONFIG, model_at, recorded
+from conftest import CONFIGS, PAPER_CONFIG, model_at, model_overrides, recorded
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from billnet import engine
 from billnet import reference as ref
 from billnet.errors import BadGrouping, NonBinarySelect, ShapeMismatch
 from billnet.model import build, toy_config
-from billnet.quantize import clip, heaviside, sign_strict, ssign_scale
+from billnet.quantize import clip, heaviside, sign_strict, ssign_scale, stage_rules
 from billnet.reference import ConvSpec, LSTMWeights, conv3d, gap_spatial, lstm_cell, maxpool3d, mux
 from billnet.tensors import conv_same_pads
 
 
 def conv3d_oracle(x, w, spec):
-    """Direct summation over the kernel window (independent of im2col)."""
-    n, t, h, wd, ci = x.shape
-    kt, kh, kw = spec.kernel
-    st, sh, sw = spec.strides
-    g = spec.groups
-    cig, cog = ci // g, spec.out_channels // g
-    dims, pads = [], []
-    for size, k, s in zip((t, h, wd), spec.kernel, spec.strides):
-        out, pb, _ = conv_same_pads(size, k, s)
-        dims.append(out)
-        pads.append(pb)
-    out = np.zeros((n, *dims, spec.out_channels))
-    for b in range(n):
-        for ot in range(dims[0]):
-            for oh in range(dims[1]):
-                for ow in range(dims[2]):
-                    for oc in range(spec.out_channels):
-                        gi = oc // cog
-                        acc = 0.0
-                        for dt in range(kt):
-                            for dh in range(kh):
-                                for dw in range(kw):
-                                    it = ot * st + dt - pads[0]
-                                    ih = oh * sh + dh - pads[1]
-                                    iw = ow * sw + dw - pads[2]
-                                    if 0 <= it < t and 0 <= ih < h and 0 <= iw < wd:
-                                        for c in range(cig):
-                                            acc += (
-                                                x[b, it, ih, iw, gi * cig + c]
-                                                * w[dt, dh, dw, c, oc]
-                                            )
-                        out[b, ot, oh, ow, oc] = acc
+    """Direct sum over the kernel offsets, vectorised over positions: for each
+    offset, the strided input slice it meets in the zero-padded input times
+    that offset's weights, group by group.  Independent of im2col, window
+    views and the temporal split; the sum is in ``x`` and ``w``'s dtype."""
+    g, (s_t, s_h, s_w) = spec.groups, spec.strides
+    cig, cog = spec.in_channels // g, spec.out_channels // g
+    dims, pads = zip(*(conv_same_pads(*args)[:2] for args in zip(x.shape[1:4], spec.kernel, spec.strides)))
+    (to, ho, wo), (pt, ph, pw) = dims, pads
+    xp = np.zeros((x.shape[0], *(s + k for s, k in zip(x.shape[1:4], spec.kernel)), x.shape[4]), x.dtype)
+    xp[:, pt : pt + x.shape[1], ph : ph + x.shape[2], pw : pw + x.shape[3]] = x
+    out = np.zeros((x.shape[0], to, ho, wo, spec.out_channels), np.result_type(x, w))
+    for dt, dh, dw in np.ndindex(*spec.kernel):
+        part = xp[:, dt : dt + s_t * to : s_t, dh : dh + s_h * ho : s_h, dw : dw + s_w * wo : s_w]
+        for gi in range(g):
+            ci, co = slice(gi * cig, (gi + 1) * cig), slice(gi * cog, (gi + 1) * cog)
+            out[..., co] += part[..., ci] @ w[dt, dh, dw, :, co]
     return out
 
 
@@ -195,6 +183,43 @@ class TestConv3d:
             conv3d(np.zeros((1, 1, 1, 1, 3)), np.zeros((1, 1, 1, 3, 4)), spec)
 
 
+def oracle_paths(model, frames):
+    """``engine.compare_paths`` with ``engine.ref`` a copy of ``reference``
+    whose ``conv3d`` is ``conv3d_oracle``: the logic path's integer convs are
+    then the oracle's sums, the reference path's stay ``conv3d``'s."""
+    calls = []
+
+    def conv3d(x, w, spec, exact=False):
+        calls.append(spec)
+        return conv3d_oracle(x, w, spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "ref", SimpleNamespace(**{**vars(ref), "conv3d": conv3d}))
+        div = engine.compare_paths(model, frames)
+    assert calls  # the logic path did sum its convs by the oracle
+    return div
+
+
+def oracle_frames(model, seed, n=2):
+    cfg = model.config
+    return np.random.default_rng(seed).integers(0, 256, size=(n, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("config", [*sorted(CONFIGS), "paper"])
+def test_logic_path_on_the_conv_oracle_matches_the_reference(config):
+    # compare_paths would not see a fault shared by both paths' convs, since
+    # both run conv3d; against the oracle such a fault shows as a divergence.
+    model = model_at(5, 2, **(PAPER_CONFIG if config == "paper" else CONFIGS[config]))
+    assert oracle_paths(model, oracle_frames(model, 3, 1 if config == "paper" else 2)) is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(overrides=model_overrides(), seed=st.integers(0, 2**16))
+def test_fuzzed_stage5_logic_path_on_the_conv_oracle_matches_the_reference(overrides, seed):
+    model = model_at(5, seed, **overrides)
+    assert oracle_paths(model, oracle_frames(model, seed)) is None
+
+
 class TestPooling:
     def test_constant_input(self):
         x = np.full((1, 2, 4, 4, 3), 0.7)
@@ -266,18 +291,23 @@ def textbook_lstm_oracle(x, h, c, weights):
         return 1.0 / (1.0 + np.exp(-z))
 
     zx = np.concatenate([x, h], axis=1)
-    i = sig(zx @ weights.wi + weights.bi)
-    f = sig(zx @ weights.wf + weights.bf)
-    o = sig(zx @ weights.wo + weights.bo)
-    ct = np.tanh(zx @ weights.wc + weights.bc)
+    pre = [zx @ weights.w[k] + weights.b[k] for k in range(4)]  # in GATES order
+    i, f, o, ct = sig(pre[0]), sig(pre[1]), sig(pre[2]), np.tanh(pre[3])
     c_new = f * c + i * ct
     return o * np.tanh(c_new), c_new
 
 
 def random_weights(rng, n_i, n_o, biases=True):
-    mk = lambda: rng.normal(size=(n_i + n_o, n_o))
-    bk = (lambda: rng.normal(size=n_o)) if biases else (lambda: None)
-    return LSTMWeights(mk(), mk(), mk(), mk(), bk(), bk(), bk(), bk())
+    w = rng.normal(size=(4, n_i + n_o, n_o))
+    return LSTMWeights(w, rng.normal(size=(4, n_o)) if biases else None)
+
+
+# The cell's three regimes: float latents, ssign kernels, the integer LSTM.
+FLOAT, SIGNED, INTEGER = stage_rules(1), stage_rules(2), stage_rules(5)
+
+
+def step(x, h, c, wts, rules, d=None):
+    return lstm_cell(x, h, c, wts, rules, ref.lstm_kernels(wts, rules), d)
 
 
 class TestLSTMCell:
@@ -287,34 +317,34 @@ class TestLSTMCell:
         x = rng.normal(size=(3, 6))
         h = rng.normal(size=(3, 4))
         c = rng.normal(size=(3, 4))
-        got_h, got_c = lstm_cell(x, h, c, wts, "float")
+        got_h, got_c = step(x, h, c, wts, FLOAT)
         exp_h, exp_c = textbook_lstm_oracle(x, h, c, wts)
         np.testing.assert_allclose(got_h, exp_h, atol=1e-6)
         np.testing.assert_allclose(got_c, exp_c, atol=1e-6)
 
-    def test_fq_zero_preactivations(self):
+    def test_integer_zero_preactivations(self):
         n_i, n_o = 4, 3
-        wts = LSTMWeights(*(np.ones((n_i + n_o, n_o)) for _ in range(4)))
+        wts = LSTMWeights(np.ones((4, n_i + n_o, n_o)), None)
         x = np.zeros((1, n_i))
         h = np.zeros((1, n_o))
         c = np.full((1, n_o), 1.0)
-        got_h, got_c = lstm_cell(x, h, c, wts, "fq", input_denominator=1)
+        got_h, got_c = step(x, h, c, wts, INTEGER, 1)
         # gates are 0, candidate is -1, so the state empties and h is 0
         np.testing.assert_array_equal(got_c, np.zeros((1, n_o)))
         np.testing.assert_array_equal(got_h, np.zeros((1, n_o)))
 
-    def test_fq_saturation_clips_to_plus_one(self):
+    def test_integer_saturation_clips_to_plus_one(self):
         # every gate fires, candidate +1, previous cell +1: 1*1 + 1*1 -> +1
         n_i, n_o = 2, 2
-        wts = LSTMWeights(*(np.ones((n_i + n_o, n_o)) for _ in range(4)))
+        wts = LSTMWeights(np.ones((4, n_i + n_o, n_o)), None)
         x = np.ones((1, n_i))
         h = np.zeros((1, n_o))
         c = np.ones((1, n_o))
-        got_h, got_c = lstm_cell(x, h, c, wts, "fq", input_denominator=1)
+        got_h, got_c = step(x, h, c, wts, INTEGER, 1)
         np.testing.assert_array_equal(got_c, np.ones((1, n_o)))
         np.testing.assert_array_equal(got_h, np.ones((1, n_o)))
 
-    def test_fq_matches_substituted_equations(self):
+    def test_integer_matches_substituted_equations(self):
         # Oracle: evaluate the gate equations directly with the hard
         # activations substituted in, scales attached.
         rng = np.random.default_rng(9)
@@ -326,24 +356,22 @@ class TestLSTMCell:
             h = rng.integers(-1, 2, size=(2, n_o)).astype(float)
             c = rng.integers(-1, 2, size=(2, n_o)).astype(float)
             zx = np.concatenate([x, h], axis=1)
-            i = heaviside(zx @ (s * sign_strict(wts.wi)))
-            f = heaviside(zx @ (s * sign_strict(wts.wf)))
-            o = heaviside(zx @ (s * sign_strict(wts.wo)))
-            ct = sign_strict(zx @ (s * sign_strict(wts.wc)))
+            i, f, o = (heaviside(zx @ (s * sign_strict(wts.w[k]))) for k in range(3))
+            ct = sign_strict(zx @ (s * sign_strict(wts.w[3])))
             exp_c = clip(f * c + i * ct)
             exp_h = o * exp_c
-            got_h, got_c = lstm_cell(x, h, c, wts, "fq", input_denominator=1)
+            got_h, got_c = step(x, h, c, wts, INTEGER, 1)
             np.testing.assert_array_equal(got_c, exp_c)
             np.testing.assert_array_equal(got_h, exp_h)
 
-    def test_fq_exact_integer_form_matches_integer_oracle(self):
+    def test_integer_exact_form_matches_integer_oracle(self):
         # Pure int64 oracle: pre = counts . sign(Wx) + den * (h . sign(Wh));
         # strict zero thresholds on the integers themselves.
         rng = np.random.default_rng(10)
         n_i, n_o, den = 6, 4, 48
         wts = random_weights(rng, n_i, n_o, biases=False)
-        sx = [np.where(w[:n_i] > 0, 1, -1).astype(np.int64) for w in wts.kernels()]
-        sh = [np.where(w[n_i:] > 0, 1, -1).astype(np.int64) for w in wts.kernels()]
+        sx = [np.where(w[:n_i] > 0, 1, -1).astype(np.int64) for w in wts.w]
+        sh = [np.where(w[n_i:] > 0, 1, -1).astype(np.int64) for w in wts.w]
         for _ in range(200):
             counts = rng.integers(0, den + 1, size=(1, n_i))
             h = rng.integers(-1, 2, size=(1, n_o))
@@ -353,50 +381,47 @@ class TestLSTMCell:
             ct = np.where(pre[3] > 0, 1, -1)
             exp_c = np.clip(f * c + i * ct, -1, 1)
             exp_h = o * exp_c
-            got_h, got_c = lstm_cell(
-                counts / den, h.astype(float), c.astype(float), wts, "fq",
-                input_denominator=den,
-            )
+            got_h, got_c = step(counts / den, h.astype(float), c.astype(float), wts, INTEGER, den)
             np.testing.assert_array_equal(got_c, exp_c)
             np.testing.assert_array_equal(got_h, exp_h)
 
-
-    def test_wq_matches_scaled_sign_oracle(self):
-        # 'wq' reads the ssign kernels, +-3/sqrt(n_i+n_o), and no biases.
+    def test_signed_matches_scaled_sign_oracle(self):
+        # With binary weights the cell reads the ssign kernels,
+        # +-3/sqrt(n_i+n_o), and ignores the biases it is given.
         rng = np.random.default_rng(14)
         n_i, n_o = 5, 4
         wts = random_weights(rng, n_i, n_o)
         s = ssign_scale(n_i, n_o)
-        signed = LSTMWeights(*(s * sign_strict(w) for w in wts.kernels()), *(np.zeros(n_o),) * 4)
+        signed = LSTMWeights(s * sign_strict(wts.w), np.zeros((4, n_o)))
         x, h, c = (rng.normal(size=(3, k)) for k in (n_i, n_o, n_o))
-        got_h, got_c = lstm_cell(x, h, c, wts, "wq")
+        got_h, got_c = step(x, h, c, wts, SIGNED)
         exp_h, exp_c = textbook_lstm_oracle(x, h, c, signed)
         np.testing.assert_allclose(got_h, exp_h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_c, exp_c, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["float", "wq", "fq"])
-    def test_kernels_quantized_once_give_the_same_steps(self, mode):
-        # A caller may quantize the kernels once per sequence and hand them
-        # in; every step must equal the one that quantizes them itself.
+    @pytest.mark.parametrize("stage", range(1, 6))
+    def test_kernels_quantize_each_gate_by_the_stage_rules(self, stage):
+        # One elementwise op on the stack: gate k's slice is gate k's kernel
+        # quantized alone, and before binary weights the latents themselves.
         rng = np.random.default_rng(15)
-        n_i, n_o, den = 6, 5, 48
-        wts = random_weights(rng, n_i, n_o, biases=mode == "float")
-        kernels = ref.lstm_kernels(wts, mode)
-        d = den if mode == "fq" else None
-        h = c = h2 = c2 = np.zeros((2, n_o))
-        for _ in range(8):
-            x = rng.integers(0, den + 1, size=(2, n_i)) / den
-            h, c = lstm_cell(x, h, c, wts, mode, input_denominator=d)
-            h2, c2 = lstm_cell(x, h2, c2, wts, mode, input_denominator=d, kernels=kernels)
-            assert np.array_equal(h, h2) and np.array_equal(c, c2)
+        n_i, n_o = 6, 5
+        wts = random_weights(rng, n_i, n_o)
+        rules = stage_rules(stage)
+        kernels = ref.lstm_kernels(wts, rules)
+        if not rules.binary_weights:
+            assert kernels is wts.w
+        quant = sign_strict if rules.int_lstm else (lambda w: ssign_scale(n_i, n_o) * sign_strict(w))
+        for k in range(4):
+            want = quant(wts.w[k]) if rules.binary_weights else wts.w[k]
+            assert np.array_equal(kernels[k], want)
 
-    def test_unknown_mode(self):
-        wts = random_weights(np.random.default_rng(16), 2, 2)
+    def test_integer_cell_needs_its_grid(self):
+        wts = random_weights(np.random.default_rng(16), 2, 2, biases=False)
         x, h = np.zeros((1, 2)), np.zeros((1, 2))
         with pytest.raises(ValueError):
-            ref.lstm_kernels(wts, "bogus")
-        with pytest.raises(ValueError):
-            lstm_cell(x, h, h, wts, "bogus", kernels=wts.kernels())
+            step(x, h, h, wts, INTEGER)
+        with pytest.raises(ShapeMismatch):
+            step(np.zeros((1, 3)), h, h, wts, FLOAT)
 
 
 class TestHead:

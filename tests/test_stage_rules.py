@@ -13,22 +13,20 @@ from billnet.training import StageConfig, stage_config
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "billnet"
 
-# stage -> (binary_weights, binary_acts, folded_norms, int_lstm, lstm_mode)
+# stage -> (binary_weights, binary_acts, folded_norms, int_lstm)
 TABLE = {
-    1: (False, False, False, False, "float"),
-    2: (True, False, False, False, "wq"),
-    3: (True, True, False, False, "wq"),
-    4: (True, True, True, False, "wq"),
-    5: (True, True, True, True, "fq"),
+    1: (False, False, False, False),
+    2: (True, False, False, False),
+    3: (True, True, False, False),
+    4: (True, True, True, False),
+    5: (True, True, True, True),
 }
 
 
 @pytest.mark.parametrize("stage", sorted(TABLE))
 def test_stage_rules_match_the_schedule(stage):
-    *switches, mode = TABLE[stage]
     rules = stage_rules(stage)
-    assert rules == StageRules(*switches)
-    assert rules.lstm_mode == mode
+    assert rules == StageRules(*TABLE[stage])
     assert rules.act_bound == (1 if rules.binary_acts else None)
 
 

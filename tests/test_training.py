@@ -3,7 +3,14 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import CONFIGS, PAPER_CONFIG, assert_no_norms_or_reals, assert_ops_write_in_order, model_at
+from conftest import (
+    CONFIGS,
+    PAPER_CONFIG,
+    assert_no_norms_or_reals,
+    assert_ops_write_in_order,
+    model_at,
+    model_overrides,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,22 +109,6 @@ def test_stage3_tape_holds_its_captures_narrow():
     assert live < 2_200_000, live
     backward(tape, loss)
     assert all(v.grad is not None for v in bound.vars.values())
-
-
-@st.composite
-def model_overrides(draw):
-    """toy_config overrides: 1-3 input channels, n and g off any word
-    boundary, small odd or even H/W (as many pools as the stem's output
-    allows), T from 1, m from 1, 2-4 classes, cf/mor blocks of 1-3n."""
-    g = draw(st.integers(1, 3))
-    entries = st.sampled_from(("mp", "cf:n", "cf:2n", "mor:n", "mor:2n", "mor:3n"))
-    blocks = draw(st.lists(entries, min_size=1, max_size=4))
-    lo = 2 ** (blocks.count("mp") + 1) - 1  # the stem's ceil(h/2) halved per pool stays >= 1
-    return dict(
-        in_channels=draw(st.integers(1, 3)), g=g, n=2 * g * draw(st.integers(1, 3)),
-        h=draw(st.integers(lo, lo + 8)), w=draw(st.integers(lo, lo + 8)), t=draw(st.integers(1, 4)),
-        m=draw(st.integers(1, 3)), num_classes=draw(st.integers(2, 4)), blocks=tuple(blocks),
-    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,7 +286,12 @@ def test_count_params_counts_the_latents_bind_params_registers(config):
             apply_stage_transition(model, stage)
         bound = bind_params(model)
         names = {f"{lay.name}.{tag}": w for lay in model.layers for tag, w in latents(lay).items()}
-        assert all(bound.vars[k].value is w for k, w in names.items())
+        for lay in model.layers:
+            for tag, w in latents(lay).items():
+                value = bound.vars[f"{lay.name}.{tag}"].value
+                # Adam writes into the model's own memory: an LSTM gate's
+                # latent is a view of the layer's (4, ...) stack
+                assert value.base is lay.weights.w if lay.kind == "lstm" else value is w
         assert sorted(bound.clip_latents) == (sorted(names) if stage >= 2 else [])
         want = {lay.name: sum(w.size for w in latents(lay).values()) for lay in model.layers if latents(lay)}
         assert {row.name: row.weight_params for row in count_params(model).layers} == want
@@ -407,6 +403,25 @@ def test_stage_config_refuses_a_schedule_that_cannot_train(args):
     # step; a rate that is not finite and positive steps nowhere or to NaN.
     with pytest.raises(ValueError):
         StageConfig(*args)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"epochs": 1.5}, {"decay_epochs": 0.5}, {"batch_size": 2.5}],
+    ids=["epochs", "decay_epochs", "batch_size"],
+)
+def test_stage_config_refuses_a_count_that_is_not_an_integer(kwargs):
+    # A fractional count used to pass; epochs and batch_size then failed
+    # inside run_stage, after it had entered the stage.
+    field = next(iter(kwargs))
+    with pytest.raises(TypeError, match=field):
+        StageConfig(**{"stage": 2, "initial_lr": 1e-3, "epochs": 2, "decay_epochs": 1, **kwargs})
+
+
+def test_evaluate_refuses_a_batch_size_that_is_not_an_integer():
+    frames = np.zeros((2, 8, 24, 32, 1), dtype=np.uint8)
+    with pytest.raises(TypeError, match="batch_size"):
+        evaluate(build(toy_config()), frames, np.arange(2), batch_size=2.0)
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])

@@ -13,7 +13,9 @@ toy, 3-channel, wide (``n=72, m=17``), ``cf:``-block and paper configs:
 * every stage-5 logic tap (bit taps as their packed words), int logit and
   prediction;
 * one training step's loss, scores, norm statistics and parameter gradients
-  at stages 1-5 of the four small configs and at paper stages 1 and 3.
+  at stages 1-5 of the four small configs and at paper stages 1 and 3;
+* after those gradients, one ``adam_step`` at the stage's first-epoch rate
+  and the latent clip, as ``run_stage`` takes it: every bound var's value.
 
 Clips come from fixed seeds and norm statistics from ``model.seed_norms``
 with a fixed seed, so two checkouts that compute the same bits write the
@@ -85,7 +87,7 @@ def dump(path: str) -> int:
     from billnet import engine, reference
     from billnet.autodiff import Tape, backward
     from billnet.tensors import BitTensor
-    from billnet.training import bind_params, training_graph
+    from billnet.training import AdamState, adam_step, bind_params, lr_schedule, stage_config, training_graph
 
     arrays: dict[str, np.ndarray] = {}
     diverged = []
@@ -123,8 +125,15 @@ def dump(path: str) -> int:
                         arrays[f"{key}/train/nograd/{var_name}"] = np.zeros(0)
                     else:
                         arrays[f"{key}/train/grad/{var_name}"] = var.grad
-                for norm_name, val in _norm_arrays(model).items():
-                    arrays[f"{key}/train/norm/{norm_name}"] = val
+                for norm_name, val in _norm_arrays(model).items():  # copied: the step updates gamma, beta
+                    arrays[f"{key}/train/norm/{norm_name}"] = val.copy()
+                params = [v.value for v in bound.vars.values()]
+                lr = lr_schedule(stage_config(stage), 0)
+                adam_step(params, [v.grad for v in bound.vars.values()], AdamState.for_params(params), lr)
+                for var_name in bound.clip_latents:
+                    np.clip(bound.vars[var_name].value, -1.0, 1.0, out=bound.vars[var_name].value)
+                for var_name, var in bound.vars.items():
+                    arrays[f"{key}/train/step/{var_name}"] = var.value.copy()
             print(f"{key}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays -> {path}")
