@@ -62,6 +62,7 @@ import numpy as np
 
 from .errors import DisconnectedGraph
 from .quantize import (
+    BN_EPS,
     clip as q_clip,
     heaviside as q_heaviside,
     heaviside_ste_grad,
@@ -432,7 +433,7 @@ def batchnorm_train(
     mu = x.value.mean(axis=axes)
     xhat = x.value - mu
     var = _channel_dot(xhat, xhat) / m  # the mean of squares x.var forms
-    ivar = 1.0 / np.sqrt(var + p.eps)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= ivar
     p.mean = (1.0 - BN_MOMENTUM) * p.mean + BN_MOMENTUM * mu
     p.var = (1.0 - BN_MOMENTUM) * p.var + BN_MOMENTUM * var

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import operator
+
+
+def check_int(name: str, value) -> None:
+    """Refuse a ``value`` that is not an integer (a bool, or anything
+    ``operator.index`` rejects) with TypeError naming it ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
 
 
 class BillnetError(Exception):

@@ -1,11 +1,12 @@
 """Declarative model builder and parameter accounting.
 
 A built graph is an ordered list of layer records, each carrying its latent
-(real) weights, its normalization state (batch-norm statistics until
-``quantize.stage_rules`` fold the norms, power-of-two shifts after), and
-its input/output shapes.  Forward semantics are derived from the rules of
-the graph's current stage: the same latent weights are consumed raw in
-stage 1 and through their quantizers afterwards.
+(real) weights, its batch norms, and its input/output shapes.  Forward
+semantics are derived from the rules of the graph's current stage: the same
+latent weights are consumed raw in stage 1 and through their quantizers
+afterwards, and the same norms train until ``quantize.stage_rules`` fold
+them, after which their frozen statistics are read only through
+``quantize.bsn_fold``.  A stage transition changes nothing but the stage.
 
 Each convolution is one ``Conv`` record, its ``ConvSpec`` geometry and its
 latent weights ``w``: the stem's ``conv`` and a MOR block's ``skip`` (None
@@ -30,8 +31,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadConfig, StageOrderViolation
-from .quantize import BNParams, ShiftNorm, bsn_fold, stage_rules
+from .errors import BadConfig, StageOrderViolation, check_int
+from .quantize import BNParams, bsn_fold, stage_rules
 from .reference import GATES, ConvSpec, LSTMWeights
 from .tensors import conv_output_shape, pool_output_shape
 
@@ -68,6 +69,8 @@ class BillnetConfig:
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
+        for f in ("n", "g", "m", "t", "h", "w", "num_classes", "in_channels", "seed"):
+            check_int(f, getattr(self, f))
         small = [f for f in ("n", "g", "m", "t", "h", "w", "in_channels") if getattr(self, f) < 1]
         if small:
             raise BadConfig(f"sizes must be positive: {', '.join(small)}")
@@ -118,7 +121,7 @@ class StemLayer:
     kind: ClassVar[str] = "stem"
     name: str
     conv: Conv
-    norm: BNParams | ShiftNorm
+    norm: BNParams
     in_shape: tuple = ()
     out_shape: tuple = ()
 
@@ -128,7 +131,7 @@ class CFLayer:
     kind: ClassVar[str] = "cf"
     name: str
     chain: tuple[Conv, Conv, Conv]  # in CHAIN order
-    norm: BNParams | ShiftNorm
+    norm: BNParams
     in_shape: tuple = ()
     out_shape: tuple = ()
 
@@ -138,8 +141,8 @@ class MORLayer:
     kind: ClassVar[str] = "mor"
     name: str
     chain: tuple[Conv, Conv, Conv]  # in CHAIN order
-    norm1: BNParams | ShiftNorm
-    norm2: BNParams | ShiftNorm
+    norm1: BNParams
+    norm2: BNParams
     skip: Conv | None = None
     in_shape: tuple = ()
     out_shape: tuple = ()
@@ -204,7 +207,7 @@ def latents(lay) -> dict[str, np.ndarray]:
     return {}
 
 
-def norms(lay) -> dict[str, BNParams | ShiftNorm]:
+def norms(lay) -> dict[str, BNParams]:
     """A layer's norms by attribute name: ``norm``, or ``norm1`` and ``norm2``."""
     return {a: getattr(lay, a) for a in ("norm", "norm1", "norm2") if hasattr(lay, a)}
 
@@ -212,8 +215,8 @@ def norms(lay) -> dict[str, BNParams | ShiftNorm]:
 def seed_norms(model: ModelGraph, rng: np.random.Generator) -> ModelGraph:
     """Draw every batch norm's statistics from ``rng``, in layer and
     ``norms`` order: gamma ~ lognormal(0, 1), beta ~ N(0, 0.3),
-    mean ~ N(0, 1), var ~ lognormal(0, 1).  Fresh norms fold to all-zero
-    stage-4 shifts; seeded ones give the fold something to do."""
+    mean ~ N(0, 1), var ~ lognormal(0, 1).  Fresh norms fold to a unit
+    stage-4 scale; seeded ones give the fold something to do."""
     for lay in model.layers:
         for nm in norms(lay).values():
             nm.gamma = rng.lognormal(0.0, 1.0, nm.gamma.shape)
@@ -302,28 +305,25 @@ def build(cfg: BillnetConfig) -> ModelGraph:
 
 
 def apply_stage_transition(model: ModelGraph, stage: int) -> ModelGraph:
-    """Advance the graph to ``stage``, applying that stage's swaps.
+    """Advance the graph to ``stage``; nothing but ``model.stage`` changes.
 
     Quantization only ever grows: each entry requires the immediately
-    preceding stage.  The stage whose rules turn ``binary_weights`` on
-    removes recurrent biases, and the one that turns ``folded_norms`` on
-    folds all batch norms into offset-free shifts using the moving
-    statistics frozen at that moment; the others only flip activation
-    semantics.
+    preceding stage.  Every reader takes the new stage's semantics from its
+    ``stage_rules``, so no record changes type or loses a field: the LSTM
+    biases stay, unread, once ``binary_weights`` is on, and the norms keep
+    the statistics frozen on entering ``folded_norms``, read from then on
+    only through ``bsn_fold``.  That entry folds every norm first, so one
+    that cannot fold (ZeroScale) leaves the model exactly as it was.
     """
     new, old = stage_rules(stage), stage_rules(model.stage)
     if stage != model.stage + 1:
         raise StageOrderViolation(
             f"cannot enter stage {stage} from stage {model.stage}"
         )
-    if new.binary_weights and not old.binary_weights:
-        for lay in model.layers:
-            if lay.kind == "lstm":
-                lay.weights.b = None
     if new.folded_norms and not old.folded_norms:
         for lay in model.layers:
-            for attr, norm in norms(lay).items():
-                setattr(lay, attr, bsn_fold(norm))
+            for norm in norms(lay).values():
+                bsn_fold(norm)
     model.stage = stage
     return model
 
@@ -369,9 +369,9 @@ def count_params(model: ModelGraph, stage: int | None = None) -> ParamReport:
     bookkeeping, mirroring how weight-related memory is usually quoted: per
     norm channel, an 8-bit shift with ``folded_norms``, else four 32-bit
     statistics; the LSTM's 4 * n_o biases at 32 bits unless
-    ``binary_weights`` drops them.  Both sizes follow the rules of
-    ``stage`` alone, whatever stage the model is at.  A stage outside 1..5
-    raises StageOrderViolation.
+    ``binary_weights``, under which nothing reads them.  Both sizes follow
+    the rules of ``stage`` alone, whatever stage the model is at.  A stage
+    outside 1..5 raises StageOrderViolation.
     """
     stage = model.stage if stage is None else stage
     rules = stage_rules(stage)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StageOrderViolation, ZeroScale
+from .errors import StageOrderViolation, ZeroScale, check_int
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,10 @@ class StageRules:
       accounting.
     * ``binary_acts`` (3 on): step activations, so every conv after the stem
       reads {0,1} (bound ``act_bound``), and the quantized ``tgap_select``.
-    * ``folded_norms`` (4 on): norms folded into power-of-two shifts and no
-      longer trained; the stem sums the 8-bit levels as integers, and the
-      reference steps on raw sums and ORs each MOR block.
+    * ``folded_norms`` (4 on): each norm's statistics frozen and read only
+      through ``bsn_fold``'s power-of-two scale, so no longer trained; the
+      stem sums the 8-bit levels as integers, and the reference steps on
+      raw sums and ORs each MOR block.
     * ``int_lstm`` (5): the integer LSTM (strict-sign kernels, step gates,
       saturated cell state), the integer taps, and the stage
       ``engine.compile`` requires.
@@ -48,8 +49,10 @@ class StageRules:
 
 
 def stage_rules(stage: int) -> StageRules:
-    """The rules of training stage ``stage``; a stage outside 1..5 raises
+    """The rules of training stage ``stage``; a stage that is not an integer
+    (``errors.check_int``) raises TypeError, one outside 1..5
     StageOrderViolation."""
+    check_int("stage", stage)
     if stage not in range(1, 6):
         raise StageOrderViolation(f"stage {stage} outside 1..5")
     return StageRules(stage >= 2, stage >= 3, stage >= 4, stage == 5)
@@ -138,6 +141,10 @@ def tgap_select(x, quantized: bool):
 # ---------------------------------------------------------------------------
 
 
+# The variance floor of every batch norm, in training and once folded.
+BN_EPS = 1e-3
+
+
 @dataclass
 class BNParams:
     """Per-channel batch-norm statistics and affine parameters."""
@@ -146,25 +153,24 @@ class BNParams:
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    eps: float = 1e-3
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         self.beta = np.asarray(self.beta, dtype=np.float64)
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.var = np.asarray(self.var, dtype=np.float64)
-        if np.any(self.var < 0) or self.eps <= 0:
-            raise ValueError("variance must be >= 0 and eps > 0")
+        if np.any(self.var < 0):
+            raise ValueError("variance must be >= 0")
 
     @property
     def scale(self) -> np.ndarray:
-        """Folded multiplier gamma / sqrt(var + eps)."""
-        return self.gamma / np.sqrt(self.var + self.eps)
+        """Folded multiplier gamma / sqrt(var + BN_EPS)."""
+        return self.gamma / np.sqrt(self.var + BN_EPS)
 
     @property
     def offset(self) -> np.ndarray:
-        """Folded offset beta - gamma*mean / sqrt(var + eps)."""
-        return self.beta - self.gamma * self.mean / np.sqrt(self.var + self.eps)
+        """Folded offset beta - gamma*mean / sqrt(var + BN_EPS)."""
+        return self.beta - self.gamma * self.mean / np.sqrt(self.var + BN_EPS)
 
 
 def bn_forward(x, p: BNParams):
@@ -172,24 +178,13 @@ def bn_forward(x, p: BNParams):
     return p.scale * np.asarray(x, dtype=np.float64) + p.offset
 
 
-@dataclass
-class ShiftNorm:
-    """Offset-free power-of-two normalization: y = 2**shift * x."""
+def bsn_fold(p: BNParams) -> np.ndarray:
+    """The norm's folded per-channel scale: ``p.scale`` rounded to the
+    nearest power of two, 2**round(log2|scale|) with ties to even; the
+    offset and the sign are discarded.  A zero-scale channel raises
+    ZeroScale.
 
-    shift: np.ndarray
-
-    def __post_init__(self):
-        self.shift = np.asarray(self.shift, dtype=np.int64)
-
-    @property
-    def scale(self) -> np.ndarray:
-        return np.ldexp(1.0, self.shift.astype(np.int64))
-
-
-def bsn_fold(p: BNParams) -> ShiftNorm:
-    """Fold batch-norm statistics into a power-of-two shift.
-
-    shift = round(log2|scale|) with ties to even; the offset is discarded.
+    With ``folded_norms`` this is all a norm's frozen statistics stand for.
     Because the result is a positive per-channel scale, a following strict
     sign/step activation is unaffected, so the folded norm never has to be
     executed in the logic path.
@@ -197,8 +192,11 @@ def bsn_fold(p: BNParams) -> ShiftNorm:
     g = p.scale
     if np.any(g == 0):
         raise ZeroScale("cannot fold a zero-scale channel into a shift")
-    return ShiftNorm(np.rint(np.log2(np.abs(g))).astype(np.int64))
+    return np.ldexp(1.0, np.rint(np.log2(np.abs(g))).astype(np.int64))
 
 
-def bsn_forward(x, s: ShiftNorm):
-    return s.scale * np.asarray(x, dtype=np.float64)
+def bsn_forward(x, p: BNParams):
+    """The folded norm applied: ``bsn_fold(p) * x``.  No forward calls it
+    (a positive scale cannot move the step that follows); it stays as the
+    benchmark's timing wrap point until ROADMAP item 7 drops that wrap."""
+    return bsn_fold(p) * np.asarray(x, dtype=np.float64)

@@ -3,10 +3,9 @@
 Everything here operates on (N, T, H, W, C) arrays: float64, except the
 narrower dtypes described below.  The model-level ``forward`` evaluates a
 built graph under the ``quantize.stage_rules`` of its current stage, using
-frozen statistics (moving batch-norm stats, folded shifts), hands each
-binary and ternary intermediate the logic path must reproduce to its
-``on_tap`` callback, and returns per-step logits plus aggregated class
-scores.
+the norms' frozen moving statistics, hands each binary and ternary
+intermediate the logic path must reproduce to its ``on_tap`` callback, and
+returns per-step logits plus aggregated class scores.
 
 Inputs are 8-bit fixed point (gray levels scaled by 1/255); ``snap_to_grid``
 refuses a clip that is not floating point or not in [0, 1].  Each conv is a
@@ -30,7 +29,7 @@ before the norms fold, the batch norm that follows reads the sums as
 float64.  Once they fold it steps on the raw integer sums, as the logic
 path does: the folded norm is a positive power-of-two scale (the stem's
 also divides by 255), and no positive scale can move a strict zero step, so
-``apply_norm`` is skipped.  The step's output is bool, and so is every
+no norm is applied.  The step's output is bool, and so is every
 binary activation from there (the MOR OR, the pools) until the global
 average, which averages in float64 because the LSTM reads it; a bounded
 conv casts its bool input once to its dtype.  Each tapped intermediate
@@ -57,11 +56,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import BadConfig, BadGrouping, NonBinarySelect, ShapeMismatch
 from .quantize import (
-    BNParams,
-    ShiftNorm,
     StageRules,
     bn_forward,
-    bsn_forward,
+    bsn_forward,  # unused here: the benchmark's timing wrap point (ROADMAP item 7)
     clip,
     heaviside,
     sign_strict,
@@ -292,11 +289,12 @@ GATES = "ifoc"
 @dataclass
 class LSTMWeights:
     """The recurrent layer's latents: ``w``, the gate kernels stacked in
-    ``GATES`` order, (4, n_i + n_o, n_o), and ``b``, their biases, (4, n_o),
-    or None once ``binary_weights`` drops them."""
+    ``GATES`` order, (4, n_i + n_o, n_o), and ``b``, their biases, (4, n_o).
+    The biases stay in every stage; once ``binary_weights`` is on nothing
+    reads or trains them."""
 
     w: np.ndarray
-    b: np.ndarray | None
+    b: np.ndarray
 
     @property
     def n_i(self) -> int:
@@ -409,22 +407,15 @@ def _layer_conv(x, conv, rules: StageRules, bound: int | None = None):
     return _conv(x, w, conv.spec, bound)
 
 
-def apply_norm(x, norm):
-    if isinstance(norm, BNParams):
-        return bn_forward(x, norm)
-    if isinstance(norm, ShiftNorm):
-        return bsn_forward(x, norm)
-    raise TypeError(f"unknown norm {type(norm)!r}")
-
-
 def _norm_act(z, norm, rules: StageRules):
     """Norm (none for a skip conv, ``norm`` None), then activation: the step
     with ``binary_acts``, else relu.  Once the norms fold, each is a positive
-    power-of-two shift, which cannot move the strict zero step, so the step
-    reads the raw sum ``z`` in whatever dtype its conv ran and gives bool."""
+    power-of-two scale (``bsn_fold``), which cannot move the strict zero
+    step, so the step reads the raw sum ``z`` in whatever dtype its conv ran
+    and gives bool."""
     if rules.folded_norms:
         return z > 0
-    z = z if norm is None else apply_norm(z, norm)
+    z = z if norm is None else bn_forward(z, norm)
     return heaviside(z) if rules.binary_acts else relu(z)
 
 

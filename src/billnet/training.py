@@ -3,7 +3,9 @@
 Each stage trains the same latent weights through the quantizers its
 ``quantize.stage_rules`` switch on.  The tape graph mirrors the reference
 forward exactly, except that normalization uses batch statistics (advancing
-the moving estimates that ``folded_norms`` later folds into shifts).
+the moving estimates that ``folded_norms`` later freezes and reads through
+``quantize.bsn_fold``'s power-of-two scale).  Every stage difference is read
+from the stage rules, never from which vars are bound.
 Optimizer moments are reset at stage boundaries; with ``binary_weights``
 latent weights are clipped to [-1, 1] after every update.
 
@@ -25,7 +27,6 @@ order, each with the trainable weights bound as ``<block>.<tag>``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -34,9 +35,9 @@ import numpy as np
 from . import autodiff as ad
 from . import engine
 from .autodiff import Tape, Var
-from .errors import ShapeMismatch, StageOrderViolation
+from .errors import ShapeMismatch, StageOrderViolation, check_int
 from .model import CHAIN, ModelGraph, apply_stage_transition, latents, norms
-from .quantize import StageRules, ssign_scale, stage_rules, stern_scale, tgap_select
+from .quantize import StageRules, bsn_fold, ssign_scale, stage_rules, stern_scale, tgap_select
 from .reference import forward as eval_forward
 from .reference import GATES, conv3d, exact_preactivations, lstm_kernels, snap_to_grid
 
@@ -61,8 +62,8 @@ class StageConfig:
 
     def __post_init__(self):
         stage_rules(self.stage)  # refuses a stage outside 1..5
-        _check_count("epochs", self.epochs)
-        _check_count("decay_epochs", self.decay_epochs)
+        check_int("epochs", self.epochs)
+        check_int("decay_epochs", self.decay_epochs)
         if self.epochs < 1:
             raise ValueError(f"{self.epochs} epochs: the stage would take no step")
         if not 0 <= self.decay_epochs <= self.epochs:
@@ -72,16 +73,8 @@ class StageConfig:
         _check_batch_size(self.batch_size)
 
 
-def _check_count(name: str, value):
-    """Refuse a count that is not an integer (``operator.index``) with TypeError."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} {value!r} is not an integer") from None
-
-
 def _check_batch_size(batch_size: int):
-    _check_count("batch_size", batch_size)
+    check_int("batch_size", batch_size)
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} is below 1")
 
@@ -186,19 +179,19 @@ def bind_params(model: ModelGraph) -> BoundParams:
 
 def _norm_act(tape, z, lay, bound, rules: StageRules, int_bound=None, suffix="", remake=None):
     """The layer's ``norm{suffix}`` on ``z``, then the stage's activation.
-    A norm with bound ``gamma`` and ``beta`` trains on batch statistics, and
-    keeps an integer-valued ``z`` of magnitude at most ``int_bound`` narrow
-    for its backward, or forms ``z`` again there with ``remake``; any other
-    applies its fixed scale."""
+    Until ``rules`` fold the norms it trains on batch statistics, and keeps
+    an integer-valued ``z`` of magnitude at most ``int_bound`` narrow for
+    its backward, or forms ``z`` again there with ``remake``; once they
+    fold it applies its frozen ``bsn_fold`` scale."""
     norm = getattr(lay, f"norm{suffix}")
-    gamma = bound.vars.get(f"{lay.name}.gamma{suffix}")
-    if gamma is not None:
+    if rules.folded_norms:
+        z = ad.channel_affine(tape, z, bsn_fold(norm))
+    else:
+        gamma = bound.vars[f"{lay.name}.gamma{suffix}"]
         beta = bound.vars[f"{lay.name}.beta{suffix}"]
         if int_bound is not None:
             remake = ad.narrow_remake(z.value, int_bound)
         z = ad.batchnorm_train(tape, z, gamma, beta, norm, remake=remake)
-    else:
-        z = ad.channel_affine(tape, z, norm.scale)
     return _act_node(tape, z, rules)
 
 
@@ -306,9 +299,9 @@ def training_graph(tape: Tape, model: ModelGraph, bound: BoundParams, x: np.ndar
 def _lstm_nodes(tape, x_seq, lay, bound, rules: StageRules, gap_den):
     """The recurrent layer on the tape, ``reference.lstm_cell`` under
     ``rules``: one product per gate, in ``GATES`` order, each with its bias
-    while ``binary_weights`` is off (only then are the biases bound).  With
-    ``int_lstm`` the gates threshold the exact integer pre-activations the
-    cell uses; the STE windows read the float pre-activations."""
+    while ``binary_weights`` is off.  With ``int_lstm`` the gates threshold
+    the exact integer pre-activations the cell uses; the STE windows read
+    the float pre-activations."""
     wts = lay.weights
     scale = ssign_scale(wts.n_i, wts.n_o)
     kernels = {}
@@ -326,8 +319,7 @@ def _lstm_nodes(tape, x_seq, lay, bound, rules: StageRules, gap_den):
         pre = {}
         for g in GATES:
             p = ad.matmul(tape, z, kernels[g])
-            bias = bound.vars.get(f"{lay.name}.b{g}")
-            pre[g] = p if bias is None else ad.add(tape, p, bias)
+            pre[g] = p if rules.binary_weights else ad.add(tape, p, bound.vars[f"{lay.name}.b{g}"])
         if rules.int_lstm:
             exact = dict(zip(GATES, exact_preactivations(xt.value, h.value, signs, gap_den)))
             i = ad.heaviside_ste(tape, pre["i"], exact["i"])
@@ -402,7 +394,7 @@ def run_stage(
     test_labels: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[dict]:
-    """Enter ``cfg.stage`` (applying its swaps) and train; returns log rows.
+    """Enter ``cfg.stage`` and train; returns log rows.
 
     Weights carry over verbatim from the previous stage; optimizer moments
     start from zero.  Clips that are not uint8 raise TypeError, labels

@@ -625,12 +625,14 @@ def test_lstm_nodes_gradients_match_central_differences(stage, monkeypatch):
     rng = np.random.default_rng(22)
     n, t_steps, n_i, n_o, den = 2, 3, 3, 4, 6
     w = rng.uniform(-1.5, 1.5, size=(4, n_i + n_o, n_o))
-    wts = LSTMWeights(w, rng.normal(size=(4, n_o)) if stage == 1 else None)
+    # From stage 2 the biases stay unread: NaN ones would poison the output.
+    wts = LSTMWeights(w, rng.normal(size=(4, n_o)) if stage == 1 else np.full((4, n_o), np.nan))
     lay = LSTMLayer("lstm", wts)
     x0 = rng.integers(0, den + 1, size=(n, t_steps, n_i)) / den  # on the pooled grid k/den
     probe = rng.normal(size=(n, t_steps, n_o))
     arrays = {f"lstm.w{g}": w for g, w in zip(GATES, wts.w)}  # views of the layer's stack
-    arrays.update({f"lstm.b{g}": b for g, b in zip(GATES, [] if wts.b is None else wts.b)})
+    if stage == 1:
+        arrays.update({f"lstm.b{g}": b for g, b in zip(GATES, wts.b)})
 
     tape = ad.Tape()
     bound = BoundParams({name: tape.watch(ad.Var(a, trainable=True)) for name, a in arrays.items()})

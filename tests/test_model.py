@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from billnet.errors import BadConfig, StageOrderViolation
+from billnet.errors import BadConfig, StageOrderViolation, ZeroScale
 from billnet.model import (
     CHAIN,
     TOY_BLOCKS,
@@ -15,8 +15,9 @@ from billnet.model import (
     seed_norms,
     toy_config,
 )
-from billnet.quantize import BNParams, ShiftNorm
-from billnet.reference import GATES
+from billnet.quantize import bsn_fold
+from billnet.reference import GATES, forward
+from billnet.training import bind_params
 
 
 def layer(model, name):
@@ -36,6 +37,12 @@ class TestConfig:
     def test_non_positive_size_rejected(self, size):
         with pytest.raises(BadConfig):
             BillnetConfig(**{size: 0})
+
+    @pytest.mark.parametrize("size", ["n", "g", "m", "t", "h", "w", "num_classes", "in_channels", "seed"])
+    def test_size_that_is_not_an_integer_rejected(self, size):
+        # toy_config(h=24.5) used to build layers of out_shape (4, 13.0, 16, 16).
+        with pytest.raises(TypeError, match=f"{size} .* is not an integer"):
+            toy_config(**{size: float(getattr(toy_config(), size))})
 
     def test_lstm_hidden_is_4m(self):
         assert BillnetConfig(m=32).lstm_hidden == 128
@@ -103,27 +110,42 @@ class TestStageTransitions:
         with pytest.raises(StageOrderViolation):
             apply_stage_transition(model, 2)
 
-    def test_stage2_drops_recurrent_biases(self):
-        model = build(toy_config())
-        assert layer(model, "lstm").weights.b.shape == (4, model.config.lstm_hidden)
-        apply_stage_transition(model, 2)
-        assert layer(model, "lstm").weights.b is None
-
-    def test_stage4_folds_all_norms(self):
-        model = build(toy_config())
-        for k in (2, 3, 4):
-            apply_stage_transition(model, k)
-        assert isinstance(layer(model, "stem").norm, ShiftNorm)
-        mor = layer(model, "mor1")
-        assert isinstance(mor.norm1, ShiftNorm) and isinstance(mor.norm2, ShiftNorm)
-
-    @pytest.mark.parametrize("cfg", [toy_config(blocks=("cf:n", "mor:n", "mp", "mor:2n")), BillnetConfig()])
-    def test_every_norm_is_a_shift_from_stage_4(self, cfg):
-        model = build(cfg)
+    @pytest.mark.parametrize(
+        "cfg", [toy_config(), toy_config(blocks=("cf:n", "mor:n", "mp", "mor:2n")), BillnetConfig()],
+        ids=["toy", "cf-blocks", "paper"],
+    )
+    def test_a_transition_changes_only_the_stage(self, cfg):
+        # Stage 2 used to drop the LSTM biases and stage 4 to swap every
+        # norm for a shift record; the rules now say what each stage reads.
+        model = seed_norms(build(cfg), np.random.default_rng(1))
+        layers, recs = model.layers, records(model)
+        before = {path: contents(rec) for path, rec in recs.items()}
+        assert sum(path.endswith(("norm", "norm1", "norm2")) for path in recs) > 3
         for k in (2, 3, 4, 5):
             apply_stage_transition(model, k)
-            shifts = [isinstance(nm, ShiftNorm) for lay in model.layers for nm in norms(lay).values()]
-            assert len(shifts) > 3 and set(shifts) == {k >= 4}
+            assert model.stage == k and model.layers is layers
+            now = records(model)
+            assert now.keys() == recs.keys() and all(now[path] is recs[path] for path in recs)
+            assert {path: contents(rec) for path, rec in now.items()} == before
+
+    def test_a_refused_fold_leaves_the_model_at_stage_3(self):
+        # It used to swap the norms one by one, so a zero scale in the last
+        # one left 4 of 5 swapped: the stage-3 scores moved and bind_params
+        # raised AttributeError.
+        model = seed_norms(build(toy_config()), np.random.default_rng(1))
+        for k in (2, 3):
+            apply_stage_transition(model, k)
+        [*_, last] = (lay for lay in model.layers if lay.kind == "mor")
+        last.norm2.gamma[0] = 0.0
+        cfg = model.config
+        x = np.random.default_rng(2).integers(0, 256, size=(2, cfg.t, cfg.h, cfg.w, 1)) / 255.0
+        scores, before = forward(model, x).scores, {path: contents(rec) for path, rec in records(model).items()}
+        with pytest.raises(ZeroScale):
+            apply_stage_transition(model, 4)
+        assert model.stage == 3
+        assert {path: contents(rec) for path, rec in records(model).items()} == before
+        assert forward(model, x).scores.tobytes() == scores.tobytes()
+        assert "mor2.gamma2" in bind_params(model).vars
 
     def test_weight_count_constant_across_stages(self):
         model = build(toy_config())
@@ -133,20 +155,39 @@ class TestStageTransitions:
             assert count_params(model).total_weight_params == before
 
 
+def records(model):
+    """Every record the model holds, by path: its layers, their norms, the
+    LSTM's weights and every conv."""
+    recs = {}
+    for lay in model.layers:
+        recs[lay.name] = lay
+        recs.update({f"{lay.name}.{attr}": nm for attr, nm in norms(lay).items()})
+        convs = [getattr(lay, "conv", None), getattr(lay, "skip", None), *getattr(lay, "chain", ())]
+        recs.update({f"{lay.name}.conv{i}": c for i, c in enumerate(convs) if c is not None})
+        if lay.kind == "lstm":
+            recs[f"{lay.name}.weights"] = lay.weights
+    return recs
+
+
+def contents(rec):
+    """Each field of a record: an array's dtype, shape and bytes, any other
+    value's identity."""
+    return {k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else id(v) for k, v in vars(rec).items()}
+
+
 def norm_fields(model, fields):
     return [getattr(nm, f) for lay in model.layers for nm in norms(lay).values() for f in fields]
 
 
 class TestSeedNorms:
-    def test_seeded_norms_fold_to_nonzero_shifts(self):
-        # Fresh norms fold to all-zero shifts, so a stage-4 test on them
-        # would not see a shift at all.
+    def test_seeded_norms_fold_to_scales_other_than_one(self):
+        # Fresh norms fold to a unit scale, so a stage-4 test on them would
+        # not see the fold at all.
         fresh, seeded = build(toy_config()), seed_norms(build(toy_config()), np.random.default_rng(0))
-        for model in (fresh, seeded):
-            for k in (2, 3, 4):
-                apply_stage_transition(model, k)
-        assert not np.concatenate(norm_fields(fresh, ["shift"])).any()
-        assert np.concatenate(norm_fields(seeded, ["shift"])).any()
+        fresh_fold, seeded_fold = (
+            np.concatenate([bsn_fold(nm) for lay in m.layers for nm in norms(lay).values()]) for m in (fresh, seeded)
+        )
+        assert (fresh_fold == 1).all() and (seeded_fold != 1).any()
 
     def test_equal_seeds_give_equal_statistics(self):
         fields = ["gamma", "beta", "mean", "var"]

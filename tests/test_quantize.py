@@ -216,11 +216,11 @@ class TestTGAP:
 
 class TestBatchNormFold:
     def test_affine_example(self):
-        p = q.BNParams(gamma=[2.0], beta=[1.0], mean=[0.0], var=[4.0 - 1e-3], eps=1e-3)
+        p = q.BNParams(gamma=[2.0], beta=[1.0], mean=[0.0], var=[4.0 - 1e-3])
         assert q.bn_forward(np.array([1.0]), p)[0] == pytest.approx(2.0)
 
     def test_identity_params(self):
-        p = q.BNParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3], eps=1e-3)
+        p = q.BNParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3])
         x = np.linspace(-2, 2, 11)
         np.testing.assert_allclose(q.bn_forward(x, p), x, atol=1e-15)
 
@@ -232,36 +232,32 @@ class TestBatchNormFold:
             beta=rng.normal(size=n),
             mean=rng.normal(size=n),
             var=rng.random(n) + 0.01,
-            eps=1e-3,
         )
         x = rng.normal(size=n)
-        two_step = p.gamma * (x - p.mean) / np.sqrt(p.var + p.eps) + p.beta
+        two_step = p.gamma * (x - p.mean) / np.sqrt(p.var + q.BN_EPS) + p.beta
         np.testing.assert_allclose(q.bn_forward(x, p), two_step, atol=1e-12)
 
     def test_fold_hand_example(self):
-        # gamma=1, var=3, eps=1e-3: scale ~ 0.57735, log2 ~ -0.7925 -> k=-1.
-        p = q.BNParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[3.0], eps=1e-3)
-        s = q.bsn_fold(p)
-        assert s.shift[0] == -1
-        assert s.scale[0] == 0.5
+        # gamma=1, var=3, eps=1e-3: scale ~ 0.57735, log2 ~ -0.7925 -> 2**-1.
+        p = q.BNParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[3.0])
+        assert q.bsn_fold(p)[0] == 0.5
+        assert q.bsn_forward([3.0], p)[0] == 1.5
 
     def test_fold_identity(self):
-        p = q.BNParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3], eps=1e-3)
-        assert q.bsn_fold(p).shift[0] == 0
+        p = q.BNParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3])
+        assert q.bsn_fold(p)[0] == 1.0
 
     def test_fold_zero_scale_rejected(self):
-        p = q.BNParams(gamma=[0.0], beta=[0.0], mean=[0.0], var=[1.0], eps=1e-3)
+        p = q.BNParams(gamma=[0.0], beta=[0.0], mean=[0.0], var=[1.0])
         with pytest.raises(ZeroScale):
             q.bsn_fold(p)
 
     def test_ties_round_to_even(self):
         # scale = 2**1.5 has log2 exactly 1.5: nearest even integer is 2.
-        s = q.ShiftNorm(np.array([0]))
-        del s
-        p = q.BNParams(gamma=[2.0**1.5], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3], eps=1e-3)
-        assert q.bsn_fold(p).shift[0] == 2
-        p = q.BNParams(gamma=[2.0**2.5], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3], eps=1e-3)
-        assert q.bsn_fold(p).shift[0] == 2
+        p = q.BNParams(gamma=[2.0**1.5], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3])
+        assert q.bsn_fold(p)[0] == 4.0
+        p = q.BNParams(gamma=[2.0**2.5], beta=[0.0], mean=[0.0], var=[1.0 - 1e-3])
+        assert q.bsn_fold(p)[0] == 4.0
 
     def test_shift_transparent_to_heaviside(self):
         rng = np.random.default_rng(5)

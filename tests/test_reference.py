@@ -503,7 +503,7 @@ class TestExactPrecision:
     @pytest.mark.parametrize("stage", [4, 5])
     @pytest.mark.parametrize("config", ["toy", "cf-blocks", "paper"])
     def test_stages_4_5_step_on_raw_sums(self, config, stage, monkeypatch):
-        # From stage 4 every norm is a positive power-of-two shift (the
+        # From stage 4 every norm is a positive power-of-two scale (the
         # stem's 1/255 one more positive scale), which cannot move a strict
         # zero step: the forward steps on the raw conv sums and applies no
         # norm, and at stage 5 still matches the logic path bit for bit.
@@ -515,8 +515,8 @@ class TestExactPrecision:
         def unreachable(*args):
             raise AssertionError("a norm was applied from stage 4 on")
 
+        monkeypatch.setattr(ref, "bn_forward", unreachable)
         monkeypatch.setattr(ref, "bsn_forward", unreachable)
-        monkeypatch.setattr(ref, "apply_norm", unreachable)
         frames = np.random.default_rng(18).integers(
             0, 256, size=(1, cfg.t, cfg.h, cfg.w, cfg.in_channels), dtype=np.uint8
         )

@@ -47,6 +47,14 @@ def test_every_entry_refuses_a_stage_outside_1_to_5(entry, stage):
         ENTRIES[entry](stage)
 
 
+@pytest.mark.parametrize("stage", [2.0, True])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_every_entry_refuses_a_stage_that_is_not_an_integer(entry, stage):
+    # 2.0 used to read as stage 2 (2.0 in range(1, 6)) and True as stage 1.
+    with pytest.raises(TypeError, match="is not an integer"):
+        ENTRIES[entry](stage)
+
+
 def _is_stage(node) -> bool:
     return (isinstance(node, ast.Name) and node.id == "stage") or (
         isinstance(node, ast.Attribute) and node.attr == "stage"

@@ -12,8 +12,9 @@ toy, 3-channel, wide (``n=72, m=17``), ``cf:``-block and paper configs:
 * the reference forward's intermediates, logits and scores at stages 1-5;
 * every stage-5 logic tap (bit taps as their packed words), int logit and
   prediction;
-* one training step's loss, scores, norm statistics and parameter gradients
-  at stages 1-5 of the four small configs and at paper stages 1 and 3;
+* one training step's loss, scores, norm statistics (from stage 4 only the
+  shift each norm folds to) and parameter gradients at stages 1-5 of the
+  four small configs and at paper stages 1 and 3;
 * after those gradients, one ``adam_step`` at the stage's first-epoch rate
   and the latent clip, as ``run_stage`` takes it: every bound var's value.
 
@@ -72,14 +73,21 @@ def _clips(name: str):
 
 
 def _norm_arrays(model) -> dict[str, np.ndarray]:
+    """Each norm's statistics by ``<layer>.<attr>.<field>``; at a stage whose
+    rules fold the norms, only what the fold keeps of them, the int64
+    ``shift = rint(log2|scale|)``."""
     from billnet.model import norms
+    from billnet.quantize import stage_rules
 
+    folded = stage_rules(model.stage).folded_norms
     out = {}
     for lay in model.layers:
         for attr, norm in norms(lay).items():
-            for field in ("gamma", "beta", "mean", "var", "shift"):
-                if hasattr(norm, field):
-                    out[f"{lay.name}.{attr}.{field}"] = getattr(norm, field)
+            key = f"{lay.name}.{attr}"
+            if folded:
+                out[f"{key}.shift"] = np.rint(np.log2(np.abs(norm.scale))).astype(np.int64)
+            else:
+                out.update({f"{key}.{field}": getattr(norm, field) for field in ("gamma", "beta", "mean", "var")})
     return out
 
 
